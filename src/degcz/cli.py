@@ -209,11 +209,11 @@ def cmd_analyze_weight(cfg: dict) -> int:
     # oscillation and power-mean check tables
     prop_rows = []
     for q_exp in _get(cfg, "oscillation.q_list", [2.0, 4.0]):
-        rep = seminorms.prop_small_check(omega, dom, float(q_exp), quad, fam)
+        rep = seminorms.prop_small_check(omega, dom, float(q_exp), quad, bmo_log=est_w.value)
         prop_rows.append((q_exp, rep.lhs, rep.bmo, rep.ratio))
     small_rows = []
     for s in _get(cfg, "small.s_list", [1.0, 2.0, 4.0]):
-        rep = seminorms.small_scalar_checks(omega, dom, float(s), quad, fam=fam)
+        rep = seminorms.small_scalar_checks(omega, dom, float(s), quad, bmo_log=est_w.value)
         small_rows.append(
             (s, rep.bmo_log, int(rep.condition_met), int(rep.divergent),
              rep.mean_pos, rep.mean_neg, rep.margin_pos, rep.margin_neg,
@@ -387,6 +387,9 @@ def cmd_solve(cfg: dict) -> int:
         f"solve: {len(result.trace)} trace entries, residual {result.residual:.3e}, "
         f"wrote {out}/solution.csv"
     )
+    if not result.converged:
+        print(f"nonconvergence: residual {result.residual:g} above tolerance", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     return 0
 
 

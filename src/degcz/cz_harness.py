@@ -26,7 +26,7 @@ from .pde_solver import (
     solve,
     weighted_lp_norm,
 )
-from .seminorms import BallFamily, bmo_matrix, standard_family
+from .seminorms import BallFamily, bmo_matrix, muckenhoupt_ap, standard_family
 from .weight_algebra import (
     Ball,
     DEFAULT_QUAD,
@@ -179,37 +179,10 @@ def poincare_check(
     if math.isfinite(tpc):
         dom = ball.scaled(2.0) if mesh.contains_ball(ball.center, 2 * ball.radius) else ball
         fam = standard_family(dom, levels=2)
-        est = muckenhoupt_ap_like(omega, p, tpc, fam, quad)
-        cond_val, flagged = est
+        est = muckenhoupt_ap(omega, p, fam, quad, neg_exponent=tpc)
+        cond_val, flagged = max(0.0, *(row[4] for row in est.rows)), est.divergent
     ratio = lhs / rhs if rhs > 0 else (math.nan if lhs == 0 else math.inf)
     return PoincareReport(lhs, rhs, ratio, cond_val, flagged)
-
-
-def muckenhoupt_ap_like(
-    omega: ScalarWeightField,
-    p: float,
-    neg_exponent: float,
-    fam: BallFamily,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> tuple[float, bool]:
-    """max over balls of (mean w^p)^(1/p) (mean w^-e)^(1/e) with a custom e."""
-    from .seminorms import OVERFLOW_GUARD, STABILITY_GUARD, _ball_power_mean
-
-    sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, fam.domain.dim))
-    fine = quad.refined(4)
-    best, flagged = 0.0, False
-    for ball in fam.balls:
-        pos = _ball_power_mean(omega, ball, quad, p, sing) ** (1.0 / p)
-        neg = _ball_power_mean(omega, ball, quad, -neg_exponent, sing) ** (1.0 / neg_exponent)
-        pos_f = _ball_power_mean(omega, ball, fine, p, sing) ** (1.0 / p)
-        neg_f = _ball_power_mean(omega, ball, fine, -neg_exponent, sing) ** (
-            1.0 / neg_exponent
-        )
-        val = pos_f * neg_f
-        if val > OVERFLOW_GUARD or pos_f * neg_f > pos * neg * STABILITY_GUARD:
-            flagged = True
-        best = max(best, val)
-    return best, flagged
 
 
 # ---------------------------------------------------------------------------

@@ -231,10 +231,11 @@ class ApEstimate:
     rows: list[tuple[int, float, float, float, float]] = field(default_factory=list)
 
 
-def _ball_power_mean(field, ball, quad, expo, sing):
+def _ball_power_means(field, ball, quad, expos, sing):
+    """Weighted means of ``field ** e`` over one node set, one per exponent."""
     pts, w = ball_nodes(ball, quad, singular=sing)
     vals = field.evaluate(pts)
-    return float(np.sum(w * vals ** expo) / w.sum())
+    return [float(np.sum(w * vals ** e) / w.sum()) for e in expos]
 
 
 def muckenhoupt_ap(
@@ -242,26 +243,30 @@ def muckenhoupt_ap(
     p: float,
     fam: BallFamily,
     quad: QuadratureSpec = DEFAULT_QUAD,
+    neg_exponent: float | None = None,
 ) -> ApEstimate:
-    """Max over the family of (mean w^p)^(1/p) (mean w^-p')^(1/p').
+    """Max over the family of (mean w^p)^(1/p) (mean w^-e)^(1/e), e = p' by default.
 
-    A per-ball value is declared divergent when it fails to stabilize under a
-    4x radial quadrature refinement or exceeds the overflow guard, which is
-    how a non-integrable negative power announces itself.
+    Each ball gets two node sets, the rule ``quad`` and its 4x radial
+    refinement; both power means come from one field evaluation on each.  A
+    per-ball value is declared divergent when it fails to stabilize under the
+    refinement or exceeds the overflow guard, which is how a non-integrable
+    negative power announces itself.  ``neg_exponent`` replaces the dual
+    exponent p' (as for the duality-weight condition of the Poincare check).
     """
-    if not (1.0 < p < math.inf):
-        raise ValueError("p must lie in (1, inf)")
-    pc = p / (p - 1.0)
+    pc = neg_exponent
+    if pc is None:
+        if not (1.0 < p < math.inf):
+            raise ValueError("p must lie in (1, inf)")
+        pc = p / (p - 1.0)
     sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, fam.domain.dim))
     fine = quad.refined(4)
     best, witness, rows = 0.0, None, []
     divergent, div_ball = False, None
     for idx, ball in enumerate(fam.balls):
-        m_pos = _ball_power_mean(omega, ball, quad, p, sing)
-        m_neg = _ball_power_mean(omega, ball, quad, -pc, sing)
+        m_pos, m_neg = _ball_power_means(omega, ball, quad, (p, -pc), sing)
         val = m_pos ** (1.0 / p) * m_neg ** (1.0 / pc)
-        m_pos_f = _ball_power_mean(omega, ball, fine, p, sing)
-        m_neg_f = _ball_power_mean(omega, ball, fine, -pc, sing)
+        m_pos_f, m_neg_f = _ball_power_means(omega, ball, fine, (p, -pc), sing)
         val_f = m_pos_f ** (1.0 / p) * m_neg_f ** (1.0 / pc)
         if val_f > OVERFLOW_GUARD or val_f > val * STABILITY_GUARD:
             divergent, div_ball = True, ball
@@ -294,31 +299,33 @@ def prop_small_check(
     ball: Ball,
     q: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    fam: BallFamily | None = None,
+    bmo_log: float | None = None,
 ) -> PropSmallReport:
     """lhs = (mean (|W - W_B| / |W_B|)^q)^(1/q) against q * |log W|_BMO(ball).
 
+    ``bmo_log`` is a precomputed |log W|_BMO, so a caller checking several q
+    computes it once; ``None`` computes it on ``standard_family(ball, 3)``.
     The reported ratio lhs / (q bmo) tracks the oscillation constant
     empirically; nothing is asserted about its value here.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    fam = fam or standard_family(ball, levels=3)
     matrix_valued = isinstance(field, WeightField)
+    if bmo_log is None:
+        bmo_of = bmo_matrix if matrix_valued else bmo_scalar
+        bmo_log = bmo_of(field.log(), standard_family(ball, levels=3), quad).value
     sing = np.atleast_2d(np.asarray(field.singular_points or ()).reshape(-1, ball.dim))
     pts, w = ball_nodes(ball, quad, singular=sing)
     if matrix_valued:
         center = log_mean_matrix(field, ball, quad)
         dev = field.evaluate(pts) - center
         rel = spectral_norm_sym(dev) / spectral_norm_sym(center[None])[0]
-        bmo = bmo_matrix(field.log(), fam, quad).value
     else:
         center = log_mean_scalar(field, ball, quad)
         rel = np.abs(field.evaluate(pts) - center) / center
-        bmo = bmo_scalar(field.log(), fam, quad).value
     lhs = float((np.sum(w * rel ** q) / w.sum()) ** (1.0 / q))
-    ratio = lhs / (q * bmo) if bmo > 0 else (0.0 if lhs == 0.0 else math.inf)
-    return PropSmallReport(lhs, bmo, q, ratio, ball)
+    ratio = lhs / (q * bmo_log) if bmo_log > 0 else (0.0 if lhs == 0.0 else math.inf)
+    return PropSmallReport(lhs, bmo_log, q, ratio, ball)
 
 
 @dataclass
@@ -353,20 +360,27 @@ def small_scalar_checks(
     s: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
     gamma: float = CALIBRATED.gamma_small,
-    fam: BallFamily | None = None,
+    bmo_log: float | None = None,
 ) -> SmallScalarReport:
-    """Check the factor-2 power-mean bounds that smallness of log w buys."""
+    """Check the factor-2 power-mean bounds that smallness of log w buys.
+
+    The s and -s means share one node set per rule (``quad`` and its 4x
+    radial refinement).  ``bmo_log`` is a precomputed |log w|_BMO, so a
+    caller checking several s computes it once; ``None`` computes it on
+    ``standard_family(ball, 3)``.
+    """
     if s < 1:
         raise ValueError("s must be at least 1")
-    fam = fam or standard_family(ball, levels=3)
+    if bmo_log is None:
+        bmo_log = bmo_scalar(omega.log(), standard_family(ball, levels=3), quad).value
     sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, ball.dim))
-    bmo_log = bmo_scalar(omega.log(), fam, quad).value
     lm = log_mean_scalar(omega, ball, quad)
     fine = quad.refined(4)
-    mean_pos = _ball_power_mean(omega, ball, quad, s, sing) ** (1.0 / s)
-    mean_neg = _ball_power_mean(omega, ball, quad, -s, sing) ** (1.0 / s)
-    mean_pos_f = _ball_power_mean(omega, ball, fine, s, sing) ** (1.0 / s)
-    mean_neg_f = _ball_power_mean(omega, ball, fine, -s, sing) ** (1.0 / s)
+    mean_pos, mean_neg, mean_pos_f, mean_neg_f = (
+        m ** (1.0 / s)
+        for rule in (quad, fine)
+        for m in _ball_power_means(omega, ball, rule, (s, -s), sing)
+    )
     divergent = (
         max(mean_pos_f, mean_neg_f) > OVERFLOW_GUARD
         or mean_pos_f > mean_pos * STABILITY_GUARD

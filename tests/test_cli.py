@@ -67,6 +67,27 @@ class TestExitCodes:
         )
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_linear_nonconvergence_exit(self, tmp_path, monkeypatch):
+        # a p = 2 solve reports failure through SolveResult.converged, not by
+        # raising; the outputs are still written
+        import dataclasses
+
+        from degcz import pde_solver
+
+        orig = pde_solver.solve
+        monkeypatch.setattr(
+            pde_solver, "solve",
+            lambda *a, **k: dataclasses.replace(orig(*a, **k), converged=False),
+        )
+        cfg = write_cfg(
+            tmp_path / "s.cfg",
+            'mesh.kind = "square"\nmesh.divisions = 4\nweight.kind = "identity"\n'
+            "problem.p = 2.0\n",
+        )
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert (out / "solution.csv").exists() and (out / "trace.jsonl").exists()
+
     def test_property_violation_wrong_theta(self, tmp_path):
         cfg = write_cfg(
             tmp_path / "t.cfg",

@@ -6,6 +6,8 @@ from scipy import integrate
 
 from degcz.exact_examples import MeyersExample
 from degcz.seminorms import (
+    OVERFLOW_GUARD,
+    STABILITY_GUARD,
     BallFamily,
     bmo_matrix,
     bmo_scalar,
@@ -19,6 +21,7 @@ from degcz.weight_algebra import (
     MatrixField,
     QuadratureSpec,
     ScalarField,
+    ball_nodes,
     constant_weight,
     scalar_weight_from_config,
 )
@@ -168,7 +171,7 @@ class TestMuckenhoupt:
     def test_jensen_direction(self, unit_ball, quad):
         # per ball: the p-mean dominates the log-mean, the dual mean dominates
         # its reciprocal (discrete Jensen under shared nodes)
-        from degcz.seminorms import _ball_power_mean
+        from degcz.seminorms import _ball_power_means
         from degcz.weight_algebra import log_mean_scalar
 
         om = power(0.5)
@@ -176,8 +179,7 @@ class TestMuckenhoupt:
         for ball in standard_family(unit_ball, 2).balls[:25]:
             p = 2.0
             lm = log_mean_scalar(om, ball, quad)
-            pos = _ball_power_mean(om, ball, quad, p, sing) ** (1 / p)
-            neg = _ball_power_mean(om, ball, quad, -p, sing) ** (1 / p)
+            pos, neg = (m ** (1 / p) for m in _ball_power_means(om, ball, quad, (p, -p), sing))
             assert pos >= lm - 1e-10
             assert neg >= 1.0 / lm - 1e-10
 
@@ -252,3 +254,128 @@ class TestSmallScalar:
                     implications += 1
                     assert rep.holds, f"eps={eps}, s={s}"
         assert implications >= 5  # the scan actually exercises the implication
+
+
+# ---------------------------------------------------------------------------
+# shared node sets: the estimators reproduce one-exponent-per-pass arithmetic
+# ---------------------------------------------------------------------------
+
+def _single_mean(field, ball, quad, expo, sing):
+    """One node set and one field evaluation per power mean (reference)."""
+    pts, w = ball_nodes(ball, quad, singular=sing)
+    vals = field.evaluate(pts)
+    return float(np.sum(w * vals ** expo) / w.sum())
+
+
+def _reference_ap(omega, p, e, fam, quad):
+    """Per-ball (coarse, fine) A_p-type values from four separate passes."""
+    sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, fam.domain.dim))
+    out = []
+    for ball in fam.balls:
+        pair = []
+        for rule in (quad, quad.refined(4)):
+            pos = _single_mean(omega, ball, rule, p, sing) ** (1.0 / p)
+            neg = _single_mean(omega, ball, rule, -e, sing) ** (1.0 / e)
+            pair.append((pos, neg))
+        out.append(pair)
+    return out
+
+
+SHARED_WEIGHTS = [
+    pytest.param(lambda: power(0.3), id="power-0.3"),
+    pytest.param(lambda: power(1.2), id="power-1.2"),
+    pytest.param(
+        lambda: scalar_weight_from_config({"kind": "log-normal", "n": 2, "seed": 7}),
+        id="log-normal",
+    ),
+]
+
+
+class TestSharedNodeSets:
+    @pytest.mark.parametrize("make", SHARED_WEIGHTS)
+    def test_ap_equals_single_exponent_reference(self, make, unit_ball, quad):
+        omega = make()
+        fam = standard_family(unit_ball, 2)
+        p, pc = 2.0, 2.0
+        est = muckenhoupt_ap(omega, p, fam, quad)
+        vals_f, divergent = [], False
+        for (pos, neg), (pos_f, neg_f) in _reference_ap(omega, p, pc, fam, quad):
+            val, val_f = pos * neg, pos_f * neg_f
+            divergent |= val_f > OVERFLOW_GUARD or val_f > val * STABILITY_GUARD
+            vals_f.append(val_f)
+        assert [row[4] for row in est.rows] == vals_f
+        assert est.divergent == divergent
+        assert est.value == (None if divergent else max(vals_f))
+        assert [row[:4] for row in est.rows] == [
+            (i, b.center[0], b.center[1], b.radius) for i, b in enumerate(fam.balls)
+        ]
+
+    @pytest.mark.parametrize("make", SHARED_WEIGHTS)
+    def test_checks_with_precomputed_bmo(self, make, unit_ball, quad):
+        omega = make()
+        bmo_log = bmo_scalar(omega.log(), standard_family(unit_ball, 3), quad).value
+        for q in (2.0, 4.0):
+            assert prop_small_check(omega, unit_ball, q, quad, bmo_log=bmo_log) == (
+                prop_small_check(omega, unit_ball, q, quad)
+            )
+        for s in (1.0, 2.0, 4.0):
+            assert small_scalar_checks(omega, unit_ball, s, quad, bmo_log=bmo_log) == (
+                small_scalar_checks(omega, unit_ball, s, quad)
+            )
+
+    @pytest.mark.parametrize("make", SHARED_WEIGHTS)
+    def test_poincare_condition_matches_custom_exponent(self, make, quad):
+        from degcz.cz_harness import poincare_check
+        from degcz.meshing import disk_mesh
+        from degcz.pde_solver import interpolate
+
+        omega = make()
+        mesh = disk_mesh(angular=24, layers=12, grading=0.8)
+        u = interpolate(mesh, lambda pts: pts[:, 0])
+        ball, p, theta = Ball((0.0, 0.0), 0.4), 2.0, 0.75
+        rep = poincare_check(u, omega, ball, p, theta, quad)
+        tp = theta * p
+        tpc = tp / (tp - 1.0)
+        best, flagged = 0.0, False
+        for (pos, neg), (pos_f, neg_f) in _reference_ap(
+            omega, p, tpc, standard_family(ball.scaled(2.0), 2), quad
+        ):
+            val = pos_f * neg_f
+            flagged |= val > OVERFLOW_GUARD or pos_f * neg_f > pos * neg * STABILITY_GUARD
+            best = max(best, val)
+        assert rep.condition_value == best
+        assert rep.condition_flagged == flagged
+
+
+class TestQuadratureWork:
+    def test_ap_two_node_sets_per_ball(self, unit_ball, quad, monkeypatch):
+        from degcz import seminorms
+
+        calls = []
+        orig = seminorms.ball_nodes
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(seminorms, "ball_nodes", counting)
+        fam = standard_family(unit_ball, 2)
+        muckenhoupt_ap(power(0.3), 2.0, fam, quad)
+        assert len(calls) == 2 * fam.count
+
+    def test_analyze_weight_computes_log_bmo_once(self, tmp_path, monkeypatch):
+        from degcz import seminorms
+        from degcz.cli import main
+
+        calls = []
+        orig = seminorms.bmo_scalar
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(seminorms, "bmo_scalar", counting)
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text('weight.kind = "power-radial"\nweight.eps = 0.25\nfamily.levels = 2\n')
+        assert main(["analyze-weight", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
