@@ -412,7 +412,6 @@ def cmd_cz_sweep(cfg: dict) -> int:
         grading=float(_get(cfg, "mesh.grading", 0.7)),
         use_fem=bool(_get(cfg, "sweep.use_fem", False)),
         experiment_id=str(_get(cfg, "experiment_id", resolved["settings_hash"])),
-        seed=int(cfg["seed"]),
     )
     threads = int(cfg.get("threads", 1))
     if threads > 1 and len(spec.eps_list) > 1:

@@ -455,7 +455,6 @@ class SweepSpec:
     grading: float = 0.7
     use_fem: bool = False
     experiment_id: str = "sweep"
-    seed: int = 0
 
     def mesh_for(self, level: int) -> Mesh:
         return disk_mesh(

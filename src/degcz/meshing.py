@@ -27,7 +27,7 @@ __all__ = [
 
 @dataclass
 class Mesh:
-    """Triangle mesh with cached cell geometry and boundary flags."""
+    """Triangle mesh with cached cell geometry, edge table and boundary flags."""
 
     vertices: np.ndarray            # (nv, 2)
     cells: np.ndarray               # (nc, 3) int
@@ -73,22 +73,22 @@ class Mesh:
             grads[:, loc, 0] = -edge[:, 1]
             grads[:, loc, 1] = edge[:, 0]
         self.hat_gradients = grads / (2.0 * self.areas)[:, None, None]
-        self.boundary_vertices = self._find_boundary()
+        self.edges, self.edge_counts, self.cell_edges = self._edges()
+        self.boundary_vertices = np.unique(self.edges[self.edge_counts == 1])
         self.boundary_mask = np.zeros(len(self.vertices), dtype=bool)
         self.boundary_mask[self.boundary_vertices] = True
 
     # -- structure -----------------------------------------------------------
 
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        e = np.concatenate(
-            [self.cells[:, [0, 1]], self.cells[:, [1, 2]], self.cells[:, [2, 0]]]
-        )
-        e.sort(axis=1)
-        return np.unique(e, axis=0, return_counts=True)
-
-    def _find_boundary(self) -> np.ndarray:
-        edges, counts = self._edges()
-        return np.unique(edges[counts == 1])
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unique edges as sorted vertex pairs in lexicographic order, the
+        number of cells sharing each, and each cell's (ab, bc, ca) edge ids."""
+        nv = len(self.vertices)
+        a, b = self.cells, np.roll(self.cells, -1, axis=1)
+        keys = (np.minimum(a, b) * nv + np.maximum(a, b)).reshape(-1)
+        keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        edges = np.stack([keys // nv, keys % nv], axis=1)
+        return edges, counts, inverse.reshape(-1, 3)
 
     @property
     def num_vertices(self) -> int:
@@ -138,19 +138,16 @@ class Mesh:
     def refine(self) -> "Mesh":
         """Uniform quadrisection; midpoints of curved boundary edges are
         projected back onto the boundary circle."""
-        edges, counts = self._edges()
-        edge_ids = {tuple(e): i for i, e in enumerate(edges)}
+        edges, counts = self.edges, self.edge_counts
         mids = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
         kind = self.geometry.get("kind")
         if kind in ("unit-disk", "disk", "annulus"):
             center = np.asarray(self.geometry.get("center", (0.0, 0.0)))
-            radii = []
             if kind == "annulus":
                 radii = [self.geometry["r_in"], self.geometry["r_out"]]
             else:
                 radii = [self.geometry["radius"]]
             vr = np.linalg.norm(self.vertices - center, axis=1)
-            on_circle = np.zeros((len(edges), 0), dtype=bool)
             for rad in radii:
                 both = (np.abs(vr[edges[:, 0]] - rad) < 1e-9 * max(rad, 1.0)) & (
                     np.abs(vr[edges[:, 1]] - rad) < 1e-9 * max(rad, 1.0)
@@ -163,16 +160,12 @@ class Mesh:
                     )[:, None]
         nv = len(self.vertices)
         new_vertices = np.vstack([self.vertices, mids])
-        cells = []
-        for tri in self.cells:
-            a, b, c = int(tri[0]), int(tri[1]), int(tri[2])
-            ab = nv + edge_ids[tuple(sorted((a, b)))]
-            bc = nv + edge_ids[tuple(sorted((b, c)))]
-            ca = nv + edge_ids[tuple(sorted((c, a)))]
-            cells.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+        a, b, c = self.cells.T
+        ab, bc, ca = (nv + self.cell_edges).T
+        cells = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
         return Mesh(
             new_vertices,
-            np.asarray(cells, dtype=np.int64),
+            cells,
             dict(self.geometry),
             self.refinement_level + 1,
         )
@@ -227,14 +220,22 @@ def unit_square_mesh(divisions: int) -> Mesh:
     xs = np.linspace(0.0, 1.0, k + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    cells = []
-    for i in range(k):
-        for j in range(k):
-            v00 = i * (k + 1) + j
-            v10 = (i + 1) * (k + 1) + j
-            cells.append((v00, v10, v00 + 1))
-            cells.append((v10, v10 + 1, v00 + 1))
-    return Mesh(verts, np.asarray(cells, dtype=np.int64), {"kind": "unit-square"})
+    v00 = (np.arange(k)[:, None] * (k + 1) + np.arange(k)[None, :]).reshape(-1)
+    v10 = v00 + (k + 1)
+    cells = np.stack([v00, v10, v00 + 1, v10, v10 + 1, v00 + 1], axis=1).reshape(-1, 3)
+    return Mesh(verts, cells, {"kind": "unit-square"})
+
+
+def _ring_cells(gaps: int, angular: int) -> np.ndarray:
+    """Two triangles per (ring gap, angle) between consecutive vertex rings
+    of ``angular`` vertices each, ring-major then angle order."""
+    j = np.arange(angular)
+    jn = (j + 1) % angular
+    outer = np.arange(gaps)[:, None] * angular
+    inner = outer + angular
+    return np.stack(
+        [outer + j, inner + j, outer + jn, inner + j, inner + jn, outer + jn], axis=-1
+    ).reshape(-1, 3)
 
 
 def _ring_radii(radius: float, layers: int, grading: float) -> np.ndarray:
@@ -258,25 +259,17 @@ def disk_mesh(
     radii = _ring_radii(radius, layers, grading)
     theta = np.arange(angular) * (2.0 * math.pi / angular)
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    verts = [radii[:, None, None] * ring[None, :, :]]
-    verts = verts[0].reshape(-1, 2)
+    verts = (radii[:, None, None] * ring[None, :, :]).reshape(-1, 2)
     verts = np.vstack([verts, [[0.0, 0.0]]]) + np.asarray(center)
     center_idx = len(verts) - 1
-    cells = []
-    for k in range(len(radii) - 1):
-        outer = k * angular
-        inner = (k + 1) * angular
-        for j in range(angular):
-            jn = (j + 1) % angular
-            cells.append((outer + j, inner + j, outer + jn))
-            cells.append((inner + j, inner + jn, outer + jn))
+    j = np.arange(angular)
     innermost = (len(radii) - 1) * angular
-    for j in range(angular):
-        jn = (j + 1) % angular
-        cells.append((innermost + j, center_idx, innermost + jn))
+    fan = np.stack(
+        [innermost + j, np.full(angular, center_idx), innermost + (j + 1) % angular], axis=1
+    )
     return Mesh(
         verts,
-        np.asarray(cells, dtype=np.int64),
+        np.vstack([_ring_cells(len(radii) - 1, angular), fan]),
         {"kind": "disk", "radius": radius, "center": tuple(center),
          "grading": grading, "layers": layers},
     )
@@ -296,17 +289,9 @@ def annulus_mesh(
     theta = np.arange(angular) * (2.0 * math.pi / angular)
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     verts = (radii[:, None, None] * ring[None, :, :]).reshape(-1, 2) + np.asarray(center)
-    cells = []
-    for k in range(layers):
-        outer = k * angular
-        inner = (k + 1) * angular
-        for j in range(angular):
-            jn = (j + 1) % angular
-            cells.append((outer + j, inner + j, outer + jn))
-            cells.append((inner + j, inner + jn, outer + jn))
     return Mesh(
         verts,
-        np.asarray(cells, dtype=np.int64),
+        _ring_cells(layers, angular),
         {"kind": "annulus", "r_in": r_in, "r_out": r_out, "center": tuple(center)},
     )
 

@@ -3,9 +3,11 @@
 One-point (barycenter) quadrature makes the nonlinearity pointwise per cell:
 with piecewise-linear trial functions the gradient is cell-constant, so the
 assembled energy, residual, and Hessian are exact for the discrete integrand.
-For p = 2 the solve is a single SPD sparse solve; otherwise a damped Newton
-iteration runs on a regularized energy with a geometric continuation of the
-regularization parameter.
+For p = 2 the solve is a single SPD sparse solve, and one SuperLU factorization
+of the free block of the stiffness matrix serves both the solve and the
+dual-norm residual of its result; otherwise a damped Newton iteration runs on a
+regularized energy with a geometric continuation of the regularization
+parameter, warm-started from the p = 2 solve.
 """
 from __future__ import annotations
 
@@ -149,28 +151,39 @@ def _cell_data(prob: WeakProblem, mesh: Mesh):
     return M, Mgrads, MG, aG
 
 
+def _weighted_gradients(M: np.ndarray, mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """q = M grad u per cell."""
+    return np.einsum("cab,cb->ca", M, mesh.cell_gradients(values))
+
+
+def _scatter(mesh: Mesh, Mgrads: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    """Nodal vector sum over cells of area * flux . (M grad lambda)."""
+    r_cells = np.einsum("cla,ca,c->cl", Mgrads, flux, mesh.areas)  # (nc, 3)
+    r = np.zeros(mesh.num_vertices)
+    np.add.at(r, mesh.cells, r_cells)
+    return r
+
+
+def _energy_of(p: float, mesh: Mesh, q: np.ndarray, aG: np.ndarray, eps: float) -> float:
+    q2 = (q * q).sum(axis=1) + eps * eps
+    # data term written against grad u via the assembled weighted flux
+    data = np.einsum("ca,ca->c", aG, q)
+    return float(np.sum(mesh.areas * (q2 ** (p / 2.0) / p - data)))
+
+
 def energy(prob: WeakProblem, u: DiscreteField, eps: float = 0.0) -> float:
     """Dirichlet p-energy minus the data coupling, barycenter quadrature."""
-    mesh = u.mesh
-    M, _, MG, _ = _cell_data(prob, mesh)
-    q = np.einsum("cab,cb->ca", M, u.cell_gradients())
-    q2 = (q * q).sum(axis=1) + eps * eps
-    bulk = q2 ** (prob.p / 2.0) / prob.p
-    data = np.einsum("ca,ca->c", a_map(prob.p, MG), q)
-    return float(np.sum(mesh.areas * (bulk - data)))
+    M, _, _, aG = _cell_data(prob, u.mesh)
+    return _energy_of(prob.p, u.mesh, _weighted_gradients(M, u.mesh, u.values), aG, eps)
 
 
 def _gradient_hessian(prob, mesh, M, Mgrads, aG, u_values, eps):
     """Nodal gradient and sparse Hessian of the regularized energy."""
     p = prob.p
-    grads = np.einsum("cld,cl->cd", mesh.hat_gradients, u_values[mesh.cells])
-    q = np.einsum("cab,cb->ca", M, grads)                    # (nc, 2)
+    q = _weighted_gradients(M, mesh, u_values)              # (nc, 2)
     q2 = (q * q).sum(axis=1) + eps * eps
     kappa = q2 ** ((p - 2.0) / 2.0)
-    flux = kappa[:, None] * q - aG                           # (nc, 2)
-    r_cells = np.einsum("cla,ca,c->cl", Mgrads, flux, mesh.areas)  # (nc, 3)
-    r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.cells, r_cells)
+    r = _scatter(mesh, Mgrads, kappa[:, None] * q - aG)
 
     kprime = (p - 2.0) * q2 ** ((p - 4.0) / 2.0)
     h_cells = np.einsum(
@@ -180,23 +193,37 @@ def _gradient_hessian(prob, mesh, M, Mgrads, aG, u_values, eps):
                   np.einsum("cla,ca->cl", Mgrads, q),
                   np.einsum("cma,ca->cm", Mgrads, q),
                   mesh.areas)
-    rows = np.repeat(mesh.cells, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.cells, (1, 3)).reshape(-1)
-    H = sp.coo_matrix(
-        (h_cells.reshape(-1), (rows, cols)),
-        shape=(mesh.num_vertices, mesh.num_vertices),
-    ).tocsr()
-    return r, H
+    return r, _assemble(mesh, h_cells)
 
 
-def _stiffness(mesh: Mesh, Mgrads: np.ndarray) -> sp.csr_matrix:
-    k_cells = np.einsum("cla,cma,c->clm", Mgrads, Mgrads, mesh.areas)
+def _assemble(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sparse matrix from per-cell 3x3 blocks."""
     rows = np.repeat(mesh.cells, 3, axis=1).reshape(-1)
     cols = np.tile(mesh.cells, (1, 3)).reshape(-1)
     return sp.coo_matrix(
-        (k_cells.reshape(-1), (rows, cols)),
+        (blocks.reshape(-1), (rows, cols)),
         shape=(mesh.num_vertices, mesh.num_vertices),
     ).tocsr()
+
+
+def _stiffness(mesh: Mesh, Mgrads: np.ndarray) -> sp.csr_matrix:
+    return _assemble(mesh, np.einsum("cla,cma,c->clm", Mgrads, Mgrads, mesh.areas))
+
+
+def _factor(K: sp.csr_matrix, free: np.ndarray):
+    """SuperLU factor of the free block of K; None when no vertex is free."""
+    return spla.splu(K[free][:, free].tocsc()) if len(free) else None
+
+
+def _dual_residual(p, mesh, Mgrads, aG, q, fixed_mask, lu) -> tuple[float, np.ndarray]:
+    """Dual norm sqrt(r K^-1 r) of the residual, K^-1 applied through the
+    factor ``lu`` of the free block, and the raw residual r."""
+    r = _scatter(mesh, Mgrads, a_map(p, q) - aG)
+    r[fixed_mask] = 0.0
+    if lu is None:
+        return 0.0, r
+    rf = r[~fixed_mask]
+    return math.sqrt(max(float(rf @ lu.solve(rf)), 0.0)), r
 
 
 def weak_residual(
@@ -215,19 +242,9 @@ def weak_residual(
     if fixed_mask is None:
         fixed_mask = mesh.boundary_mask
     M, Mgrads, _, aG = _cell_data(prob, mesh)
-    q = np.einsum("cab,cb->ca", M, u.cell_gradients())
-    flux = a_map(prob.p, q) - aG
-    r_cells = np.einsum("cla,ca,c->cl", Mgrads, flux, mesh.areas)
-    r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.cells, r_cells)
-    r[fixed_mask] = 0.0
-    free = np.where(~fixed_mask)[0]
-    if len(free) == 0:
-        return 0.0, r
-    K = _stiffness(mesh, Mgrads)
-    z = spla.spsolve(K[free][:, free].tocsc(), r[free])
-    norm = math.sqrt(max(float(r[free] @ z), 0.0))
-    return norm, r
+    lu = _factor(_stiffness(mesh, Mgrads), np.where(~fixed_mask)[0])
+    q = _weighted_gradients(M, mesh, u.values)
+    return _dual_residual(prob.p, mesh, Mgrads, aG, q, fixed_mask, lu)
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +257,6 @@ def _dirichlet_values(prob: WeakProblem, mesh: Mesh, fixed_mask: np.ndarray) -> 
         idx = np.where(fixed_mask)[0]
         values[idx] = np.asarray(prob.dirichlet(mesh.vertices[idx]), dtype=float)
     return values
-
-
-def _linear_solve(prob: WeakProblem, mesh: Mesh, fixed_mask, values0) -> DiscreteField:
-    _, Mgrads, _, aG = _cell_data(prob, mesh)
-    K = _stiffness(mesh, Mgrads)
-    rhs_cells = np.einsum("cla,ca,c->cl", Mgrads, aG, mesh.areas)
-    rhs = np.zeros(mesh.num_vertices)
-    np.add.at(rhs, mesh.cells, rhs_cells)
-    values = values0.copy()
-    free = np.where(~fixed_mask)[0]
-    fixed = np.where(fixed_mask)[0]
-    rhs_i = rhs[free] - K[free][:, fixed] @ values[fixed]
-    values[free] = spla.spsolve(K[free][:, free].tocsc(), rhs_i)
-    return DiscreteField(mesh, values)
 
 
 def solve(
@@ -274,22 +277,45 @@ def solve(
     if fixed_mask is None:
         fixed_mask = mesh.boundary_mask
     if fixed_values is None:
-        values0 = _dirichlet_values(prob, mesh, fixed_mask)
+        values = _dirichlet_values(prob, mesh, fixed_mask)
     else:
-        values0 = np.where(fixed_mask, fixed_values, 0.0)
+        values = np.where(fixed_mask, fixed_values, 0.0)
+    free = np.where(~fixed_mask)[0]
+    # one weight evaluation and one stiffness matrix K serve the p = 2 solve
+    # (the Newton warm start for other p) and the dual-norm residual of the
+    # result; at p = 2 one factorization of the free block of K serves both
+    M, Mgrads, MG, aG = _cell_data(prob, mesh)
+    K = _stiffness(mesh, Mgrads)
+    lu = _factor(K, free)
+    if lu is not None:
+        fixed = np.where(fixed_mask)[0]
+        rhs = _scatter(mesh, Mgrads, aG if prob.p == 2.0 else a_map(2.0, MG))
+        values[free] = lu.solve(rhs[free] - K[free][:, fixed] @ values[fixed])
+    trace: list[dict] = []
+    if prob.p != 2.0:
+        # a factor kept through the Newton loop would add to the peak memory
+        # of every Hessian factorization, so K is factored again afterwards
+        lu = None
+        values, trace = _newton(prob, mesh, cfg, M, Mgrads, aG, values, free)
+        lu = _factor(K, free)
+    q = _weighted_gradients(M, mesh, values)
+    res, _ = _dual_residual(prob.p, mesh, Mgrads, aG, q, fixed_mask, lu)
+    trace.append({"iteration": len(trace), "eps": 0.0,
+                  "energy": _energy_of(prob.p, mesh, q, aG, 0.0),
+                  "residual": res, "step": 1.0 if prob.p == 2.0 else 0.0})
+    u = DiscreteField(mesh, values)
     if prob.p == 2.0:
-        u = _linear_solve(prob, mesh, fixed_mask, values0)
-        res = _constrained_residual(prob, u, fixed_mask)
-        trace = [{"iteration": 0, "eps": 0.0, "energy": energy(prob, u),
-                  "residual": res, "step": 1.0}]
         return SolveResult(u, trace, res <= max(cfg.tolerance, 1e-8), res)
+    if res > cfg.tolerance * (1.0 + float(np.abs(values).max())):
+        raise NonconvergenceError(
+            f"final residual {res:g} above tolerance {cfg.tolerance:g}", trace
+        )
+    return SolveResult(u, trace, True, res)
 
-    # warm start from the linear problem with the same weight
-    lin = WeakProblem(prob.weight, 2.0, prob.data, prob.dirichlet, prob.frozen)
-    values = _linear_solve(lin, mesh, fixed_mask, values0).values.copy()
-    interior = np.where(~fixed_mask)[0]
-    M, Mgrads, _, aG = _cell_data(prob, mesh)
 
+def _newton(prob, mesh, cfg, M, Mgrads, aG, values, interior):
+    """Damped Newton with Armijo backtracking through the continuation in
+    eps; returns the final values and one trace entry per accepted step."""
     eps_list: list[float] = []
     e = cfg.eps_start
     while e > cfg.eps_end:
@@ -298,7 +324,6 @@ def solve(
     eps_list.append(cfg.eps_end)
 
     trace: list[dict] = []
-    it_total = 0
     for stage, eps in enumerate(eps_list):
         last_stage = stage == len(eps_list) - 1
         stage_tol = cfg.tolerance if last_stage else max(cfg.tolerance, eps * 1e-2)
@@ -328,35 +353,15 @@ def solve(
                     f"line search failed at eps={eps:g}", trace
                 )
             values = values + t * step
-            it_total += 1
             trace.append(
-                {"iteration": it_total, "eps": eps, "energy": e1,
+                {"iteration": len(trace) + 1, "eps": eps, "energy": e1,
                  "residual": rn, "step": t}
             )
-    u = DiscreteField(mesh, values)
-    res = _constrained_residual(prob, u, fixed_mask)
-    trace.append({"iteration": it_total, "eps": 0.0,
-                  "energy": energy(prob, u), "residual": res, "step": 0.0})
-    converged = res <= cfg.tolerance * (1.0 + float(np.abs(values).max()))
-    if not converged:
-        raise NonconvergenceError(
-            f"final residual {res:g} above tolerance {cfg.tolerance:g}", trace
-        )
-    return SolveResult(u, trace, True, res)
-
-
-def _constrained_residual(prob: WeakProblem, u: DiscreteField, fixed_mask: np.ndarray) -> float:
-    return weak_residual(prob, u, fixed_mask)[0]
+    return values, trace
 
 
 def _energy_from_values(prob, mesh, M, aG, values, eps):
-    p = prob.p
-    grads = np.einsum("cld,cl->cd", mesh.hat_gradients, values[mesh.cells])
-    q = np.einsum("cab,cb->ca", M, grads)
-    q2 = (q * q).sum(axis=1) + eps * eps
-    # data term written against grad u via the assembled weighted flux
-    data = np.einsum("ca,ca->c", aG, q)
-    return float(np.sum(mesh.areas * (q2 ** (p / 2.0) / p - data)))
+    return _energy_of(prob.p, mesh, _weighted_gradients(M, mesh, values), aG, eps)
 
 
 # ---------------------------------------------------------------------------

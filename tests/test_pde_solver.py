@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from degcz import pde_solver
 from degcz.exact_examples import MeyersExample
 from degcz.meshing import disk_mesh, unit_square_mesh
 from degcz.pde_solver import (
@@ -180,6 +181,68 @@ class TestSolve:
         got = prob.weight_at(mesh.barycenters[:5])
         assert np.allclose(got, frozen)
         assert result.residual <= 1e-10
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts of the sparse factorizations the solver runs through scipy."""
+    calls = {"splu": 0, "spsolve": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(pde_solver.spla, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(pde_solver.spla, name, counted)
+    return calls
+
+
+class TestOneFactorization:
+    """A p = 2 solve factors the free block of K once; that factor also gives
+    the dual-norm residual, and the trace energy comes from the same cells."""
+
+    EX = MeyersExample(2, 0.25, "plain")
+    PROBLEMS = {
+        "meyers": lambda: WeakProblem(TestOneFactorization.EX.weight_field(), 2.0, None,
+                                      TestOneFactorization.EX.u_with_origin),
+        "data-and-dirichlet": lambda: WeakProblem(
+            TestOneFactorization.EX.weight_field(), 2.0,
+            lambda p: np.broadcast_to([0.7, -0.4], (len(p), 2)).copy(),
+            lambda p: p[:, 0] + 2.0 * p[:, 1] - 0.5,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("interior_fixed", [False, True])
+    def test_p2_solve(self, factorizations, name, interior_fixed):
+        prob = self.PROBLEMS[name]()
+        mesh = disk_mesh(angular=20, layers=16, grading=0.7)
+        fixed_mask = mesh.boundary_mask.copy()
+        if interior_fixed:
+            fixed_mask |= np.linalg.norm(mesh.vertices, axis=1) < 0.1
+        result = solve(prob, mesh, fixed_mask=fixed_mask)
+        assert factorizations == {"splu": 1, "spsolve": 0}
+        assert result.converged
+        assert result.residual == weak_residual(prob, result.field, fixed_mask)[0]
+        assert result.trace[0]["energy"] == energy(prob, result.field)
+
+    def test_no_free_vertex(self, factorizations):
+        prob = self.PROBLEMS["data-and-dirichlet"]()
+        mesh = disk_mesh(angular=12, layers=6, grading=0.7)
+        fixed_mask = np.ones(mesh.num_vertices, dtype=bool)
+        result = solve(prob, mesh, fixed_mask=fixed_mask)
+        assert sum(factorizations.values()) == 0
+        assert result.converged and result.residual == 0.0
+        assert np.array_equal(result.field.values, prob.dirichlet(mesh.vertices))
+        assert result.trace[0]["energy"] == energy(prob, result.field)
+
+    def test_newton_factorizations(self, factorizations):
+        mesh = unit_square_mesh(8)
+        prob = WeakProblem(identity_weight(2), 3.0, None, lambda p: p[:, 0] ** 2 - p[:, 1])
+        result = solve(prob, mesh, SolverConfig(tolerance=1e-9))
+        # K for the warm start and for the final residual, one Hessian per step
+        steps = len(result.trace) - 1
+        assert factorizations == {"splu": 2, "spsolve": steps}
+        assert result.residual == weak_residual(prob, result.field)[0]
+        assert result.trace[-1]["energy"] == energy(prob, result.field)
 
 
 class TestWeightedLpNorm:
