@@ -44,10 +44,8 @@ class Mesh:
         # enforce counterclockwise orientation
         flip = det < 0
         if flip.any():
-            self.cells[flip, 1], self.cells[flip, 2] = (
-                self.cells[flip, 2].copy(),
-                self.cells[flip, 1].copy(),
-            )
+            # a new array: ascontiguousarray may have returned the caller's
+            self.cells = np.where(flip[:, None], self.cells[:, [0, 2, 1]], self.cells)
             p = self.vertices[self.cells]
             e1 = p[:, 1] - p[:, 0]
             e2 = p[:, 2] - p[:, 0]

@@ -8,6 +8,14 @@ of the free block of the stiffness matrix serves both the solve and the
 dual-norm residual of its result; otherwise a damped Newton iteration runs on a
 regularized energy with a geometric continuation of the regularization
 parameter, warm-started from the p = 2 solve.
+
+Newton stopping rule: the last continuation stage stops on the quantity the
+result is accepted on, the dual norm sqrt(r K^-1 r) of the unregularized
+residual; earlier stages stop on the Euclidean norm of their regularized
+residual.  Once the squared Newton decrement lambda^2 = -r . step (Boyd &
+Vandenberghe, *Convex Optimization*, 2004, section 9.5) falls below the
+round-off of the energy, an Armijo comparison of two energies cannot resolve
+the predicted decrease lambda^2 / 2, and the full step is taken.
 """
 from __future__ import annotations
 
@@ -270,9 +278,13 @@ def solve(
 
     For p = 2 this is a single SPD solve.  Otherwise a damped Newton method
     with Armijo line search runs through a geometric continuation of the
-    regularization parameter; the reported residual is always measured on
-    the unregularized problem.  ``fixed_mask`` generalizes the constraint set
-    beyond the mesh boundary (used by the frozen replacement problem).
+    regularization parameter (see ``_newton``).  Its last stage stops as soon
+    as the dual-norm residual sqrt(r K^-1 r) of the unregularized problem is
+    at most ``cfg.tolerance * (1 + max|u|)``, the test applied to the result;
+    NonconvergenceError is raised when the steps run out first.  The reported
+    residual is always that dual norm.  ``fixed_mask`` generalizes the
+    constraint set beyond the mesh boundary (used by the frozen replacement
+    problem).
     """
     if fixed_mask is None:
         fixed_mask = mesh.boundary_mask
@@ -294,10 +306,11 @@ def solve(
     trace: list[dict] = []
     if prob.p != 2.0:
         # a factor kept through the Newton loop would add to the peak memory
-        # of every Hessian factorization, so K is factored again afterwards
+        # of every Hessian factorization
         lu = None
-        values, trace = _newton(prob, mesh, cfg, M, Mgrads, aG, values, free)
-        lu = _factor(K, free)
+        values, trace, lu = _newton(prob, mesh, cfg, M, Mgrads, aG, K, values, fixed_mask)
+        if lu is None:
+            lu = _factor(K, free)
     q = _weighted_gradients(M, mesh, values)
     res, _ = _dual_residual(prob.p, mesh, Mgrads, aG, q, fixed_mask, lu)
     trace.append({"iteration": len(trace), "eps": 0.0,
@@ -313,25 +326,55 @@ def solve(
     return SolveResult(u, trace, True, res)
 
 
-def _newton(prob, mesh, cfg, M, Mgrads, aG, values, interior):
-    """Damped Newton with Armijo backtracking through the continuation in
-    eps; returns the final values and one trace entry per accepted step."""
-    eps_list: list[float] = []
-    e = cfg.eps_start
-    while e > cfg.eps_end:
-        eps_list.append(e)
-        e *= cfg.eps_factor
-    eps_list.append(cfg.eps_end)
+# relative round-off of a summed energy, with margin: below it the Armijo
+# comparison of two energies is noise
+_ENERGY_ROUNDOFF = 1e3 * np.finfo(float).eps
 
+
+def _eps_schedule(cfg: SolverConfig) -> list[float]:
+    """Continuation stages eps_start, eps_start * eps_factor, ..., eps_end;
+    a product within half a factor (in log scale) of eps_end is eps_end
+    itself, so round-off in the repeated product never adds a stage."""
+    stages: list[float] = []
+    e = cfg.eps_start
+    while e * math.sqrt(cfg.eps_factor) > cfg.eps_end:
+        stages.append(e)
+        e *= cfg.eps_factor
+    stages.append(cfg.eps_end)
+    return stages
+
+
+def _newton(prob, mesh, cfg, M, Mgrads, aG, K, values, fixed_mask):
+    """Damped Newton with Armijo backtracking through the continuation in eps.
+
+    An intermediate stage stops when the Euclidean norm of its regularized
+    residual is at most max(tolerance, eps / 100) * (1 + max|u|); the last
+    stage stops when the dual-norm residual passes the test ``solve``
+    applies, and returns the factor of K that measured it (None when its
+    steps ran out).  The line search accepts the full step once lambda^2 is
+    below the energy's round-off.  Each accepted step adds a trace row that
+    also records ``decrement`` (lambda^2 = -r . step) and ``stalled`` (true on
+    the last row of a stage that used up ``max_iterations`` steps).
+    """
+    interior = np.where(~fixed_mask)[0]
+    stages = _eps_schedule(cfg)
     trace: list[dict] = []
-    for stage, eps in enumerate(eps_list):
-        last_stage = stage == len(eps_list) - 1
-        stage_tol = cfg.tolerance if last_stage else max(cfg.tolerance, eps * 1e-2)
-        for _ in range(cfg.max_iterations):
+    for stage, eps in enumerate(stages):
+        last_stage = stage == len(stages) - 1
+        stage_tol = max(cfg.tolerance, eps * 1e-2)
+        e0 = None
+        for it in range(cfg.max_iterations):
+            scale = 1.0 + float(np.abs(values).max())
+            if last_stage:
+                lu = _factor(K, interior)
+                q = _weighted_gradients(M, mesh, values)
+                res, _ = _dual_residual(prob.p, mesh, Mgrads, aG, q, fixed_mask, lu)
+                if res <= cfg.tolerance * scale:
+                    return values, trace, lu
+                lu = None  # freed before the Hessian is factored (peak memory)
             r, H = _gradient_hessian(prob, mesh, M, Mgrads, aG, values, eps)
             rn = float(np.linalg.norm(r[interior]))
-            scale = 1.0 + float(np.abs(values).max())
-            if rn <= stage_tol * scale:
+            if not last_stage and rn <= stage_tol * scale:
                 break
             step = np.zeros_like(values)
             step[interior] = spla.spsolve(
@@ -339,25 +382,28 @@ def _newton(prob, mesh, cfg, M, Mgrads, aG, values, interior):
             )
             if not np.all(np.isfinite(step)):
                 raise NonconvergenceError("Newton step is not finite", trace)
-            e0 = _energy_from_values(prob, mesh, M, aG, values, eps)
-            slope = float(r[interior] @ step[interior])
+            lam2 = -float(r[interior] @ step[interior])
+            if e0 is None:
+                e0 = _energy_from_values(prob, mesh, M, aG, values, eps)
             t = 1.0
             for _bt in range(cfg.max_backtracks):
                 cand = values + t * step
                 e1 = _energy_from_values(prob, mesh, M, aG, cand, eps)
-                if e1 <= e0 + cfg.armijo_c * t * slope:
+                # below the energy's round-off the Armijo test compares noise
+                if lam2 <= _ENERGY_ROUNDOFF * abs(e0) or e1 <= e0 - cfg.armijo_c * t * lam2:
                     break
                 t *= cfg.backtrack
             else:
                 raise NonconvergenceError(
                     f"line search failed at eps={eps:g}", trace
                 )
-            values = values + t * step
+            values, e0 = cand, e1
             trace.append(
                 {"iteration": len(trace) + 1, "eps": eps, "energy": e1,
-                 "residual": rn, "step": t}
+                 "residual": rn, "step": t, "decrement": lam2,
+                 "stalled": it == cfg.max_iterations - 1}
             )
-    return values, trace
+    return values, trace, None
 
 
 def _energy_from_values(prob, mesh, M, aG, values, eps):

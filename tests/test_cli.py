@@ -137,6 +137,23 @@ class TestSolveCommand:
         trace = [json.loads(ln) for ln in (out / "trace.jsonl").read_text().splitlines()]
         assert len(trace) == 1
 
+    def test_newton_trace_rows(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path / "s.cfg",
+            """
+            mesh.kind = "square"
+            mesh.divisions = 6
+            weight.kind = "identity"
+            problem.p = 3.0
+            problem.dirichlet = "example"
+            """,
+        )
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        *rows, final = [json.loads(ln) for ln in (out / "trace.jsonl").read_text().splitlines()]
+        assert rows and "decrement" not in final and "stalled" not in final
+        assert all(row["decrement"] > 0 and row["stalled"] is False for row in rows)
+
 
 class TestSweepCommand:
     SWEEP = """
@@ -156,6 +173,17 @@ class TestSweepCommand:
         assert main(["cz-sweep", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "cz_summary.json").read_text())
         assert summary["phase_boundaries"] == [{"eps": 0.5, "rho_boundary": 4.0}]
+
+    def test_use_fem_p3(self, tmp_path):
+        # the default graded sweep meshes; level 2 used to end in
+        # NonconvergenceError
+        cfg = write_cfg(
+            tmp_path / "fem.cfg",
+            "problem.p = 3.0\nsweep.use_fem = true\nsweep.levels = [1, 2]\n",
+        )
+        out = tmp_path / "o"
+        assert main(["cz-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "cz_report.csv").exists()
 
     def test_rerun_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path / "sw.cfg", self.SWEEP)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -305,3 +306,38 @@ class TestSweep:
         row = rep.rows[0]
         assert row.CSV_COLUMNS[:6] == ("experiment_id", "variant", "n", "eps", "p", "rho")
         assert len(row.as_csv_values()) == len(row.CSV_COLUMNS)
+
+
+class TestFemSweep:
+    """run_sweep with use_fem = True solves on the graded sweep meshes, whose
+    cell areas reach 1e-100 at level 3."""
+
+    BUDGET_SECONDS = 30.0
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        from degcz import cz_harness
+
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(orig(*args, **kwargs))
+            return results[-1]
+
+        orig = cz_harness.solve
+        monkeypatch.setattr(cz_harness, "solve", recorded)
+        return results
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_converges_on_every_level(self, solves, p):
+        spec = SweepSpec(p=p, use_fem=True)
+        start = time.perf_counter()
+        rep = run_sweep(spec)
+        assert time.perf_counter() - start < self.BUDGET_SECONDS
+        assert [row.level for row in rep.rows[:3]] == [1, 2, 3]
+        assert len(solves) == 3 and all(s.converged for s in solves)
+        assert all(math.isfinite(row.ratio) and row.ratio > 0 for row in rep.rows)
+        if p == 3.0:
+            newton_rows = [row for row in solves[-1].trace if "decrement" in row]
+            assert len(newton_rows) <= 30
+            assert not any(row["stalled"] for s in solves for row in s.trace[:-1])

@@ -123,6 +123,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Mesh(verts, cells)
 
+    def test_clockwise_cells_flipped_without_touching_input(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        cells = np.array([[0, 2, 1], [0, 2, 3]], dtype=np.int64)  # first is clockwise
+        given = cells.copy()
+        mesh = Mesh(verts, cells)
+        assert np.array_equal(cells, given)
+        assert mesh.cells is not cells
+        assert np.array_equal(mesh.cells, [[0, 1, 2], [0, 2, 3]])
+        assert np.all(mesh.areas > 0)
+
+    def test_counterclockwise_cells_not_copied(self):
+        mesh = unit_square_mesh(2)
+        assert Mesh(mesh.vertices, mesh.cells).cells is mesh.cells
+
     def test_annulus(self):
         mesh = annulus_mesh(0.5, 1.0, angular=32, layers=6)
         exact = math.pi * (1.0 - 0.25)

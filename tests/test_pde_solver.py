@@ -183,6 +183,49 @@ class TestSolve:
         assert result.residual <= 1e-10
 
 
+class TestNewtonStopping:
+    FINAL_ROW_KEYS = {"iteration", "eps", "energy", "residual", "step"}
+
+    @pytest.mark.parametrize("cfg, stages", [
+        (SolverConfig(), 8),
+        (SolverConfig(eps_start=1.0, eps_end=1e-3, eps_factor=0.3), 7),
+        (SolverConfig(eps_start=1e-9), 1),
+    ])
+    def test_eps_schedule_ends_once_at_eps_end(self, cfg, stages):
+        sched = pde_solver._eps_schedule(cfg)
+        assert len(sched) == stages
+        assert sched[-1] == cfg.eps_end
+        assert all(e > cfg.eps_end * 1.5 for e in sched[:-1])
+        assert sched[0] == max(cfg.eps_start, cfg.eps_end)
+
+    @staticmethod
+    def p3_problem():
+        return WeakProblem(identity_weight(2), 3.0, None, lambda p: p[:, 0] ** 3)
+
+    def test_trace_rows_carry_decrement_and_stall_flag(self):
+        cfg = SolverConfig(tolerance=1e-9)
+        result = solve(self.p3_problem(), unit_square_mesh(8), cfg)
+        *rows, final = result.trace
+        assert rows and set(final) == self.FINAL_ROW_KEYS
+        for row in rows:
+            assert set(row) == self.FINAL_ROW_KEYS | {"decrement", "stalled"}
+            assert row["stalled"] is False
+            assert math.isfinite(row["decrement"]) and row["decrement"] > 0
+        assert {row["eps"] for row in rows} <= set(pde_solver._eps_schedule(cfg))
+
+    def test_exhausted_stage_marked_stalled_and_raises(self):
+        # a tolerance below round-off cannot be met: every stage's last step
+        # is marked, and the last stage's stall still raises
+        cfg = SolverConfig(tolerance=1e-18, max_iterations=3)
+        with pytest.raises(NonconvergenceError) as err:
+            solve(self.p3_problem(), unit_square_mesh(8), cfg)
+        *rows, final = err.value.trace
+        last_stage = [row for row in rows if row["eps"] == cfg.eps_end]
+        assert len(last_stage) == 3
+        assert [row["stalled"] for row in last_stage] == [False, False, True]
+        assert final["residual"] > cfg.tolerance
+
+
 @pytest.fixture
 def factorizations(monkeypatch):
     """Counts of the sparse factorizations the solver runs through scipy."""
