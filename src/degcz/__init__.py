@@ -8,9 +8,8 @@ transfer estimates.
 """
 from .weight_algebra import (
     Ball,
+    Field,
     QuadratureSpec,
-    ScalarWeightField,
-    WeightField,
     condition_number,
     log_mean_matrix,
     log_mean_scalar,
@@ -18,8 +17,8 @@ from .weight_algebra import (
     spd_exp,
     spd_log,
 )
-from .exact_examples import MeyersExample, theta_of
-from .seminorms import BallFamily, bmo_matrix, bmo_scalar, muckenhoupt_ap
+from .exact_examples import MeyersExample
+from .seminorms import BallFamily, bmo, muckenhoupt_ap
 from .nfunctions import PowerPhi, ShiftedPhi, a_map, hammer_check, v_map, weighted_maps
 from .meshing import Mesh, annulus_mesh, disk_mesh, unit_square_mesh
 from .pde_solver import (

@@ -24,7 +24,6 @@ from .reporting import settings_hash, write_csv, write_json, write_jsonl
 from .weight_algebra import (
     Ball,
     DEFAULT_QUAD,
-    MatrixField,
     QuadratureSpec,
     SCALAR_WEIGHT_KINDS,
     scalar_weight_from_config,
@@ -177,20 +176,21 @@ def cmd_analyze_weight(cfg: dict) -> int:
             "value": est.value,
         }
 
-    est_w = seminorms.bmo_scalar(omega.log(), fam, quad)
+    est_w = seminorms.bmo(omega.log(), fam, quad)
     summary["bmo_log_omega"] = est_w.value
     rows.append(("bmo_log_omega", est_w.value, est_w.attaining_ball.radius))
     record_balls("bmo_log_omega", est_w)
     if matrix is not None:
-        est_m = seminorms.bmo_matrix(matrix.log(), fam, quad)
+        est_m = seminorms.bmo(matrix.log(), fam, quad)
         summary["bmo_log_M"] = est_m.value
         rows.append(("bmo_log_M", est_m.value, est_m.attaining_ball.radius))
         record_balls("bmo_log_M", est_m)
-        raw_field = MatrixField(matrix.dim, matrix.fn, matrix.label, matrix.singular_points)
+        # refined() extends the ladder, so its first ladder.count rows are the
+        # ladder's own per-ball values
         ladder = seminorms.BallFamily.origin_ladder(dom, levels=2)
-        est_raw = seminorms.bmo_matrix(raw_field, ladder, quad)
-        est_raw_deep = seminorms.bmo_matrix(raw_field, ladder.refined(), quad)
-        unbounded = est_raw_deep.value > 1.5 * est_raw.value
+        est_raw_deep = seminorms.bmo(matrix, ladder.refined(), quad)
+        raw_value = max(row[4] for row in est_raw_deep.rows[:ladder.count])
+        unbounded = est_raw_deep.value > 1.5 * raw_value
         summary["bmo_M"] = est_raw_deep.value
         summary["bmo_M_flag"] = (
             "unbounded (growing with family refinement)" if unbounded else "stable"
@@ -420,12 +420,7 @@ def cmd_cz_sweep(cfg: dict) -> int:
         parts = [dataclasses.replace(spec, eps_list=(eps,)) for eps in spec.eps_list]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(cz_harness.run_sweep, parts))
-        report = cz_harness.CzReport()
-        for rep in reports:
-            report.rows.extend(rep.rows)
-            report.classifications.update(rep.classifications)
-            report.boundaries.update(rep.boundaries)
-        report.rows.sort(key=lambda r: (r.eps, r.rho, r.ball_cx, r.ball_cy, r.level))
+        report = cz_harness.CzReport.merged(reports)
     else:
         report = cz_harness.run_sweep(spec)
     header = {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]}

@@ -20,19 +20,20 @@ from .meshing import Mesh, cells_in_ball, disk_mesh, region_mean
 from .nfunctions import v_map
 from .pde_solver import (
     DiscreteField,
+    NonconvergenceError,
     SolverConfig,
     WeakProblem,
     interpolate,
     solve,
     weighted_lp_norm,
 )
-from .seminorms import BallFamily, bmo_matrix, muckenhoupt_ap, standard_family
+from .seminorms import BallFamily, bmo, muckenhoupt_ap, standard_family
 from .weight_algebra import (
     Ball,
     DEFAULT_QUAD,
     MEAN_QUAD,
+    Field,
     QuadratureSpec,
-    ScalarWeightField,
     log_mean_matrix,
 )
 
@@ -67,7 +68,7 @@ def _require_ball(mesh: Mesh, ball: Ball, label: str) -> None:
         raise GeometryError(f"{label} ball {ball} exits the mesh domain")
 
 
-def _omega_cells(omega: ScalarWeightField, mesh: Mesh) -> np.ndarray:
+def _omega_cells(omega: Field, mesh: Mesh) -> np.ndarray:
     return omega.evaluate(mesh.barycenters)
 
 
@@ -147,7 +148,7 @@ class PoincareReport:
 
 def poincare_check(
     u: DiscreteField,
-    omega: ScalarWeightField,
+    omega: Field,
     ball: Ball,
     p: float,
     theta: float,
@@ -293,9 +294,9 @@ def comparison_check(
     omega = prob.weight.omega()
     w = _omega_cells(omega, mesh)
     fam = standard_family(b, levels=3)
-    bmo = bmo_matrix(prob.weight.log(), fam, quad).value
+    bmo_log = bmo(prob.weight.log(), fam, quad).value
     gz = np.linalg.norm(triple.z.cell_gradients(), axis=1)
-    osc = (bmo ** 2 + delta) * region_mean(
+    osc = (bmo_log ** 2 + delta) * region_mean(
         mesh, (gz * w) ** (p * s), mask
     ) ** (1.0 / s)
 
@@ -315,7 +316,7 @@ def comparison_check(
         ) ** (1.0 / s)
     else:
         data_term = 0.0
-    return ComparisonReport(lhs, osc, u_term, data_term, bmo, delta, s)
+    return ComparisonReport(lhs, osc, u_term, data_term, bmo_log, delta, s)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +420,17 @@ class CzReport:
     classifications: dict = field(default_factory=dict)   # (eps, rho) -> str
     boundaries: dict = field(default_factory=dict)        # eps -> float | None
 
+    @staticmethod
+    def merged(parts) -> "CzReport":
+        """One report from per-eps reports: rows in (eps, rho, ball, level) order."""
+        report = CzReport()
+        for part in parts:
+            report.rows.extend(part.rows)
+            report.classifications.update(part.classifications)
+            report.boundaries.update(part.boundaries)
+        report.rows.sort(key=lambda r: (r.eps, r.rho, r.ball_cx, r.ball_cy, r.level))
+        return report
+
     def summary(self) -> dict:
         return {
             "cells": [
@@ -475,47 +487,53 @@ def _classify(ratios: list[float]) -> str:
 
 def run_sweep(spec: SweepSpec) -> CzReport:
     """Run the classification sweep over the (eps, rho, level) grid."""
+    return CzReport.merged(_sweep_eps(spec, eps) for eps in spec.eps_list)
+
+
+def _sweep_eps(spec: SweepSpec, eps: float) -> CzReport:
     report = CzReport()
     b0 = Ball(spec.ball_center, spec.ball_radius)
-    for eps in spec.eps_list:
-        ex = MeyersExample(n=spec.n, eps=eps, variant=spec.variant)
-        wfield = ex.weight_field()
-        prob = WeakProblem(wfield, spec.p, None, ex.u_with_origin)
-        diag_ball = Ball(spec.ball_center, min(1.0, 4.0 * spec.ball_radius))
-        bmo = bmo_matrix(wfield.log(), standard_family(diag_ball, 3), DEFAULT_QUAD).value
-        lam = ex.cond_bound
-        per_rho: dict[float, list[float]] = {rho: [] for rho in spec.rho_list}
-        rows_here: list[CzRow] = []
-        for level in spec.levels:
-            mesh = spec.mesh_for(level)
-            if spec.use_fem:
-                u = solve(prob, mesh).field
-            else:
-                u = interpolate(mesh, ex.u_with_origin)
-            for rho in spec.rho_list:
-                rr = cz_ratio(u, prob, b0, rho, spec.geometry)
-                per_rho[rho].append(rr.ratio)
-                rows_here.append(
-                    CzRow(
-                        spec.experiment_id, spec.variant, spec.n, eps, spec.p, rho,
-                        b0.center[0], b0.center[1], b0.radius, level,
-                        rr.lhs, rr.rhs, rr.ratio, bmo, lam,
-                    )
+    ex = MeyersExample(n=spec.n, eps=eps, variant=spec.variant)
+    wfield = ex.weight_field()
+    prob = WeakProblem(wfield, spec.p, None, ex.u_with_origin)
+    diag_ball = Ball(spec.ball_center, min(1.0, 4.0 * spec.ball_radius))
+    bmo_log = bmo(wfield.log(), standard_family(diag_ball, 3), DEFAULT_QUAD).value
+    lam = ex.cond_bound
+    per_rho: dict[float, list[float]] = {rho: [] for rho in spec.rho_list}
+    for level in spec.levels:
+        mesh = spec.mesh_for(level)
+        if spec.use_fem:
+            result = solve(prob, mesh)
+            if not result.converged:
+                raise NonconvergenceError(
+                    f"sweep solve at eps={eps:g}, level {level}: residual "
+                    f"{result.residual:g} above tolerance", result.trace,
                 )
-        bounded_max, diverging_min = None, None
-        for rho in spec.rho_list:
-            cls = _classify(per_rho[rho])
-            report.classifications[(eps, rho)] = cls
-            if cls == "bounded":
-                bounded_max = rho if bounded_max is None else max(bounded_max, rho)
-            elif cls == "diverging":
-                diverging_min = rho if diverging_min is None else min(diverging_min, rho)
-        for row in rows_here:
-            row.classification = report.classifications[(eps, row.rho)]
-        report.rows.extend(rows_here)
-        if bounded_max is not None and diverging_min is not None and bounded_max < diverging_min:
-            report.boundaries[eps] = 0.5 * (bounded_max + diverging_min)
+            u = result.field
         else:
-            report.boundaries[eps] = None
-    report.rows.sort(key=lambda r: (r.eps, r.rho, r.ball_cx, r.ball_cy, r.level))
+            u = interpolate(mesh, ex.u_with_origin)
+        for rho in spec.rho_list:
+            rr = cz_ratio(u, prob, b0, rho, spec.geometry)
+            per_rho[rho].append(rr.ratio)
+            report.rows.append(
+                CzRow(
+                    spec.experiment_id, spec.variant, spec.n, eps, spec.p, rho,
+                    b0.center[0], b0.center[1], b0.radius, level,
+                    rr.lhs, rr.rhs, rr.ratio, bmo_log, lam,
+                )
+            )
+    bounded_max, diverging_min = None, None
+    for rho in spec.rho_list:
+        cls = _classify(per_rho[rho])
+        report.classifications[(eps, rho)] = cls
+        if cls == "bounded":
+            bounded_max = rho if bounded_max is None else max(bounded_max, rho)
+        elif cls == "diverging":
+            diverging_min = rho if diverging_min is None else min(diverging_min, rho)
+    for row in report.rows:
+        row.classification = report.classifications[(eps, row.rho)]
+    if bounded_max is not None and diverging_min is not None and bounded_max < diverging_min:
+        report.boundaries[eps] = 0.5 * (bounded_max + diverging_min)
+    else:
+        report.boundaries[eps] = None
     return report

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weight_algebra import ScalarWeightField, WeightField
+from .weight_algebra import Field
 
-__all__ = ["SingularPointError", "MeyersExample", "theta_of"]
+__all__ = ["SingularPointError", "MeyersExample"]
 
 _MIN_RADIUS = 1e-300
 
@@ -175,9 +175,9 @@ class MeyersExample:
 
     # -- field wrappers -----------------------------------------------------
 
-    def weight_field(self) -> WeightField:
+    def weight_field(self) -> Field:
         origin = (0.0,) * self.n
-        return WeightField(
+        return Field(
             self.n,
             self.weight,
             f"{self.variant}-meyers(n={self.n}, eps={self.eps:g})",
@@ -186,23 +186,14 @@ class MeyersExample:
             self.log_weight,
         )
 
-    def scalar_weight(self) -> ScalarWeightField:
+    def scalar_weight(self) -> Field:
         origin = (0.0,) * self.n
         if self.variant == "plain":
             log_fn = lambda pts: np.zeros(pts.shape[0])
         else:
             e = self.eps
             log_fn = lambda pts: -(e / 2.0) * np.log(np.linalg.norm(pts, axis=-1))
-        return ScalarWeightField(
-            self.n,
-            self.omega,
-            f"|{self.variant}-meyers|",
-            (origin,),
-            "derived",
-            log_fn,
+        return Field(
+            self.n, self.omega, f"|{self.variant}-meyers|", (origin,), log_fn=log_fn
         )
 
-
-def theta_of(example: MeyersExample) -> float:
-    """Anisotropy parameter that makes the example's flux divergence-free."""
-    return example.theta

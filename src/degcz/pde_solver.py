@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .meshing import Mesh, cells_in_ball
 from .nfunctions import a_map
-from .weight_algebra import Ball, ScalarWeightField, WeightField
+from .weight_algebra import Ball, Field
 
 __all__ = [
     "NonconvergenceError",
@@ -87,7 +87,7 @@ class WeakProblem:
     set, the variable weight is replaced by that constant SPD matrix.
     """
 
-    weight: WeightField
+    weight: Field
     p: float = 2.0
     data: Callable[[np.ndarray], np.ndarray] | None = None
     dirichlet: Callable[[np.ndarray], np.ndarray] | None = None
@@ -415,7 +415,7 @@ def _energy_from_values(prob, mesh, M, aG, values, eps):
 # ---------------------------------------------------------------------------
 
 def weighted_lp_norm(
-    u: DiscreteField, omega: ScalarWeightField, rho: float, region: Ball
+    u: DiscreteField, omega: Field, rho: float, region: Ball
 ) -> float:
     """(mean over the region of (|grad u| omega)^rho)^(1/rho).
 
@@ -437,7 +437,7 @@ def weighted_lp_norm(
 def weighted_h1_error(
     u: DiscreteField,
     exact_grad: Callable[[np.ndarray], np.ndarray],
-    omega: ScalarWeightField | None = None,
+    omega: Field | None = None,
 ) -> float:
     """Weighted H1 seminorm distance (mean of (|grad(u - u_exact)| omega)^2)^(1/2)."""
     mesh = u.mesh

@@ -17,11 +17,8 @@ from .calibration import CALIBRATED
 from .weight_algebra import (
     Ball,
     DEFAULT_QUAD,
-    MatrixField,
+    Field,
     QuadratureSpec,
-    ScalarField,
-    ScalarWeightField,
-    WeightField,
     ball_nodes,
     log_mean_matrix,
     log_mean_scalar,
@@ -32,8 +29,7 @@ __all__ = [
     "BallFamily",
     "BmoEstimate",
     "ApEstimate",
-    "bmo_scalar",
-    "bmo_matrix",
+    "bmo",
     "muckenhoupt_ap",
     "PropSmallReport",
     "prop_small_check",
@@ -175,26 +171,13 @@ class BmoEstimate:
     # rows: (index, cx, cy, radius, per-ball value, running max)
 
 
-def bmo_scalar(
-    f: ScalarField | ScalarWeightField, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD
-) -> BmoEstimate:
-    """Max over the family of the per-ball mean oscillation of a scalar field."""
-    best_val, best_ball, rows = _bmo_impl(f, fam, quad)
-    return BmoEstimate(best_val, best_ball, fam.count, quad, rows)
+def bmo(f: Field, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD) -> BmoEstimate:
+    """Max over the family of the per-ball mean oscillation of a field.
 
-
-def bmo_matrix(
-    H: MatrixField | WeightField, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD
-) -> BmoEstimate:
-    """As :func:`bmo_scalar` with spectral-norm oscillation of a matrix field."""
-    best_val, best_ball, rows = _bmo_impl(H, fam, quad)
-    return BmoEstimate(best_val, best_ball, fam.count, quad, rows)
-
-
-def _bmo_impl(f, fam, quad):
-    sing = np.atleast_2d(
-        np.asarray(getattr(f, "singular_points", ()) or ()).reshape(-1, fam.domain.dim)
-    )
+    The oscillation is measured in absolute value for a scalar field and in
+    the spectral norm for a matrix field.
+    """
+    sing = np.atleast_2d(np.asarray(f.singular_points or ()).reshape(-1, fam.domain.dim))
     rows = []
     best_val, best_ball, running = -1.0, fam.balls[0], 0.0
     for idx, ball in enumerate(fam.balls):
@@ -212,7 +195,7 @@ def _bmo_impl(f, fam, quad):
             best_val, best_ball = val, ball
         c = ball.center
         rows.append((idx, c[0], c[1] if len(c) > 1 else 0.0, ball.radius, val, running))
-    return best_val, best_ball, rows
+    return BmoEstimate(best_val, best_ball, fam.count, quad, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +222,7 @@ def _ball_power_means(field, ball, quad, expos, sing):
 
 
 def muckenhoupt_ap(
-    omega: ScalarWeightField,
+    omega: Field,
     p: float,
     fam: BallFamily,
     quad: QuadratureSpec = DEFAULT_QUAD,
@@ -295,7 +278,7 @@ class PropSmallReport:
 
 
 def prop_small_check(
-    field: WeightField | ScalarWeightField,
+    field: Field,
     ball: Ball,
     q: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
@@ -310,19 +293,17 @@ def prop_small_check(
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    matrix_valued = isinstance(field, WeightField)
     if bmo_log is None:
-        bmo_of = bmo_matrix if matrix_valued else bmo_scalar
-        bmo_log = bmo_of(field.log(), standard_family(ball, levels=3), quad).value
+        bmo_log = bmo(field.log(), standard_family(ball, levels=3), quad).value
     sing = np.atleast_2d(np.asarray(field.singular_points or ()).reshape(-1, ball.dim))
     pts, w = ball_nodes(ball, quad, singular=sing)
-    if matrix_valued:
+    vals = field.evaluate(pts)
+    if vals.ndim == 3:
         center = log_mean_matrix(field, ball, quad)
-        dev = field.evaluate(pts) - center
-        rel = spectral_norm_sym(dev) / spectral_norm_sym(center[None])[0]
+        rel = spectral_norm_sym(vals - center) / spectral_norm_sym(center[None])[0]
     else:
         center = log_mean_scalar(field, ball, quad)
-        rel = np.abs(field.evaluate(pts) - center) / center
+        rel = np.abs(vals - center) / center
     lhs = float((np.sum(w * rel ** q) / w.sum()) ** (1.0 / q))
     ratio = lhs / (q * bmo_log) if bmo_log > 0 else (0.0 if lhs == 0.0 else math.inf)
     return PropSmallReport(lhs, bmo_log, q, ratio, ball)
@@ -355,7 +336,7 @@ class SmallScalarReport:
 
 
 def small_scalar_checks(
-    omega: ScalarWeightField,
+    omega: Field,
     ball: Ball,
     s: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
@@ -372,7 +353,7 @@ def small_scalar_checks(
     if s < 1:
         raise ValueError("s must be at least 1")
     if bmo_log is None:
-        bmo_log = bmo_scalar(omega.log(), standard_family(ball, levels=3), quad).value
+        bmo_log = bmo(omega.log(), standard_family(ball, levels=3), quad).value
     sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, ball.dim))
     lm = log_mean_scalar(omega, ball, quad)
     fine = quad.refined(4)

@@ -31,10 +31,7 @@ __all__ = [
     "DEFAULT_QUAD",
     "MEAN_QUAD",
     "ball_nodes",
-    "ScalarField",
-    "MatrixField",
-    "ScalarWeightField",
-    "WeightField",
+    "Field",
     "log_mean_scalar",
     "log_mean_matrix",
     "SandwichReport",
@@ -351,83 +348,20 @@ def ball_nodes(
 # weight fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Plain scalar field on a ball-shaped domain (no sign requirement)."""
-
-    dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-    singular_points: tuple[tuple[float, ...], ...] = ()
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(points, dtype=float))), dtype=float)
+def _is_matrix(values: np.ndarray) -> bool:
+    """A field is matrix valued when it returns ``(m, n, n)`` stacks."""
+    return np.ndim(values) == 3
 
 
 @dataclass(frozen=True)
-class MatrixField:
-    """Symmetric-matrix-valued field (no definiteness requirement)."""
+class Field:
+    """Scalar or symmetric-matrix field on points, with an optional closed-form log.
 
-    dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-    singular_points: tuple[tuple[float, ...], ...] = ()
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(points, dtype=float))), dtype=float)
-
-
-@dataclass(frozen=True)
-class ScalarWeightField:
-    """Positive scalar weight, either standalone or derived from a matrix weight."""
-
-    dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-    singular_points: tuple[tuple[float, ...], ...] = ()
-    provenance: str = "standalone"
-    log_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.fn(np.atleast_2d(np.asarray(points, dtype=float))), dtype=float)
-        return vals
-
-    def log(self) -> ScalarField:
-        if self.log_fn is not None:
-            fn = self.log_fn
-        else:
-            base = self.fn
-            fn = lambda pts: np.log(base(pts))
-        return ScalarField(self.dim, fn, f"log({self.label})", self.singular_points)
-
-    def inverse(self) -> "ScalarWeightField":
-        base, logf = self.fn, self.log_fn
-        return ScalarWeightField(
-            self.dim,
-            lambda pts: 1.0 / base(pts),
-            f"1/({self.label})",
-            self.singular_points,
-            self.provenance,
-            (lambda pts: -logf(pts)) if logf is not None else None,
-        )
-
-    def scaled(self, t: float) -> "ScalarWeightField":
-        if t <= 0:
-            raise ValueError("scale factor must be positive")
-        base, logf = self.fn, self.log_fn
-        return ScalarWeightField(
-            self.dim,
-            lambda pts: t * base(pts),
-            f"{t:g}*({self.label})",
-            self.singular_points,
-            self.provenance,
-            (lambda pts: math.log(t) + logf(pts)) if logf is not None else None,
-        )
-
-
-@dataclass(frozen=True)
-class WeightField:
-    """Position-dependent SPD matrix weight with bounded condition number."""
+    Whether the field is scalar or matrix valued is read from the rank of what
+    ``fn`` returns: ``(m,)`` scalars or ``(m, n, n)`` matrices.  A weight is a
+    positive (definite) field; ``cond_bound`` bounds a matrix weight's
+    condition number, and ``log_fn``, when given, is its exact logarithm.
+    """
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
@@ -439,64 +373,60 @@ class WeightField:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(np.asarray(points, dtype=float))), dtype=float)
 
-    def omega(self) -> ScalarWeightField:
-        """Derived scalar weight: the spectral norm of the matrix weight."""
+    def log(self) -> "Field":
         base = self.fn
-        logf = self.log_fn
-        # |exp(H)| = exp(lambda_max(H)), so log omega = lambda_max(log M)
-        log_fn = (lambda pts: _sym_eigvals(logf(pts)).max(axis=-1)) if logf is not None else None
-        return ScalarWeightField(
-            self.dim,
-            lambda pts: spectral_norm_sym(base(pts)),
-            f"|{self.label}|",
-            self.singular_points,
-            "derived",
-            log_fn,
+
+        def fn(pts):
+            v = base(pts)
+            return sym_log_batched(v) if _is_matrix(v) else np.log(v)
+
+        return replace(
+            self, fn=self.log_fn or fn, label=f"log({self.label})", cond_bound=None, log_fn=None
         )
 
-    def squared(self) -> "WeightField":
+    def omega(self) -> "Field":
+        """Derived scalar weight: the spectral norm of a matrix, |w| of a scalar."""
         base, logf = self.fn, self.log_fn
-        return WeightField(
-            self.dim,
-            lambda pts: np.einsum("...ij,...jk->...ik", base(pts), base(pts)),
-            f"({self.label})^2",
-            self.singular_points,
-            self.cond_bound ** 2 if self.cond_bound is not None else None,
-            (lambda pts: 2.0 * logf(pts)) if logf is not None else None,
+
+        def fn(pts):
+            v = base(pts)
+            return spectral_norm_sym(v) if _is_matrix(v) else np.abs(v)
+
+        def log_fn(pts):
+            h = logf(pts)
+            # |exp(H)| = exp(lambda_max(H)), so log omega = lambda_max(log M)
+            return _sym_eigvals(h).max(axis=-1) if _is_matrix(h) else h
+
+        return replace(
+            self, fn=fn, label=f"|{self.label}|", cond_bound=None,
+            log_fn=log_fn if logf is not None else None,
         )
 
-    def inverse(self) -> "WeightField":
+    def inverse(self) -> "Field":
         base, logf = self.fn, self.log_fn
-        return WeightField(
-            self.dim,
-            lambda pts: np.linalg.inv(base(pts)),
-            f"({self.label})^-1",
-            self.singular_points,
-            self.cond_bound,
-            (lambda pts: -logf(pts)) if logf is not None else None,
+
+        def fn(pts):
+            v = base(pts)
+            return np.linalg.inv(v) if _is_matrix(v) else 1.0 / v
+
+        return replace(
+            self, fn=fn, label=f"({self.label})^-1",
+            log_fn=(lambda pts: -logf(pts)) if logf is not None else None,
         )
 
-    def scaled(self, t: float) -> "WeightField":
+    def scaled(self, t: float) -> "Field":
         if t <= 0:
             raise ValueError("scale factor must be positive")
-        base, logf = self.fn, self.log_fn
-        dim = self.dim
-        return WeightField(
-            self.dim,
-            lambda pts: t * base(pts),
-            f"{t:g}*({self.label})",
-            self.singular_points,
-            self.cond_bound,
-            (lambda pts: logf(pts) + math.log(t) * np.eye(dim)) if logf is not None else None,
-        )
+        base, logf, dim = self.fn, self.log_fn, self.dim
 
-    def log(self) -> MatrixField:
-        if self.log_fn is not None:
-            fn = self.log_fn
-        else:
-            base = self.fn
-            fn = lambda pts: sym_log_batched(base(pts))
-        return MatrixField(self.dim, fn, f"log({self.label})", self.singular_points)
+        def log_fn(pts):
+            h = logf(pts)
+            return h + math.log(t) * np.eye(dim) if _is_matrix(h) else math.log(t) + h
+
+        return replace(
+            self, fn=lambda pts: t * base(pts), label=f"{t:g}*({self.label})",
+            log_fn=log_fn if logf is not None else None,
+        )
 
     def measured_condition(self, points: np.ndarray) -> float:
         w = _sym_eigvals(self.evaluate(points))
@@ -505,12 +435,17 @@ class WeightField:
         return float((w.max(axis=-1) / w.min(axis=-1)).max())
 
 
+# the benchmark's tracer (perfbench/tracing.py) wraps ``evaluate`` on these
+# four former class names; they stay as aliases until it wraps Field itself
+ScalarField = MatrixField = ScalarWeightField = WeightField = Field
+
+
 # ---------------------------------------------------------------------------
 # logarithmic means
 # ---------------------------------------------------------------------------
 
 def log_mean_scalar(
-    omega: ScalarWeightField, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
+    omega: Field, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
 ) -> float:
     """exp of the ball average of log(omega): the multiplicative mean."""
     pts, w = ball_nodes(ball, quad, singular=np.asarray(omega.singular_points))
@@ -525,7 +460,7 @@ def log_mean_scalar(
 
 
 def log_mean_matrix(
-    M: WeightField, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
+    M: Field, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
 ) -> np.ndarray:
     """exp of the ball average of log(M); commutes with pointwise inversion."""
     pts, w = ball_nodes(ball, quad, singular=np.asarray(M.singular_points))
@@ -549,7 +484,7 @@ class SandwichReport:
 
 
 def sandwich_check(
-    M: WeightField, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
+    M: Field, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
 ) -> SandwichReport:
     """Check the two-sided comparison of the matrix log-mean with the scalar one."""
     if M.cond_bound is None:
@@ -567,13 +502,13 @@ def sandwich_check(
 # registry of named analytic weight families
 # ---------------------------------------------------------------------------
 
-def constant_weight(matrix: np.ndarray, label: str = "constant") -> WeightField:
+def constant_weight(matrix: np.ndarray, label: str = "constant") -> Field:
     m = _check_symmetric(matrix)
     w = np.linalg.eigvalsh(m)
     if w.min() <= 0:
         raise NotPositiveDefiniteError("constant weight must be positive definite")
     logm = spd_log(m)
-    return WeightField(
+    return Field(
         m.shape[0],
         lambda pts: np.broadcast_to(m, pts.shape[:1] + m.shape).copy(),
         label,
@@ -583,11 +518,11 @@ def constant_weight(matrix: np.ndarray, label: str = "constant") -> WeightField:
     )
 
 
-def identity_weight(dim: int) -> WeightField:
+def identity_weight(dim: int) -> Field:
     return constant_weight(np.eye(dim), "identity")
 
 
-def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> WeightField:
+def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
     rng = np.random.default_rng(seed)
     mats = rng.standard_normal((modes, dim, dim))
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2)) * (sigma / math.sqrt(modes))
@@ -599,7 +534,7 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> WeightF
         return np.einsum("mk,kij->mij", osc, mats)
 
     norm_sum = float(np.abs(np.linalg.eigvalsh(mats)).max(axis=-1).sum())
-    return WeightField(
+    return Field(
         dim,
         lambda pts: sym_exp_batched(log_fn(pts)),
         f"log-normal(seed={seed})",
@@ -609,7 +544,7 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> WeightF
     )
 
 
-def weight_from_config(cfg: Mapping) -> WeightField:
+def weight_from_config(cfg: Mapping) -> Field:
     """Build a matrix weight from a structured config mapping.
 
     Supported kinds: ``constant``, ``identity``, ``rank-one-radial``
@@ -640,7 +575,7 @@ def weight_from_config(cfg: Mapping) -> WeightField:
     raise KeyError(f"unknown weight kind {kind!r}; known kinds: {sorted(WEIGHT_KINDS)}")
 
 
-def scalar_weight_from_config(cfg: Mapping) -> ScalarWeightField:
+def scalar_weight_from_config(cfg: Mapping) -> Field:
     """Build a scalar weight: ``constant``, ``power`` (|x|^a), or matrix-derived."""
     kind = cfg.get("kind")
     if kind == "constant":
@@ -648,25 +583,22 @@ def scalar_weight_from_config(cfg: Mapping) -> ScalarWeightField:
         if c <= 0:
             raise NotPositiveDefiniteError("constant scalar weight must be positive")
         dim = int(cfg.get("n", 2))
-        return ScalarWeightField(
+        return Field(
             dim,
             lambda pts: np.full(pts.shape[0], c),
             f"constant({c:g})",
-            (),
-            "standalone",
-            lambda pts: np.full(pts.shape[0], math.log(c)),
+            log_fn=lambda pts: np.full(pts.shape[0], math.log(c)),
         )
     if kind == "power":
         a = float(cfg["exponent"])
         dim = int(cfg.get("n", 2))
         origin = (0.0,) * dim
-        return ScalarWeightField(
+        return Field(
             dim,
             lambda pts: np.linalg.norm(pts, axis=-1) ** a,
             f"|x|^{a:g}",
             (origin,),
-            "standalone",
-            lambda pts: a * np.log(np.linalg.norm(pts, axis=-1)),
+            log_fn=lambda pts: a * np.log(np.linalg.norm(pts, axis=-1)),
         )
     return weight_from_config(cfg).omega()
 

@@ -19,15 +19,13 @@ from degcz.nfunctions import hammer_check, run_property_sweep, weighted_maps
 from degcz.pde_solver import WeakProblem, interpolate, solve, weighted_h1_error
 from degcz.seminorms import (
     BallFamily,
-    bmo_matrix,
-    bmo_scalar,
+    bmo,
     muckenhoupt_ap,
     standard_family,
 )
 from degcz.weight_algebra import (
     Ball,
     DEFAULT_QUAD,
-    MatrixField,
     MEAN_QUAD,
     log_mean_matrix,
     log_mean_scalar,
@@ -106,14 +104,13 @@ def test_criterion_4_degenerate_weight_characterization():
         for eps in (0.1, 0.25, 0.5):
             ex = MeyersExample(2, eps, "degenerate")
             weight = ex.weight_field()
-            raw = MatrixField(2, weight.fn, weight.label, weight.singular_points)
             fam_lo = BallFamily.origin_ladder(dom, levels=1)
             fam_hi = BallFamily.origin_ladder(dom, levels=3)
-            bmo_lo = bmo_matrix(raw, fam_lo, DEFAULT_QUAD).value
-            bmo_hi = bmo_matrix(raw, fam_hi, DEFAULT_QUAD).value
+            bmo_lo = bmo(weight, fam_lo, DEFAULT_QUAD).value
+            bmo_hi = bmo(weight, fam_hi, DEFAULT_QUAD).value
             assert bmo_hi >= 2.0 * bmo_lo, f"eps={eps}"
             for fam in (fam_lo, fam_hi):
-                log_val = bmo_matrix(weight.log(), fam, DEFAULT_QUAD).value
+                log_val = bmo(weight.log(), fam, DEFAULT_QUAD).value
                 assert log_val <= 1.5 * eps + 0.01, f"eps={eps}"
 
 
@@ -180,14 +177,14 @@ def test_criterion_7_seminorm_estimators():
             weight_from_config({"kind": "log-normal", "n": 2, "seed": 8}),
         ]
         for field in fields:
-            s = bmo_scalar(field.omega().log(), fam, DEFAULT_QUAD).value
-            m = bmo_matrix(field.log(), fam, DEFAULT_QUAD).value
+            s = bmo(field.omega().log(), fam, DEFAULT_QUAD).value
+            m = bmo(field.log(), fam, DEFAULT_QUAD).value
             assert s <= 2.0 * m + 1e-9
         # exact scale invariance of the log-BMO estimate
         om = scalar_weight_from_config({"kind": "power", "exponent": 0.4})
-        base = bmo_scalar(om.log(), fam, DEFAULT_QUAD).value
+        base = bmo(om.log(), fam, DEFAULT_QUAD).value
         for t in (1e-3, 1.0, 1e3):
-            val = bmo_scalar(om.scaled(t).log(), fam, DEFAULT_QUAD).value
+            val = bmo(om.scaled(t).log(), fam, DEFAULT_QUAD).value
             assert abs(val - base) <= 1e-12
         # Muckenhoupt estimates
         one = scalar_weight_from_config({"kind": "constant", "value": 1.0})

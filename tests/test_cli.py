@@ -185,6 +185,22 @@ class TestSweepCommand:
         assert main(["cz-sweep", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "cz_report.csv").exists()
 
+    def test_use_fem_nonconvergence_exit(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from degcz import cz_harness
+
+        orig = cz_harness.solve
+        monkeypatch.setattr(
+            cz_harness, "solve",
+            lambda *a, **k: dataclasses.replace(orig(*a, **k), converged=False),
+        )
+        cfg = write_cfg(
+            tmp_path / "fem.cfg",
+            self.SWEEP + "sweep.use_fem = true\nsweep.levels = [1]\n",
+        )
+        assert main(["cz-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
     def test_rerun_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path / "sw.cfg", self.SWEEP)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

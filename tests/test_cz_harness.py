@@ -341,3 +341,22 @@ class TestFemSweep:
             newton_rows = [row for row in solves[-1].trace if "decrement" in row]
             assert len(newton_rows) <= 30
             assert not any(row["stalled"] for s in solves for row in s.trace[:-1])
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        # a p = 2 solve reports failure through SolveResult.converged; the
+        # sweep must not classify with its field
+        import dataclasses
+
+        from degcz import cz_harness
+        from degcz.pde_solver import NonconvergenceError
+
+        orig = cz_harness.solve
+        monkeypatch.setattr(
+            cz_harness, "solve",
+            lambda *a, **k: dataclasses.replace(orig(*a, **k), converged=False),
+        )
+        spec = SweepSpec(use_fem=True, rho_list=(3.0,), levels=(1,),
+                         base_layers=10, layers_per_level=20, angular=12)
+        with pytest.raises(NonconvergenceError) as err:
+            run_sweep(spec)
+        assert err.value.trace and "eps=0.5, level 1" in str(err.value)

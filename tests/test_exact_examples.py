@@ -32,12 +32,6 @@ class TestTheta:
                     th = MeyersExample(n, eps, variant).theta
                     assert 0.5 <= th < 1.0
 
-    def test_theta_of_helper(self):
-        from degcz.exact_examples import theta_of
-
-        ex = MeyersExample(2, 0.5, "plain")
-        assert theta_of(ex) == ex.theta
-
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             MeyersExample(2, 0.75, "plain")

@@ -9,8 +9,7 @@ from degcz.seminorms import (
     OVERFLOW_GUARD,
     STABILITY_GUARD,
     BallFamily,
-    bmo_matrix,
-    bmo_scalar,
+    bmo,
     muckenhoupt_ap,
     prop_small_check,
     small_scalar_checks,
@@ -18,9 +17,8 @@ from degcz.seminorms import (
 )
 from degcz.weight_algebra import (
     Ball,
-    MatrixField,
+    Field,
     QuadratureSpec,
-    ScalarField,
     ball_nodes,
     constant_weight,
     scalar_weight_from_config,
@@ -32,7 +30,7 @@ def power(expo):
 
 
 def log_abs_field():
-    return ScalarField(
+    return Field(
         2, lambda pts: np.log(np.linalg.norm(pts, axis=-1)), "log|x|", ((0.0, 0.0),)
     )
 
@@ -54,6 +52,20 @@ class TestBallFamily:
         assert ref.count > fam.count
         assert ref.balls[: fam.count] == fam.balls
 
+    @pytest.mark.parametrize("make", [
+        lambda dom: BallFamily.origin_ladder(dom, 2),
+        lambda dom: standard_family(dom, 2),
+        lambda dom: BallFamily.random(dom, 12, 0.05, 0.5, 4),
+    ])
+    def test_refined_rows_start_with_the_family_rows(self, make, unit_ball, quad):
+        # analyze-weight reads the origin ladder's per-ball BMO values off the
+        # first rows of its refinement
+        fam = make(unit_ball)
+        ref = fam.refined()
+        assert ref.balls[: fam.count] == fam.balls
+        field = MeyersExample(2, 0.25, "degenerate").weight_field()
+        assert bmo(field, ref, quad).rows[: fam.count] == bmo(field, fam, quad).rows
+
     def test_origin_ladder_scales(self, unit_ball):
         fam = BallFamily.origin_ladder(unit_ball, 2, scale=1e-4, offsets=False)
         radii = sorted(b.radius for b in fam.balls)
@@ -62,9 +74,9 @@ class TestBallFamily:
 
 class TestBmoScalar:
     def test_constant_field(self, unit_ball, quad):
-        f = ScalarField(2, lambda pts: np.full(len(pts), 7.0), "7")
+        f = Field(2, lambda pts: np.full(len(pts), 7.0), "7")
         fam = standard_family(unit_ball, 2)
-        assert bmo_scalar(f, fam, quad).value == 0.0
+        assert bmo(f, fam, quad).value == 0.0
 
     def test_empty_family_rejected(self, unit_ball):
         with pytest.raises(ValueError):
@@ -74,10 +86,10 @@ class TestBmoScalar:
         # oracle: a 10x denser family can raise the sampled sup by at most 10%
         f = log_abs_field()
         fam = standard_family(unit_ball, 4)
-        est = bmo_scalar(f, fam, quad)
+        est = bmo(f, fam, quad)
         assert est.value > 0
         dense = fam.union(BallFamily.random(unit_ball, 10 * fam.count, 0.005, 1.0, 17))
-        est_dense = bmo_scalar(f, dense, quad)
+        est_dense = bmo(f, dense, quad)
         assert est_dense.value <= 1.10 * est.value
         # the attaining ball is a member of the family
         assert est.attaining_ball in fam.balls
@@ -85,16 +97,16 @@ class TestBmoScalar:
     def test_scale_invariance(self, unit_ball, quad):
         om = power(0.4)
         fam = standard_family(unit_ball, 3)
-        base = bmo_scalar(om.log(), fam, quad).value
+        base = bmo(om.log(), fam, quad).value
         for t in (1e-3, 1.0, 1e3):
-            val = bmo_scalar(om.scaled(t).log(), fam, quad).value
+            val = bmo(om.scaled(t).log(), fam, quad).value
             assert abs(val - base) <= 1e-12 * max(1.0, base)
 
     def test_monotone_in_family(self, unit_ball, quad):
         f = log_abs_field()
         fam = standard_family(unit_ball, 2)
-        v1 = bmo_scalar(f, fam, quad).value
-        v2 = bmo_scalar(f, fam.refined(), quad).value
+        v1 = bmo(f, fam, quad).value
+        v2 = bmo(f, fam.refined(), quad).value
         assert v2 >= v1
 
 
@@ -103,14 +115,14 @@ class TestBmoMatrix:
         from conftest import random_spd
 
         c = random_spd(rng, 1, 2, max_cond=10)[0]
-        f = MatrixField(2, lambda pts: np.broadcast_to(c, (len(pts), 2, 2)).copy(), "C")
-        val = bmo_matrix(f, standard_family(unit_ball, 2), quad).value
+        f = Field(2, lambda pts: np.broadcast_to(c, (len(pts), 2, 2)).copy(), "C")
+        val = bmo(f, standard_family(unit_ball, 2), quad).value
         assert val <= 1e-14 * np.abs(c).max()
 
     def test_meyers_smallness(self, unit_ball, quad):
         ex = MeyersExample(2, 0.25, "plain")
         fam = standard_family(unit_ball, 3)
-        val = bmo_matrix(ex.weight_field().log(), fam, quad).value
+        val = bmo(ex.weight_field().log(), fam, quad).value
         assert 0 < val <= abs(math.log(ex.theta)) <= 2 * ex.eps
         assert val <= ex.eps
 
@@ -120,7 +132,7 @@ class TestBmoMatrix:
         for eps in (0.1, 0.5):
             ex = MeyersExample(2, eps, "degenerate")
             fam = standard_family(unit_ball, 3)
-            val = bmo_matrix(ex.weight_field().log(), fam, quad).value
+            val = bmo(ex.weight_field().log(), fam, quad).value
             assert 0 < val <= 1.5 * eps
 
     def test_scalar_transfer_inequality(self, unit_ball, quad):
@@ -134,8 +146,8 @@ class TestBmoMatrix:
 
         cases.append(weight_from_config({"kind": "log-normal", "n": 2, "seed": 3}))
         for field in cases:
-            m = bmo_matrix(field.log(), fam, quad).value
-            s = bmo_scalar(field.omega().log(), fam, quad).value
+            m = bmo(field.log(), fam, quad).value
+            s = bmo(field.omega().log(), fam, quad).value
             assert s <= 2.0 * m + 1e-9
 
 
@@ -313,7 +325,7 @@ class TestSharedNodeSets:
     @pytest.mark.parametrize("make", SHARED_WEIGHTS)
     def test_checks_with_precomputed_bmo(self, make, unit_ball, quad):
         omega = make()
-        bmo_log = bmo_scalar(omega.log(), standard_family(unit_ball, 3), quad).value
+        bmo_log = bmo(omega.log(), standard_family(unit_ball, 3), quad).value
         for q in (2.0, 4.0):
             assert prop_small_check(omega, unit_ball, q, quad, bmo_log=bmo_log) == (
                 prop_small_check(omega, unit_ball, q, quad)
@@ -368,14 +380,21 @@ class TestQuadratureWork:
         from degcz.cli import main
 
         calls = []
-        orig = seminorms.bmo_scalar
+        orig = seminorms.bmo
 
         def counting(*args, **kwargs):
             calls.append(args)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(seminorms, "bmo_scalar", counting)
+        monkeypatch.setattr(seminorms, "bmo", counting)
         cfg = tmp_path / "w.cfg"
         cfg.write_text('weight.kind = "power-radial"\nweight.eps = 0.25\nfamily.levels = 2\n')
         assert main(["analyze-weight", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == 1
+        # log omega and log M on the dyadic family, M on the refined origin
+        # ladder (whose first rows are the ladder's own balls)
+        assert [c[0].label for c in calls] == [
+            "log(|degenerate-meyers(n=2, eps=0.25)|)",
+            "log(degenerate-meyers(n=2, eps=0.25))",
+            "degenerate-meyers(n=2, eps=0.25)",
+        ]
+        assert calls[2][1].strategy == "origin-ladder+origin-ladder"

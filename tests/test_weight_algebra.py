@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from degcz.weight_algebra import (
     sym_exp_batched,
     sym_log_batched,
     weight_from_config,
+    _sym_eigvals,
 )
 
 MEAN_QUAD = QuadratureSpec("polar-midpoint", (512, 32))
@@ -221,3 +223,69 @@ class TestRegistry:
         assert np.abs(omega.evaluate(pts) - direct).max() <= 1e-12
         # derived log agrees with log of values
         assert np.abs(omega.log().evaluate(pts) - np.log(direct)).max() <= 1e-12
+
+
+def _field_cases():
+    """A scalar and a matrix weight, each with and without its closed-form log."""
+    scalar = scalar_weight_from_config({"kind": "power", "exponent": 0.7})
+    matrix = weight_from_config({"kind": "power-radial", "eps": 0.25})
+    return [
+        pytest.param(f, id=f"{kind}-log_fn")
+        for kind, f in (("scalar", scalar), ("matrix", matrix))
+    ] + [
+        pytest.param(replace(f, log_fn=None), id=f"{kind}-no-log_fn")
+        for kind, f in (("scalar", scalar), ("matrix", matrix))
+    ]
+
+
+class TestField:
+    """Each Field method against the expressions of the per-rank classes it replaced.
+
+    Scalar and matrix weights had separate classes; the references below are
+    their expressions, so the comparisons are exact.  The scalar class had no
+    ``omega``: the reference is |w|, which is w itself for a positive weight.
+    """
+
+    T = 17.0
+
+    @pytest.mark.parametrize("field", _field_cases())
+    def test_methods_match_reference_expressions(self, field, rng):
+        fn, logf, t = field.fn, field.log_fn, self.T
+        keep = logf is not None
+        pts = rng.uniform(-0.7, 0.7, (40, 2))
+        if fn(pts).ndim == 3:
+            ref_log = logf(pts) if keep else sym_log_batched(fn(pts))
+            ref_inv = np.linalg.inv(fn(pts))
+            ref_inv_log = -logf(pts) if keep else sym_log_batched(np.linalg.inv(fn(pts)))
+            ref_scaled_log = (logf(pts) + math.log(t) * np.eye(2) if keep
+                              else sym_log_batched(t * fn(pts)))
+            ref_omega = spectral_norm_sym(fn(pts))
+            ref_omega_log = (_sym_eigvals(logf(pts)).max(axis=-1) if keep
+                             else np.log(spectral_norm_sym(fn(pts))))
+        else:
+            ref_log = logf(pts) if keep else np.log(fn(pts))
+            ref_inv = 1.0 / fn(pts)
+            ref_inv_log = -logf(pts) if keep else np.log(1.0 / fn(pts))
+            ref_scaled_log = math.log(t) + logf(pts) if keep else np.log(t * fn(pts))
+            ref_omega = fn(pts)
+            ref_omega_log = logf(pts) if keep else np.log(fn(pts))
+        assert np.array_equal(field.evaluate(pts), fn(pts))
+        assert np.array_equal(field.log().evaluate(pts), ref_log)
+        assert np.array_equal(field.inverse().evaluate(pts), ref_inv)
+        assert np.array_equal(field.inverse().log().evaluate(pts), ref_inv_log)
+        assert np.array_equal(field.scaled(t).log().evaluate(pts), ref_scaled_log)
+        assert np.array_equal(field.omega().evaluate(pts), ref_omega)
+        assert np.array_equal(field.omega().log().evaluate(pts), ref_omega_log)
+        assert (field.inverse().log_fn is None, field.scaled(t).log_fn is None,
+                field.omega().log_fn is None) == (not keep,) * 3
+
+    @pytest.mark.parametrize("base", _field_cases())
+    def test_derived_fields_keep_metadata(self, base):
+        assert base.omega().label == f"|{base.label}|"
+        assert base.log().label == f"log({base.label})"
+        for derived in (base.log(), base.omega()):
+            assert derived.cond_bound is None and derived.singular_points == base.singular_points
+        assert base.inverse().cond_bound == base.scaled(self.T).cond_bound == base.cond_bound
+        assert base.log().log_fn is None
+        with pytest.raises(ValueError):
+            base.scaled(0.0)
