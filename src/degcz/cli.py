@@ -26,6 +26,7 @@ from .weight_algebra import (
     DEFAULT_QUAD,
     QuadratureSpec,
     SCALAR_WEIGHT_KINDS,
+    lambda_max_sym,
     scalar_weight_from_config,
     weight_from_config,
 )
@@ -176,12 +177,20 @@ def cmd_analyze_weight(cfg: dict) -> int:
             "value": est.value,
         }
 
-    est_w = seminorms.bmo(omega.log(), fam, quad)
+    # omega = |M| for every matrix kind but "constant", which reads a scalar
+    # omega even when a matrix is given; with a closed-form log M, one
+    # evaluation of it serves both, since log omega = lambda_max(log M)
+    if matrix is not None and wcfg["kind"] != "constant" and matrix.log_fn is not None:
+        est_w, est_m = seminorms.bmo_views(
+            matrix.log(), fam, quad, (lambda_max_sym, lambda h: h)
+        )
+    else:
+        est_w = seminorms.bmo(omega.log(), fam, quad)
+        est_m = None if matrix is None else seminorms.bmo(matrix.log(), fam, quad)
     summary["bmo_log_omega"] = est_w.value
     rows.append(("bmo_log_omega", est_w.value, est_w.attaining_ball.radius))
     record_balls("bmo_log_omega", est_w)
     if matrix is not None:
-        est_m = seminorms.bmo(matrix.log(), fam, quad)
         summary["bmo_log_M"] = est_m.value
         rows.append(("bmo_log_M", est_m.value, est_m.attaining_ball.radius))
         record_balls("bmo_log_M", est_m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weight_algebra import Field
+from .weight_algebra import Field, euclidean_norm
 
 __all__ = ["SingularPointError", "MeyersExample"]
 
@@ -33,10 +33,25 @@ def _as_points(points: np.ndarray, n: int) -> np.ndarray:
 
 
 def _radii(pts: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(pts, axis=-1)
+    r = euclidean_norm(pts)
     if np.any(r < _MIN_RADIUS):
         raise SingularPointError("evaluation at |x| < 1e-300 rejected")
     return r
+
+
+def _identity_plus_outer(xhat: np.ndarray, diag: float, coef: float) -> np.ndarray:
+    """``diag * I + coef * xhat (x) xhat`` for each row, one matrix entry at a time.
+
+    The products are summed onto +0.0, as ``np.einsum`` sums an outer product,
+    so an entry on a coordinate axis gets the same sign of zero.
+    """
+    m, n = xhat.shape
+    out = np.empty((m, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            outer = 0.0 + xhat[:, i] * xhat[:, j]
+            out[:, i, j] = out[:, j, i] = diag * float(i == j) + coef * outer
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,7 @@ class MeyersExample:
     def u_with_origin(self, points: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Continuous extension of u for nodal interpolation (u -> 0 at the origin)."""
         pts = _as_points(points, self.n)
-        r = np.linalg.norm(pts, axis=-1)
+        r = euclidean_norm(pts)
         out = np.full(r.shape, fill)
         ok = r >= _MIN_RADIUS
         out[ok] = pts[ok, 0] * r[ok] ** (-self.grad_exponent)
@@ -116,9 +131,7 @@ class MeyersExample:
         r = _radii(pts)
         xhat = pts / r[:, None]
         th = self.theta
-        m = th * np.eye(self.n)[None, :, :] + (1.0 - th) * np.einsum(
-            "mi,mj->mij", xhat, xhat
-        )
+        m = _identity_plus_outer(xhat, th, 1.0 - th)
         if self.variant == "degenerate":
             m = (r ** (-self.eps / 2.0))[:, None, None] * m
         return m
@@ -130,7 +143,7 @@ class MeyersExample:
         r = _radii(pts)
         xhat = pts / r[:, None]
         lt = math.log(self.theta)
-        h = lt * np.eye(self.n)[None, :, :] - lt * np.einsum("mi,mj->mij", xhat, xhat)
+        h = _identity_plus_outer(xhat, lt, -lt)
         if self.variant == "degenerate":
             h = h - (self.eps / 2.0 * np.log(r))[:, None, None] * np.eye(self.n)[None, :, :]
         return h
@@ -192,7 +205,7 @@ class MeyersExample:
             log_fn = lambda pts: np.zeros(pts.shape[0])
         else:
             e = self.eps
-            log_fn = lambda pts: -(e / 2.0) * np.log(np.linalg.norm(pts, axis=-1))
+            log_fn = lambda pts: -(e / 2.0) * np.log(euclidean_norm(pts))
         return Field(
             self.n, self.omega, f"|{self.variant}-meyers|", (origin,), log_fn=log_fn
         )

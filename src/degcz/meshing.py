@@ -96,9 +96,6 @@ class Mesh:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def mesh_size(self) -> float:
-        return float(np.sqrt(self.areas.max() * 2.0))
-
     def cell_gradients(self, values: np.ndarray) -> np.ndarray:
         """Piecewise-constant gradient of a nodal field, per cell."""
         return np.einsum("cld,cl->cd", self.hat_gradients, values[self.cells])

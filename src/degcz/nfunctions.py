@@ -81,20 +81,12 @@ class PowerPhi:
         if not self.p > 1.0:
             raise ValueError(f"exponent must exceed 1, got {self.p}")
 
-    @property
-    def conjugate_exponent(self) -> float:
-        return _conj(self.p)
-
     def value(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return _pow(t, self.p) / self.p
 
     def derivative(self, t) -> np.ndarray:
         return _pow(np.asarray(t, dtype=float), self.p - 1.0)
-
-    def conjugate_value(self, t) -> np.ndarray:
-        q = _conj(self.p)
-        return _pow(np.asarray(t, dtype=float), q) / q
 
     def shifted(self, a: float) -> "ShiftedPhi":
         return ShiftedPhi(self, a)

@@ -22,6 +22,7 @@ from .weight_algebra import (
     ball_nodes,
     log_mean_matrix,
     log_mean_scalar,
+    node_batches,
     spectral_norm_sym,
 )
 
@@ -30,6 +31,7 @@ __all__ = [
     "BmoEstimate",
     "ApEstimate",
     "bmo",
+    "bmo_views",
     "muckenhoupt_ap",
     "PropSmallReport",
     "prop_small_check",
@@ -177,19 +179,43 @@ def bmo(f: Field, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD) -> BmoEs
     The oscillation is measured in absolute value for a scalar field and in
     the spectral norm for a matrix field.
     """
+    return bmo_views(f, fam, quad, (lambda vals: vals,))[0]
+
+
+def bmo_views(
+    f: Field, fam: BallFamily, quad: QuadratureSpec, views
+) -> list[BmoEstimate]:
+    """:func:`bmo` of several fields derived pointwise from one evaluation of ``f``.
+
+    Each view maps an array of values of ``f`` to the values of the derived
+    field at the same points; ``lambda_max_sym`` of log M gives log omega, for
+    instance.  One estimate is returned per view.
+    """
     sing = np.atleast_2d(np.asarray(f.singular_points or ()).reshape(-1, fam.domain.dim))
+    per_ball = [[] for _ in views]
+    for start, pts, w, cuts in node_batches(fam.balls, quad, fam.domain, sing):
+        seen = [None] * len(views)
+        if len(w):
+            vals = f.evaluate(pts)
+            seen = [view(vals) for view in views]
+        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            ball = fam.balls[start + k]
+            for out, v in zip(per_ball, seen):
+                out.append(0.0 if a == b else _mean_oscillation(w[a:b], v[a:b], ball))
+    return [_bmo_estimate(fam, quad, values) for values in per_ball]
+
+
+def _mean_oscillation(w: np.ndarray, vals: np.ndarray, ball: Ball) -> float:
+    mean = np.tensordot(w, vals, axes=(0, 0)) / w.sum()
+    dev = vals - mean
+    osc = np.abs(dev) if dev.ndim == 1 else spectral_norm_sym(dev)
+    return float(np.sum(w * osc) / ball.volume)
+
+
+def _bmo_estimate(fam: BallFamily, quad: QuadratureSpec, values: list[float]) -> BmoEstimate:
     rows = []
     best_val, best_ball, running = -1.0, fam.balls[0], 0.0
-    for idx, ball in enumerate(fam.balls):
-        pts, w = ball_nodes(ball, quad, clip=fam.domain, singular=sing)
-        if len(w) == 0:
-            val = 0.0
-        else:
-            vals = f.evaluate(pts)
-            mean = np.tensordot(w, vals, axes=(0, 0)) / w.sum()
-            dev = vals - mean
-            osc = np.abs(dev) if dev.ndim == 1 else spectral_norm_sym(dev)
-            val = float(np.sum(w * osc) / ball.volume)
+    for idx, (ball, val) in enumerate(zip(fam.balls, values)):
         running = max(running, val)
         if val > best_val:
             best_val, best_ball = val, ball
@@ -214,11 +240,18 @@ class ApEstimate:
     rows: list[tuple[int, float, float, float, float]] = field(default_factory=list)
 
 
-def _ball_power_means(field, ball, quad, expos, sing):
-    """Weighted means of ``field ** e`` over one node set, one per exponent."""
-    pts, w = ball_nodes(ball, quad, singular=sing)
-    vals = field.evaluate(pts)
+def _power_means(w: np.ndarray, vals: np.ndarray, expos) -> list[float]:
+    """Weighted means of ``vals ** e`` over one node set, one per exponent."""
     return [float(np.sum(w * vals ** e) / w.sum()) for e in expos]
+
+
+def _family_power_means(field, balls, quad, expos, sing) -> list[list[float]]:
+    """:func:`_power_means` on each ball's node set, one field evaluation per batch."""
+    means = []
+    for _, pts, w, cuts in node_batches(balls, quad, singular=sing):
+        vals = field.evaluate(pts)
+        means.extend(_power_means(w[a:b], vals[a:b], expos) for a, b in zip(cuts, cuts[1:]))
+    return means
 
 
 def muckenhoupt_ap(
@@ -231,7 +264,8 @@ def muckenhoupt_ap(
     """Max over the family of (mean w^p)^(1/p) (mean w^-e)^(1/e), e = p' by default.
 
     Each ball gets two node sets, the rule ``quad`` and its 4x radial
-    refinement; both power means come from one field evaluation on each.  A
+    refinement; both power means come from one field evaluation on each,
+    made for a batch of balls at a time (see ``node_batches``).  A
     per-ball value is declared divergent when it fails to stabilize under the
     refinement or exceeds the overflow guard, which is how a non-integrable
     negative power announces itself.  ``neg_exponent`` replaces the dual
@@ -243,13 +277,14 @@ def muckenhoupt_ap(
             raise ValueError("p must lie in (1, inf)")
         pc = p / (p - 1.0)
     sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, fam.domain.dim))
-    fine = quad.refined(4)
+    coarse = _family_power_means(omega, fam.balls, quad, (p, -pc), sing)
+    fine = _family_power_means(omega, fam.balls, quad.refined(4), (p, -pc), sing)
     best, witness, rows = 0.0, None, []
     divergent, div_ball = False, None
-    for idx, ball in enumerate(fam.balls):
-        m_pos, m_neg = _ball_power_means(omega, ball, quad, (p, -pc), sing)
+    for idx, (ball, (m_pos, m_neg), (m_pos_f, m_neg_f)) in enumerate(
+        zip(fam.balls, coarse, fine)
+    ):
         val = m_pos ** (1.0 / p) * m_neg ** (1.0 / pc)
-        m_pos_f, m_neg_f = _ball_power_means(omega, ball, fine, (p, -pc), sing)
         val_f = m_pos_f ** (1.0 / p) * m_neg_f ** (1.0 / pc)
         if val_f > OVERFLOW_GUARD or val_f > val * STABILITY_GUARD:
             divergent, div_ball = True, ball
@@ -299,10 +334,10 @@ def prop_small_check(
     pts, w = ball_nodes(ball, quad, singular=sing)
     vals = field.evaluate(pts)
     if vals.ndim == 3:
-        center = log_mean_matrix(field, ball, quad)
+        center = log_mean_matrix(field, ball, quad, nodes=(pts, w))
         rel = spectral_norm_sym(vals - center) / spectral_norm_sym(center[None])[0]
     else:
-        center = log_mean_scalar(field, ball, quad)
+        center = log_mean_scalar(field, ball, quad, nodes=(pts, w))
         rel = np.abs(vals - center) / center
     lhs = float((np.sum(w * rel ** q) / w.sum()) ** (1.0 / q))
     ratio = lhs / (q * bmo_log) if bmo_log > 0 else (0.0 if lhs == 0.0 else math.inf)
@@ -355,12 +390,13 @@ def small_scalar_checks(
     if bmo_log is None:
         bmo_log = bmo(omega.log(), standard_family(ball, levels=3), quad).value
     sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, ball.dim))
-    lm = log_mean_scalar(omega, ball, quad)
-    fine = quad.refined(4)
+    pts, w = ball_nodes(ball, quad, singular=sing)
+    lm = log_mean_scalar(omega, ball, quad, nodes=(pts, w))
+    pts_f, w_f = ball_nodes(ball, quad.refined(4), singular=sing)
     mean_pos, mean_neg, mean_pos_f, mean_neg_f = (
         m ** (1.0 / s)
-        for rule in (quad, fine)
-        for m in _ball_power_means(omega, ball, rule, (s, -s), sing)
+        for x, wx in ((pts, w), (pts_f, w_f))
+        for m in _power_means(wx, omega.evaluate(x), (s, -s))
     )
     divergent = (
         max(mean_pos_f, mean_neg_f) > OVERFLOW_GUARD

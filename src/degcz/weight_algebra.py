@@ -1,9 +1,11 @@
 """SPD matrix calculus, ball quadrature, and logarithmic means of weight fields.
 
-Matrix functions are computed by symmetric eigendecomposition, which stays
-robust for the nearly degenerate weights this package targets.  All field
-evaluators are batched: they map an ``(m, n)`` array of points to ``(m,)``
-scalars or ``(m, n, n)`` matrices, and they must be stateless.
+Batched matrix functions of 2x2 symmetric matrices use the closed-form
+eigenvalues and spectral projection; other sizes, and the single-matrix
+functions, use symmetric eigendecomposition.  All field evaluators are
+batched: they map an ``(m, n)`` array of points to ``(m,)`` scalars or
+``(m, n, n)`` matrices, and they must be stateless and act row by row, since
+ball quadrature evaluates the nodes of several balls in one call.
 """
 from __future__ import annotations
 
@@ -26,11 +28,14 @@ __all__ = [
     "sym_exp_batched",
     "sym_log_batched",
     "spectral_norm_sym",
+    "lambda_max_sym",
+    "euclidean_norm",
     "Ball",
     "QuadratureSpec",
     "DEFAULT_QUAD",
     "MEAN_QUAD",
     "ball_nodes",
+    "node_batches",
     "Field",
     "log_mean_scalar",
     "log_mean_matrix",
@@ -118,20 +123,33 @@ def condition_number(m: np.ndarray) -> float:
 # batched symmetric matrix functions (2x2 closed form, eigh otherwise)
 # ---------------------------------------------------------------------------
 
-def _sym_apply_2x2(s: np.ndarray, fn) -> np.ndarray:
+def _sym_parts(s: np.ndarray):
+    """``a, b, d, mean, disc`` of a stack of symmetric 2x2 matrices ``[[a, b], [b, d]]``.
+
+    The eigenvalues are ``mean - disc`` and ``mean + disc``.
+    """
     a = s[..., 0, 0]
     b = 0.5 * (s[..., 0, 1] + s[..., 1, 0])
     d = s[..., 1, 1]
     mean = 0.5 * (a + d)
     disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
+    return a, b, d, mean, disc
+
+
+def _sym_apply_2x2(s: np.ndarray, fn) -> np.ndarray:
+    a, b, d, mean, disc = _sym_parts(s)
     lo, hi = mean - disc, mean + disc
     flo, fhi = fn(lo), fn(hi)
     out = np.empty_like(s)
     # spectral projection: S = lo*P_lo + hi*P_hi with P_hi = (S - lo*I)/(hi - lo)
     sep = disc > 1e-14 * (1.0 + np.abs(mean))
-    denom = np.where(sep, hi - lo, 1.0)
-    coef = np.where(sep, (fhi - flo) / denom, 0.0)
-    base = np.where(sep, flo - coef * lo, 0.5 * (flo + fhi))
+    if sep.all():
+        coef = (fhi - flo) / (hi - lo)
+        base = flo - coef * lo
+    else:
+        denom = np.where(sep, hi - lo, 1.0)
+        coef = np.where(sep, (fhi - flo) / denom, 0.0)
+        base = np.where(sep, flo - coef * lo, 0.5 * (flo + fhi))
     out[..., 0, 0] = base + coef * a
     out[..., 0, 1] = coef * b
     out[..., 1, 0] = coef * b
@@ -142,11 +160,7 @@ def _sym_apply_2x2(s: np.ndarray, fn) -> np.ndarray:
 def _sym_eigvals(s: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of symmetric matrices, ascending."""
     if s.shape[-1] == 2:
-        a = s[..., 0, 0]
-        b = 0.5 * (s[..., 0, 1] + s[..., 1, 0])
-        d = s[..., 1, 1]
-        mean = 0.5 * (a + d)
-        disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
+        *_, mean, disc = _sym_parts(s)
         return np.stack([mean - disc, mean + disc], axis=-1)
     return np.linalg.eigvalsh(s)
 
@@ -176,7 +190,32 @@ def sym_log_batched(m: np.ndarray) -> np.ndarray:
 
 def spectral_norm_sym(s: np.ndarray) -> np.ndarray:
     """Spectral norm of a stack of symmetric matrices."""
-    return np.abs(_sym_eigvals(np.asarray(s, dtype=float))).max(axis=-1)
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1] == 2:
+        *_, mean, disc = _sym_parts(s)
+        return np.maximum(np.abs(mean - disc), np.abs(mean + disc))
+    return np.abs(np.linalg.eigvalsh(s)).max(axis=-1)
+
+
+def lambda_max_sym(s: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of a stack of symmetric matrices."""
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1] == 2:
+        *_, mean, disc = _sym_parts(s)
+        return mean + disc
+    return np.linalg.eigvalsh(s)[..., -1]
+
+
+def euclidean_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, summed one component at a time.
+
+    Gives the same bits as ``np.linalg.norm(x, axis=-1)`` without a numpy
+    reduction over an axis of length 2 or 3.
+    """
+    sq = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        sq = sq + x[..., k] * x[..., k]
+    return np.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +251,7 @@ class Ball:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(pts - np.asarray(self.center), axis=-1) < self.radius
+        return euclidean_norm(pts - np.asarray(self.center)) < self.radius
 
 
 @dataclass(frozen=True)
@@ -271,23 +310,117 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def _polar_nodes(ball: Ball, nr: int, na: int) -> tuple[np.ndarray, np.ndarray]:
-    n = ball.dim
-    rho = (np.arange(nr) + 0.5) * (ball.radius / nr)
-    dr = ball.radius / nr
-    if n == 2:
+#: nodes per field evaluation in batched ball quadrature; a ball with more
+#: nodes is evaluated alone.  4,096 2x2 matrices take 128 KiB: on a 2-core
+#: Xeon the ``weights`` benchmark ran slower with 8,192 and 16,384, and used
+#: more memory.  Each ball's nodes and sums are the same for any batch size.
+BATCH_NODES = 4096
+
+
+def _polar_template(dim: int, radius: float, nr: int, na: int):
+    """Polar-midpoint nodes of a ball of ``radius`` centered at the origin."""
+    rho = (np.arange(nr) + 0.5) * (radius / nr)
+    dr = radius / nr
+    if dim == 2:
         theta = (np.arange(na) + 0.5) * (2.0 * math.pi / na)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        pts = rho[:, None, None] * dirs[None, :, :]
         w = (rho[:, None] * dr * (2.0 * math.pi / na)) * np.ones((1, na))
-    elif n == 3:
+    elif dim == 3:
         dirs = _fibonacci_sphere(na)
-        pts = rho[:, None, None] * dirs[None, :, :]
         w = (rho[:, None] ** 2 * dr * (4.0 * math.pi / na)) * np.ones((1, na))
     else:
         raise ValueError("polar-midpoint quadrature supports dimensions 2 and 3")
-    pts = pts.reshape(-1, n) + np.asarray(ball.center)
-    return pts, w.reshape(-1)
+    return (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim), w.reshape(-1)
+
+
+def _min_distance(pts: np.ndarray, sing: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest of the points ``sing``."""
+    d = euclidean_norm(pts - sing[0])
+    for s in sing[1:]:
+        d = np.minimum(d, euclidean_norm(pts - s))
+    return d
+
+
+def _monte_carlo_nodes(ball: Ball, quad: QuadratureSpec, sing):
+    """Seeded uniform nodes; those falling onto a singular point are resampled."""
+    rng = np.random.default_rng(quad.seed)
+    count = quad.resolution if isinstance(quad.resolution, int) else (
+        quad.resolution[0] * quad.resolution[1]
+    )
+    n = ball.dim
+    pts = np.empty((count, n))
+    filled = 0
+    for _ in range(100):
+        need = count - filled
+        if need == 0:
+            break
+        g = rng.standard_normal((need, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        rad = ball.radius * rng.random(need) ** (1.0 / n)
+        cand = np.asarray(ball.center) + g * rad[:, None]
+        if sing is not None:
+            cand = cand[_min_distance(cand, sing) > 1e-13 * ball.radius]
+        take = min(len(cand), need)
+        pts[filled:filled + take] = cand[:take]
+        filled += take
+    if filled < count:
+        raise QuadratureFailureError("monte-carlo sampler kept hitting singular points")
+    return pts, np.full(count, ball.volume / count)
+
+
+def node_batches(
+    balls,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+    clip: Ball | None = None,
+    singular: np.ndarray | None = None,
+):
+    """Quadrature nodes of a sequence of balls, a batch of balls at a time.
+
+    Yields ``(start, pts, w, cuts)``: ball ``start + k`` has the nodes
+    ``pts[cuts[k]:cuts[k + 1]]`` with absolute weights ``w[cuts[k]:cuts[k + 1]]``,
+    exactly those :func:`ball_nodes` gives it.  A polar-midpoint batch holds
+    consecutive balls of one radius, which share a node template, and at most
+    :data:`BATCH_NODES` nodes unless one ball alone has more; a monte-carlo
+    batch holds one ball.
+    """
+    sing = None
+    if singular is not None and len(singular):
+        sing = np.atleast_2d(np.asarray(singular, dtype=float))
+    polar = quad.scheme == "polar-midpoint"
+    if polar:
+        nr, na = quad.counts()
+        per_batch = max(1, BATCH_NODES // (nr * na))
+    tmpl_radius = None
+    start = 0
+    while start < len(balls):
+        radius = balls[start].radius
+        stop = start + 1
+        if polar:
+            while (stop < len(balls) and stop - start < per_batch
+                   and balls[stop].radius == radius):
+                stop += 1
+            if radius != tmpl_radius:
+                tmpl, w_tmpl = _polar_template(balls[start].dim, radius, nr, na)
+                tmpl_radius = radius
+            centers = np.array([b.center for b in balls[start:stop]])
+            pts = tmpl[None, :, :] + centers[:, None, :]
+            w = np.tile(w_tmpl, (stop - start, 1))
+            keep = None if sing is None else _min_distance(pts, sing) > 1e-13 * radius
+        else:
+            pts, w = _monte_carlo_nodes(balls[start], quad, sing)
+            pts, w, keep = pts[None], w[None], None
+        if clip is not None:
+            inside = clip.contains(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:2])
+            keep = inside if keep is None else keep & inside
+        if keep is None or keep.all():
+            size = pts.shape[1]
+            cuts = list(range(0, size * (stop - start) + 1, size))
+            pts, w = pts.reshape(-1, pts.shape[-1]), w.reshape(-1)
+        else:
+            cuts = [0] + np.cumsum(keep.sum(axis=1)).tolist()
+            pts, w = pts[keep], w[keep]
+        yield start, pts, w, cuts
+        start = stop
 
 
 def ball_nodes(
@@ -303,44 +436,7 @@ def ball_nodes(
     falling onto a singular point are dropped (polar) or resampled
     (monte-carlo).
     """
-    sing = None
-    if singular is not None and len(singular):
-        sing = np.atleast_2d(np.asarray(singular, dtype=float))
-    if quad.scheme == "polar-midpoint":
-        nr, na = quad.counts()
-        pts, w = _polar_nodes(ball, nr, na)
-        if sing is not None:
-            d = np.linalg.norm(pts[:, None, :] - sing[None, :, :], axis=-1).min(axis=1)
-            keep = d > 1e-13 * ball.radius
-            pts, w = pts[keep], w[keep]
-    else:
-        rng = np.random.default_rng(quad.seed)
-        count = quad.resolution if isinstance(quad.resolution, int) else (
-            quad.resolution[0] * quad.resolution[1]
-        )
-        n = ball.dim
-        pts = np.empty((count, n))
-        filled = 0
-        for _ in range(100):
-            need = count - filled
-            if need == 0:
-                break
-            g = rng.standard_normal((need, n))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            rad = ball.radius * rng.random(need) ** (1.0 / n)
-            cand = np.asarray(ball.center) + g * rad[:, None]
-            if sing is not None:
-                d = np.linalg.norm(cand[:, None, :] - sing[None, :, :], axis=-1).min(axis=1)
-                cand = cand[d > 1e-13 * ball.radius]
-            take = min(len(cand), need)
-            pts[filled:filled + take] = cand[:take]
-            filled += take
-        if filled < count:
-            raise QuadratureFailureError("monte-carlo sampler kept hitting singular points")
-        w = np.full(count, ball.volume / count)
-    if clip is not None:
-        keep = clip.contains(pts)
-        pts, w = pts[keep], w[keep]
+    _, pts, w, _ = next(node_batches((ball,), quad, clip, singular))
     return pts, w
 
 
@@ -395,7 +491,7 @@ class Field:
         def log_fn(pts):
             h = logf(pts)
             # |exp(H)| = exp(lambda_max(H)), so log omega = lambda_max(log M)
-            return _sym_eigvals(h).max(axis=-1) if _is_matrix(h) else h
+            return lambda_max_sym(h) if _is_matrix(h) else h
 
         return replace(
             self, fn=fn, label=f"|{self.label}|", cond_bound=None,
@@ -445,10 +541,19 @@ ScalarField = MatrixField = ScalarWeightField = WeightField = Field
 # ---------------------------------------------------------------------------
 
 def log_mean_scalar(
-    omega: Field, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
+    omega: Field,
+    ball: Ball,
+    quad: QuadratureSpec = MEAN_QUAD,
+    nodes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """exp of the ball average of log(omega): the multiplicative mean."""
-    pts, w = ball_nodes(ball, quad, singular=np.asarray(omega.singular_points))
+    """exp of the ball average of log(omega): the multiplicative mean.
+
+    ``nodes`` is the ``(points, weights)`` pair of ``ball_nodes(ball, quad,
+    singular=...)`` for omega's singular points, when the caller has built it.
+    """
+    if nodes is None:
+        nodes = ball_nodes(ball, quad, singular=np.asarray(omega.singular_points))
+    pts, w = nodes
     if omega.log_fn is not None:
         logs = omega.log_fn(pts)
     else:
@@ -460,10 +565,18 @@ def log_mean_scalar(
 
 
 def log_mean_matrix(
-    M: Field, ball: Ball, quad: QuadratureSpec = MEAN_QUAD
+    M: Field,
+    ball: Ball,
+    quad: QuadratureSpec = MEAN_QUAD,
+    nodes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """exp of the ball average of log(M); commutes with pointwise inversion."""
-    pts, w = ball_nodes(ball, quad, singular=np.asarray(M.singular_points))
+    """exp of the ball average of log(M); commutes with pointwise inversion.
+
+    ``nodes`` is as for :func:`log_mean_scalar`.
+    """
+    if nodes is None:
+        nodes = ball_nodes(ball, quad, singular=np.asarray(M.singular_points))
+    pts, w = nodes
     if M.log_fn is not None:
         logs = M.log_fn(pts)
     else:
@@ -595,10 +708,10 @@ def scalar_weight_from_config(cfg: Mapping) -> Field:
         origin = (0.0,) * dim
         return Field(
             dim,
-            lambda pts: np.linalg.norm(pts, axis=-1) ** a,
+            lambda pts: euclidean_norm(pts) ** a,
             f"|x|^{a:g}",
             (origin,),
-            log_fn=lambda pts: a * np.log(np.linalg.norm(pts, axis=-1)),
+            log_fn=lambda pts: a * np.log(euclidean_norm(pts)),
         )
     return weight_from_config(cfg).omega()
 

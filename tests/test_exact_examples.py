@@ -120,6 +120,31 @@ class TestFields:
         assert ex.u_with_origin(np.array([[0.0, 0.0]]))[0] == 0.0
 
 
+class TestWeightEntries:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("variant", ["plain", "degenerate"])
+    def test_entries_match_einsum_outer_product(self, n, variant, rng):
+        # the same bits, signs of zero included, as building the matrices
+        # from an einsum outer product; points on the axes give zero products
+        ex = MeyersExample(n, 0.3, variant)
+        pts = rng.standard_normal((400, n))
+        pts[:50, 1] = 0.0
+        pts[50:100, 0] = -0.0
+        r = np.linalg.norm(pts, axis=-1)
+        xhat = pts / r[:, None]
+        outer = np.einsum("mi,mj->mij", xhat, xhat)
+        eye = np.eye(n)[None, :, :]
+        th, lt = ex.theta, math.log(ex.theta)
+        m = th * eye + (1.0 - th) * outer
+        h = lt * eye - lt * outer
+        if variant == "degenerate":
+            m = (r ** (-ex.eps / 2.0))[:, None, None] * m
+            h = h - (ex.eps / 2.0 * np.log(r))[:, None, None] * eye
+        for got, ref in ((ex.weight(pts), m), (ex.log_weight(pts), h)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 class TestFlux:
     def test_plain_value_at_e1(self):
         ex = MeyersExample(2, 0.5, "plain")

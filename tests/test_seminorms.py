@@ -183,7 +183,7 @@ class TestMuckenhoupt:
     def test_jensen_direction(self, unit_ball, quad):
         # per ball: the p-mean dominates the log-mean, the dual mean dominates
         # its reciprocal (discrete Jensen under shared nodes)
-        from degcz.seminorms import _ball_power_means
+        from degcz.seminorms import _family_power_means
         from degcz.weight_algebra import log_mean_scalar
 
         om = power(0.5)
@@ -191,7 +191,8 @@ class TestMuckenhoupt:
         for ball in standard_family(unit_ball, 2).balls[:25]:
             p = 2.0
             lm = log_mean_scalar(om, ball, quad)
-            pos, neg = (m ** (1 / p) for m in _ball_power_means(om, ball, quad, (p, -p), sing))
+            (means,) = _family_power_means(om, (ball,), quad, (p, -p), sing)
+            pos, neg = (m ** (1 / p) for m in means)
             assert pos >= lm - 1e-10
             assert neg >= 1.0 / lm - 1e-10
 
@@ -359,42 +360,70 @@ class TestSharedNodeSets:
         assert rep.condition_flagged == flagged
 
 
+class TestBmoViews:
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "power-radial", "eps": 0.25},
+        {"kind": "log-normal", "n": 2, "seed": 7},
+        {"kind": "rank-one-radial", "eps": 0.25},
+    ], ids=lambda c: c["kind"])
+    def test_views_equal_separate_estimates(self, cfg, unit_ball, quad):
+        from degcz.seminorms import bmo_views
+        from degcz.weight_algebra import lambda_max_sym, weight_from_config
+
+        m = weight_from_config(cfg)
+        fam = standard_family(unit_ball, 2)
+        est_w, est_m = bmo_views(m.log(), fam, quad, (lambda_max_sym, lambda h: h))
+        refs = (bmo(m.omega().log(), fam, quad), bmo(m.log(), fam, quad))
+        for got, ref in zip((est_w, est_m), refs):
+            assert got.rows == ref.rows
+            assert (got.value, got.attaining_ball) == (ref.value, ref.attaining_ball)
+
+
 class TestQuadratureWork:
-    def test_ap_two_node_sets_per_ball(self, unit_ball, quad, monkeypatch):
-        from degcz import seminorms
+    def test_ap_evaluates_two_node_sets_per_ball(self, unit_ball, quad, monkeypatch):
+        # every ball's rule and its 4x radial refinement, each node once, in
+        # evaluations of at most BATCH_NODES nodes or one ball's node set
+        from degcz.weight_algebra import BATCH_NODES
 
-        calls = []
-        orig = seminorms.ball_nodes
+        sizes = []
+        orig = Field.evaluate
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return orig(*args, **kwargs)
+        def counting(self, points):
+            sizes.append(len(points))
+            return orig(self, points)
 
-        monkeypatch.setattr(seminorms, "ball_nodes", counting)
+        monkeypatch.setattr(Field, "evaluate", counting)
         fam = standard_family(unit_ball, 2)
         muckenhoupt_ap(power(0.3), 2.0, fam, quad)
-        assert len(calls) == 2 * fam.count
+        fine = quad.refined(4)
+        per_ball = [math.prod(rule.counts()) for rule in (quad, fine)]
+        assert sum(sizes) == fam.count * sum(per_ball)
+        assert max(sizes) <= max(BATCH_NODES, *per_ball)
 
-    def test_analyze_weight_computes_log_bmo_once(self, tmp_path, monkeypatch):
-        from degcz import seminorms
+    def test_analyze_weight_evaluates_log_m_once_per_node(self, tmp_path, monkeypatch):
+        # log omega = lambda_max(log M) and log M share one evaluation on the
+        # dyadic family; the other log_weight calls are the log means on the
+        # domain ball
         from degcz.cli import main
+        from degcz.weight_algebra import DEFAULT_QUAD
 
         calls = []
-        orig = seminorms.bmo
+        orig = MeyersExample.log_weight
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return orig(*args, **kwargs)
+        def recording(self, points):
+            calls.append(np.array(points))
+            return orig(self, points)
 
-        monkeypatch.setattr(seminorms, "bmo", counting)
+        monkeypatch.setattr(MeyersExample, "log_weight", recording)
         cfg = tmp_path / "w.cfg"
         cfg.write_text('weight.kind = "power-radial"\nweight.eps = 0.25\nfamily.levels = 2\n')
         assert main(["analyze-weight", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        # log omega and log M on the dyadic family, M on the refined origin
-        # ladder (whose first rows are the ladder's own balls)
-        assert [c[0].label for c in calls] == [
-            "log(|degenerate-meyers(n=2, eps=0.25)|)",
-            "log(degenerate-meyers(n=2, eps=0.25))",
-            "degenerate-meyers(n=2, eps=0.25)",
+        dom, origin = Ball((0.0, 0.0), 1.0), np.zeros((1, 2))
+        dom_nodes, _ = ball_nodes(dom, DEFAULT_QUAD, singular=origin)
+        dyadic = [p for p in calls if not np.array_equal(p, dom_nodes)]
+        expected = [
+            ball_nodes(b, DEFAULT_QUAD, clip=dom, singular=origin)[0]
+            for b in standard_family(dom, 2).balls
         ]
-        assert calls[2][1].strategy == "origin-ladder+origin-ladder"
+        assert np.array_equal(np.concatenate(dyadic), np.concatenate(expected))
+        assert len(calls) - len(dyadic) == 5  # two oscillation q, three power-mean s

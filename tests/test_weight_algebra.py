@@ -6,7 +6,9 @@ import pytest
 from scipy import integrate
 
 from conftest import random_spd
+from degcz.seminorms import BallFamily
 from degcz.weight_algebra import (
+    BATCH_NODES,
     Ball,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -14,9 +16,12 @@ from degcz.weight_algebra import (
     ball_nodes,
     condition_number,
     constant_weight,
+    euclidean_norm,
     identity_weight,
+    lambda_max_sym,
     log_mean_matrix,
     log_mean_scalar,
+    node_batches,
     sandwich_check,
     scalar_weight_from_config,
     spd_exp,
@@ -129,7 +134,113 @@ class TestBallQuadrature:
         assert w.sum() < ball.volume
 
 
+def _reference_ball_nodes(ball, quad, clip=None, singular=None):
+    """One ball at a time, with numpy norms over the coordinate axis (reference)."""
+    sing = None
+    if singular is not None and len(singular):
+        sing = np.atleast_2d(np.asarray(singular, dtype=float))
+    if quad.scheme == "polar-midpoint":
+        nr, na = quad.counts()
+        rho = (np.arange(nr) + 0.5) * (ball.radius / nr)
+        theta = (np.arange(na) + 0.5) * (2.0 * math.pi / na)
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        pts = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, 2) + np.asarray(ball.center)
+        w = ((rho[:, None] * (ball.radius / nr) * (2.0 * math.pi / na)) * np.ones((1, na)))
+        w = w.reshape(-1)
+        if sing is not None:
+            d = np.linalg.norm(pts[:, None, :] - sing[None, :, :], axis=-1).min(axis=1)
+            keep = d > 1e-13 * ball.radius
+            pts, w = pts[keep], w[keep]
+    else:
+        pts, w = ball_nodes(ball, quad, singular=singular)
+    if clip is not None:
+        keep = np.linalg.norm(pts - np.asarray(clip.center), axis=-1) < clip.radius
+        pts, w = pts[keep], w[keep]
+    return pts, w
+
+
+class TestNodeBatches:
+    FAMILIES = {
+        "dyadic": lambda dom: BallFamily.dyadic(dom, 3),
+        "ladder": lambda dom: BallFamily.origin_ladder(dom, 2),
+        "random": lambda dom: BallFamily.random(dom, 30, 0.01, 0.6, 5),
+    }
+    RULES = [
+        QuadratureSpec("polar-midpoint", (64, 32)),
+        QuadratureSpec("polar-midpoint", (256, 32)),
+        QuadratureSpec("polar-midpoint", 100),
+        QuadratureSpec("monte-carlo", 300, seed=2),
+    ]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("quad", RULES, ids=lambda q: f"{q.scheme}-{q.resolution}")
+    def test_batches_equal_per_ball_reference(self, family, quad, unit_ball):
+        balls = self.FAMILIES[family](unit_ball).balls
+        nodes = math.prod(quad.counts())
+        for clip, sing in ((None, None), (unit_ball, np.zeros((1, 2))),
+                           (unit_ball, np.array([[0.0, 0.0], [0.5, 0.0]]))):
+            seen = 0
+            for start, pts, w, cuts in node_batches(balls, quad, clip, sing):
+                assert start == seen and cuts[0] == 0 and cuts[-1] == len(pts) == len(w)
+                count = len(cuts) - 1
+                assert count == 1 or count * nodes <= BATCH_NODES
+                assert len({b.radius for b in balls[start:start + count]}) == 1
+                for k in range(count):
+                    ref_pts, ref_w = _reference_ball_nodes(balls[start + k], quad, clip, sing)
+                    assert np.array_equal(pts[cuts[k]:cuts[k + 1]], ref_pts)
+                    assert np.array_equal(w[cuts[k]:cuts[k + 1]], ref_w)
+                seen += count
+            assert seen == len(balls)
+
+    def test_ball_nodes_is_a_one_ball_batch(self, unit_ball):
+        ball = Ball((0.2, -0.1), 0.3)
+        quad = QuadratureSpec("polar-midpoint", (32, 16))
+        ((start, pts, w, cuts),) = node_batches((ball,), quad, unit_ball)
+        got = ball_nodes(ball, quad, clip=unit_ball)
+        assert start == 0 and cuts == [0, len(w)]
+        assert np.array_equal(got[0], pts) and np.array_equal(got[1], w)
+
+
+class TestExplicitKernels:
+    """The component-wise kernels give the bits of the numpy reductions."""
+
+    def test_euclidean_norm_matches_linalg_norm(self, rng):
+        for shape in ((1000, 2), (50, 7, 2), (300, 3)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape[:-1] + (1,))
+            assert np.array_equal(euclidean_norm(x), np.linalg.norm(x, axis=-1))
+
+    def test_spectral_norm_and_lambda_max_match_eigenvalue_reductions(self, rng):
+        for m in (random_spd(rng, 500, 2), rng.standard_normal((500, 2, 2)),
+                  np.zeros((3, 2, 2))):
+            m = 0.5 * (m + np.swapaxes(m, -1, -2))
+            ev = _sym_eigvals(m)
+            assert np.array_equal(spectral_norm_sym(m), np.abs(ev).max(axis=-1))
+            assert np.array_equal(lambda_max_sym(m), ev.max(axis=-1))
+        m3 = random_spd(rng, 20, 3)
+        assert np.array_equal(lambda_max_sym(m3), np.linalg.eigvalsh(m3).max(axis=-1))
+
+    def test_separated_batches_skip_the_masks_exactly(self, rng):
+        # a batch with one isotropic matrix takes the masked path; the other
+        # matrices must come out as in an all-separated batch
+        m = sym_log_batched(random_spd(rng, 200, 2))
+        mixed = np.concatenate([m, 2.0 * np.eye(2)[None]])
+        assert np.array_equal(sym_exp_batched(mixed)[:-1], sym_exp_batched(m))
+        spd = np.concatenate([sym_exp_batched(m), 2.0 * np.eye(2)[None]])
+        assert np.array_equal(sym_log_batched(spd)[:-1], sym_log_batched(spd[:-1]))
+        assert np.array_equal(sym_log_batched(spd)[-1], math.log(2.0) * np.eye(2))
+
+
 class TestLogMeans:
+    def test_caller_nodes_give_the_same_mean(self):
+        w = weight_from_config({"kind": "power-radial", "eps": 0.25})
+        ball, quad = Ball((0.1, 0.2), 0.5), QuadratureSpec("polar-midpoint", (64, 32))
+        nodes = ball_nodes(ball, quad, singular=np.zeros((1, 2)))
+        assert log_mean_scalar(w.omega(), ball, quad, nodes=nodes) == (
+            log_mean_scalar(w.omega(), ball, quad)
+        )
+        assert np.array_equal(log_mean_matrix(w, ball, quad, nodes=nodes),
+                              log_mean_matrix(w, ball, quad))
+
     def test_constant_scalar(self, unit_ball):
         om = scalar_weight_from_config({"kind": "constant", "value": 2.5})
         assert log_mean_scalar(om, unit_ball) == pytest.approx(2.5, rel=1e-12)
