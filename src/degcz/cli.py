@@ -177,10 +177,9 @@ def cmd_analyze_weight(cfg: dict) -> int:
             "value": est.value,
         }
 
-    # omega = |M| for every matrix kind but "constant", which reads a scalar
-    # omega even when a matrix is given; with a closed-form log M, one
+    # omega = |M| for every matrix weight; with a closed-form log M, one
     # evaluation of it serves both, since log omega = lambda_max(log M)
-    if matrix is not None and wcfg["kind"] != "constant" and matrix.log_fn is not None:
+    if matrix is not None and matrix.log_fn is not None:
         est_w, est_m = seminorms.bmo_views(
             matrix.log(), fam, quad, (lambda_max_sym, lambda h: h)
         )

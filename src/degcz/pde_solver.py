@@ -9,6 +9,12 @@ dual-norm residual of its result; otherwise a damped Newton iteration runs on a
 regularized energy with a geometric continuation of the regularization
 parameter, warm-started from the p = 2 solve.
 
+One kernel per solve (``_Kernel``) holds the weight at the barycenters, the
+M-applied hat gradients and the stiffness matrix K, assembled once.  Newton
+writes each Hessian straight into the free block of K's sparsity pattern
+through index maps built once, and factors it with the minimum-degree
+ordering of H + H^T, which fills less than the default COLAMD.
+
 Newton stopping rule: the last continuation stage stops on the quantity the
 result is accepted on, the dual norm sqrt(r K^-1 r) of the unregularized
 residual; earlier stages stop on the Euclidean norm of their regularized
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -142,96 +149,100 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# assembled quantities
+# the per-solve kernel
 # ---------------------------------------------------------------------------
 
-def _cell_data(prob: WeakProblem, mesh: Mesh):
-    """Per-cell weight, weighted hat gradients, and data in the M-applied frame.
+class _Kernel:
+    """Cell data, stiffness matrix K and assembly of one problem on one mesh.
 
     Since M is symmetric, (M A(M xi)) . grad(lambda) = A(M xi) . (M grad(lambda)),
-    so assembly works entirely with M-applied vectors.
+    so all assembly uses ``Mgrads`` = M grad(lambda) and ``aG`` = A(M G).
     """
-    M = prob.weight_at(mesh.barycenters, np.sqrt(mesh.areas))  # (nc, 2, 2)
-    Mgrads = np.einsum("cab,clb->cla", M, mesh.hat_gradients)  # (nc, 3, 2)
-    G = prob.data_at(mesh.barycenters)
-    MG = np.einsum("cab,cb->ca", M, G)
-    aG = a_map(prob.p, MG)                                   # A(M G)
-    return M, Mgrads, MG, aG
 
+    def __init__(self, prob: WeakProblem, mesh: Mesh, fixed_mask: np.ndarray | None = None):
+        self.p = prob.p
+        self.mesh = mesh
+        self.fixed_mask = mesh.boundary_mask if fixed_mask is None else fixed_mask
+        self.free = np.where(~self.fixed_mask)[0]
+        self.M = prob.weight_at(mesh.barycenters, np.sqrt(mesh.areas))      # (nc, 2, 2)
+        self.Mgrads = np.einsum("cab,clb->cla", self.M, mesh.hat_gradients)  # (nc, 3, 2)
+        self.MG = np.einsum("cab,cb->ca", self.M, prob.data_at(mesh.barycenters))
+        self.aG = a_map(prob.p, self.MG)
 
-def _weighted_gradients(M: np.ndarray, mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """q = M grad u per cell."""
-    return np.einsum("cab,cb->ca", M, mesh.cell_gradients(values))
+    @cached_property
+    def K(self) -> sp.csr_matrix:
+        # cell-block entry (c, l, m) sits at row cells[c, l], column cells[c, m]
+        cells, n = self.mesh.cells, self.mesh.num_vertices
+        rows = np.repeat(cells, 3, axis=1).reshape(-1)
+        cols = np.tile(cells, (1, 3)).reshape(-1)
+        blocks = np.einsum("cla,cma,c->clm", self.Mgrads, self.Mgrads, self.mesh.areas)
+        return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
 
+    def q(self, values: np.ndarray) -> np.ndarray:
+        """q = M grad u per cell."""
+        return np.einsum("cab,cb->ca", self.M, self.mesh.cell_gradients(values))
 
-def _scatter(mesh: Mesh, Mgrads: np.ndarray, flux: np.ndarray) -> np.ndarray:
-    """Nodal vector sum over cells of area * flux . (M grad lambda)."""
-    r_cells = np.einsum("cla,ca,c->cl", Mgrads, flux, mesh.areas)  # (nc, 3)
-    r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.cells, r_cells)
-    return r
+    def energy(self, q: np.ndarray, eps: float) -> float:
+        q2 = (q * q).sum(axis=1) + eps * eps
+        # data term written against grad u via the assembled weighted flux
+        data = np.einsum("ca,ca->c", self.aG, q)
+        return float(np.sum(self.mesh.areas * (q2 ** (self.p / 2.0) / self.p - data)))
 
+    def scatter(self, flux: np.ndarray) -> np.ndarray:
+        """Nodal vector sum over cells of area * flux . (M grad lambda)."""
+        r_cells = np.einsum("cla,ca,c->cl", self.Mgrads, flux, self.mesh.areas)
+        return np.bincount(self.mesh.cells.reshape(-1), r_cells.reshape(-1), self.mesh.num_vertices)
 
-def _energy_of(p: float, mesh: Mesh, q: np.ndarray, aG: np.ndarray, eps: float) -> float:
-    q2 = (q * q).sum(axis=1) + eps * eps
-    # data term written against grad u via the assembled weighted flux
-    data = np.einsum("ca,ca->c", aG, q)
-    return float(np.sum(mesh.areas * (q2 ** (p / 2.0) / p - data)))
+    def factor(self):
+        """SuperLU factor of the free block of K; None when no vertex is free."""
+        return spla.splu(self.K[self.free][:, self.free].tocsc()) if len(self.free) else None
+
+    def dual_residual(self, q: np.ndarray, lu) -> tuple[float, np.ndarray]:
+        """Dual norm sqrt(r K^-1 r) of the residual, K^-1 applied through the
+        factor ``lu`` of the free block, and the raw residual r."""
+        r = self.scatter(a_map(self.p, q) - self.aG)
+        r[self.fixed_mask] = 0.0
+        if lu is None:
+            return 0.0, r
+        rf = r[~self.fixed_mask]
+        return math.sqrt(max(float(rf @ lu.solve(rf)), 0.0)), r
+
+    @cached_property
+    def _refill(self):
+        """K's slots of the cell-block entries and of the free block's CSC data."""
+        K, cells, n = self.K, self.mesh.cells, self.mesh.num_vertices
+        keys = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
+        slot = np.searchsorted(keys, (cells[:, :, None] * n + cells[:, None, :]).reshape(-1))
+        # K's slot numbers, shifted by one so that none is an explicit zero
+        numbered = sp.csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr), shape=K.shape)
+        block = numbered[self.free][:, self.free].tocsc()
+        return slot, block.data.astype(np.int64) - 1, block.indices, block.indptr
+
+    def gradient_hessian(self, values: np.ndarray, eps: float):
+        """Nodal gradient of the regularized energy and the free block of its
+        Hessian in CSC, from the cell blocks
+        kappa area (gx gx^T + gy gy^T) + kappa' area g g^T, g = (M grad lambda) . q."""
+        p = self.p
+        q = self.q(values)
+        q2 = (q * q).sum(axis=1) + eps * eps
+        kappa = q2 ** ((p - 2.0) / 2.0)
+        r = self.scatter(kappa[:, None] * q - self.aG)
+        kprime = (p - 2.0) * q2 ** ((p - 4.0) / 2.0)
+        gx, gy = self.Mgrads[..., 0], self.Mgrads[..., 1]
+        g = gx * q[:, :1] + gy * q[:, 1:]
+        areas = self.mesh.areas
+        blocks = (kappa * areas)[:, None, None] * (gx[:, :, None] * gx[:, None, :]
+                                                   + gy[:, :, None] * gy[:, None, :])
+        blocks += (kprime * areas)[:, None, None] * (g[:, :, None] * g[:, None, :])
+        slot, gather, indices, indptr = self._refill
+        data = np.bincount(slot, blocks.reshape(-1), self.K.nnz)[gather]
+        return r, sp.csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
 
 
 def energy(prob: WeakProblem, u: DiscreteField, eps: float = 0.0) -> float:
     """Dirichlet p-energy minus the data coupling, barycenter quadrature."""
-    M, _, _, aG = _cell_data(prob, u.mesh)
-    return _energy_of(prob.p, u.mesh, _weighted_gradients(M, u.mesh, u.values), aG, eps)
-
-
-def _gradient_hessian(prob, mesh, M, Mgrads, aG, u_values, eps):
-    """Nodal gradient and sparse Hessian of the regularized energy."""
-    p = prob.p
-    q = _weighted_gradients(M, mesh, u_values)              # (nc, 2)
-    q2 = (q * q).sum(axis=1) + eps * eps
-    kappa = q2 ** ((p - 2.0) / 2.0)
-    r = _scatter(mesh, Mgrads, kappa[:, None] * q - aG)
-
-    kprime = (p - 2.0) * q2 ** ((p - 4.0) / 2.0)
-    h_cells = np.einsum(
-        "c,cla,cma,c->clm", kappa, Mgrads, Mgrads, mesh.areas
-    ) + np.einsum("c,cl,cm,c->clm",
-                  kprime,
-                  np.einsum("cla,ca->cl", Mgrads, q),
-                  np.einsum("cma,ca->cm", Mgrads, q),
-                  mesh.areas)
-    return r, _assemble(mesh, h_cells)
-
-
-def _assemble(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:
-    """Sparse matrix from per-cell 3x3 blocks."""
-    rows = np.repeat(mesh.cells, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.cells, (1, 3)).reshape(-1)
-    return sp.coo_matrix(
-        (blocks.reshape(-1), (rows, cols)),
-        shape=(mesh.num_vertices, mesh.num_vertices),
-    ).tocsr()
-
-
-def _stiffness(mesh: Mesh, Mgrads: np.ndarray) -> sp.csr_matrix:
-    return _assemble(mesh, np.einsum("cla,cma,c->clm", Mgrads, Mgrads, mesh.areas))
-
-
-def _factor(K: sp.csr_matrix, free: np.ndarray):
-    """SuperLU factor of the free block of K; None when no vertex is free."""
-    return spla.splu(K[free][:, free].tocsc()) if len(free) else None
-
-
-def _dual_residual(p, mesh, Mgrads, aG, q, fixed_mask, lu) -> tuple[float, np.ndarray]:
-    """Dual norm sqrt(r K^-1 r) of the residual, K^-1 applied through the
-    factor ``lu`` of the free block, and the raw residual r."""
-    r = _scatter(mesh, Mgrads, a_map(p, q) - aG)
-    r[fixed_mask] = 0.0
-    if lu is None:
-        return 0.0, r
-    rf = r[~fixed_mask]
-    return math.sqrt(max(float(rf @ lu.solve(rf)), 0.0)), r
+    kernel = _Kernel(prob, u.mesh)
+    return kernel.energy(kernel.q(u.values), eps)
 
 
 def weak_residual(
@@ -246,26 +257,13 @@ def weak_residual(
     weak solution but stays bounded below when the flux has a genuinely
     nonzero divergence, which a pointwise-scaled norm cannot distinguish.
     """
-    mesh = u.mesh
-    if fixed_mask is None:
-        fixed_mask = mesh.boundary_mask
-    M, Mgrads, _, aG = _cell_data(prob, mesh)
-    lu = _factor(_stiffness(mesh, Mgrads), np.where(~fixed_mask)[0])
-    q = _weighted_gradients(M, mesh, u.values)
-    return _dual_residual(prob.p, mesh, Mgrads, aG, q, fixed_mask, lu)
+    kernel = _Kernel(prob, u.mesh, fixed_mask)
+    return kernel.dual_residual(kernel.q(u.values), kernel.factor())
 
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
-
-def _dirichlet_values(prob: WeakProblem, mesh: Mesh, fixed_mask: np.ndarray) -> np.ndarray:
-    values = np.zeros(mesh.num_vertices)
-    if prob.dirichlet is not None:
-        idx = np.where(fixed_mask)[0]
-        values[idx] = np.asarray(prob.dirichlet(mesh.vertices[idx]), dtype=float)
-    return values
-
 
 def solve(
     prob: WeakProblem,
@@ -286,43 +284,39 @@ def solve(
     constraint set beyond the mesh boundary (used by the frozen replacement
     problem).
     """
-    if fixed_mask is None:
-        fixed_mask = mesh.boundary_mask
-    if fixed_values is None:
-        values = _dirichlet_values(prob, mesh, fixed_mask)
-    else:
+    kernel = _Kernel(prob, mesh, fixed_mask)
+    fixed_mask, free, fixed = kernel.fixed_mask, kernel.free, np.where(kernel.fixed_mask)[0]
+    if fixed_values is not None:
         values = np.where(fixed_mask, fixed_values, 0.0)
-    free = np.where(~fixed_mask)[0]
-    # one weight evaluation and one stiffness matrix K serve the p = 2 solve
-    # (the Newton warm start for other p) and the dual-norm residual of the
-    # result; at p = 2 one factorization of the free block of K serves both
-    M, Mgrads, MG, aG = _cell_data(prob, mesh)
-    K = _stiffness(mesh, Mgrads)
-    lu = _factor(K, free)
+    else:
+        values = np.zeros(mesh.num_vertices)
+        if prob.dirichlet is not None:
+            values[fixed] = np.asarray(prob.dirichlet(mesh.vertices[fixed]), dtype=float)
+    # one kernel serves the p = 2 solve (the Newton warm start for other p)
+    # and the dual-norm residual of the result; at p = 2 one factorization
+    # of the free block of K serves both
+    lu = kernel.factor()
     if lu is not None:
-        fixed = np.where(fixed_mask)[0]
-        rhs = _scatter(mesh, Mgrads, aG if prob.p == 2.0 else a_map(2.0, MG))
-        values[free] = lu.solve(rhs[free] - K[free][:, fixed] @ values[fixed])
+        rhs = kernel.scatter(kernel.aG if prob.p == 2.0 else a_map(2.0, kernel.MG))
+        values[free] = lu.solve(rhs[free] - kernel.K[free][:, fixed] @ values[fixed])
     trace: list[dict] = []
     if prob.p != 2.0:
         # a factor kept through the Newton loop would add to the peak memory
         # of every Hessian factorization
         lu = None
-        values, trace, lu = _newton(prob, mesh, cfg, M, Mgrads, aG, K, values, fixed_mask)
+        values, trace, lu = _newton(kernel, cfg, values)
         if lu is None:
-            lu = _factor(K, free)
-    q = _weighted_gradients(M, mesh, values)
-    res, _ = _dual_residual(prob.p, mesh, Mgrads, aG, q, fixed_mask, lu)
-    trace.append({"iteration": len(trace), "eps": 0.0,
-                  "energy": _energy_of(prob.p, mesh, q, aG, 0.0),
+            lu = kernel.factor()
+    q = kernel.q(values)
+    res, _ = kernel.dual_residual(q, lu)
+    trace.append({"iteration": len(trace), "eps": 0.0, "energy": kernel.energy(q, 0.0),
                   "residual": res, "step": 1.0 if prob.p == 2.0 else 0.0})
     u = DiscreteField(mesh, values)
     if prob.p == 2.0:
         return SolveResult(u, trace, res <= max(cfg.tolerance, 1e-8), res)
     if res > cfg.tolerance * (1.0 + float(np.abs(values).max())):
-        raise NonconvergenceError(
-            f"final residual {res:g} above tolerance {cfg.tolerance:g}", trace
-        )
+        raise NonconvergenceError(f"final residual {res:g} above tolerance {cfg.tolerance:g}",
+                                  trace)
     return SolveResult(u, trace, True, res)
 
 
@@ -344,19 +338,23 @@ def _eps_schedule(cfg: SolverConfig) -> list[float]:
     return stages
 
 
-def _newton(prob, mesh, cfg, M, Mgrads, aG, K, values, fixed_mask):
+def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray):
     """Damped Newton with Armijo backtracking through the continuation in eps.
 
     An intermediate stage stops when the Euclidean norm of its regularized
     residual is at most max(tolerance, eps / 100) * (1 + max|u|); the last
     stage stops when the dual-norm residual passes the test ``solve``
     applies, and returns the factor of K that measured it (None when its
-    steps ran out).  The line search accepts the full step once lambda^2 is
-    below the energy's round-off.  Each accepted step adds a trace row that
-    also records ``decrement`` (lambda^2 = -r . step) and ``stalled`` (true on
-    the last row of a stage that used up ``max_iterations`` steps).
+    steps ran out).  Each Hessian is factored with partial pivoting and the
+    minimum-degree ordering of H + H^T; a Hessian of a graded mesh can be
+    singular to working precision, and when that ordering meets an exactly
+    zero pivot COLAMD is tried, then NonconvergenceError raised.  The line
+    search accepts the full step once lambda^2 is below the energy's
+    round-off.  Each accepted step adds a trace row that also records
+    ``decrement`` (lambda^2 = -r . step) and ``stalled`` (true on the last
+    row of a stage that used up ``max_iterations`` steps).
     """
-    interior = np.where(~fixed_mask)[0]
+    interior = kernel.free
     stages = _eps_schedule(cfg)
     trace: list[dict] = []
     for stage, eps in enumerate(stages):
@@ -366,29 +364,35 @@ def _newton(prob, mesh, cfg, M, Mgrads, aG, K, values, fixed_mask):
         for it in range(cfg.max_iterations):
             scale = 1.0 + float(np.abs(values).max())
             if last_stage:
-                lu = _factor(K, interior)
-                q = _weighted_gradients(M, mesh, values)
-                res, _ = _dual_residual(prob.p, mesh, Mgrads, aG, q, fixed_mask, lu)
+                lu = kernel.factor()
+                res, _ = kernel.dual_residual(kernel.q(values), lu)
                 if res <= cfg.tolerance * scale:
                     return values, trace, lu
                 lu = None  # freed before the Hessian is factored (peak memory)
-            r, H = _gradient_hessian(prob, mesh, M, Mgrads, aG, values, eps)
+            r, H = kernel.gradient_hessian(values, eps)
             rn = float(np.linalg.norm(r[interior]))
             if not last_stage and rn <= stage_tol * scale:
                 break
+            for order in ("MMD_AT_PLUS_A", "COLAMD"):
+                try:
+                    hlu = spla.splu(H, permc_spec=order)
+                    break
+                except RuntimeError as exc:
+                    failure = exc
+            else:
+                raise NonconvergenceError(f"singular Hessian: {failure}", trace) from failure
             step = np.zeros_like(values)
-            step[interior] = spla.spsolve(
-                H[interior][:, interior].tocsc(), -r[interior]
-            )
+            step[interior] = hlu.solve(-r[interior])
+            hlu = None  # freed before the next factorization (peak memory)
             if not np.all(np.isfinite(step)):
                 raise NonconvergenceError("Newton step is not finite", trace)
             lam2 = -float(r[interior] @ step[interior])
             if e0 is None:
-                e0 = _energy_from_values(prob, mesh, M, aG, values, eps)
+                e0 = kernel.energy(kernel.q(values), eps)
             t = 1.0
             for _bt in range(cfg.max_backtracks):
                 cand = values + t * step
-                e1 = _energy_from_values(prob, mesh, M, aG, cand, eps)
+                e1 = kernel.energy(kernel.q(cand), eps)
                 # below the energy's round-off the Armijo test compares noise
                 if lam2 <= _ENERGY_ROUNDOFF * abs(e0) or e1 <= e0 - cfg.armijo_c * t * lam2:
                     break
@@ -404,10 +408,6 @@ def _newton(prob, mesh, cfg, M, Mgrads, aG, K, values, fixed_mask):
                  "stalled": it == cfg.max_iterations - 1}
             )
     return values, trace, None
-
-
-def _energy_from_values(prob, mesh, M, aG, values, eps):
-    return _energy_of(prob.p, mesh, _weighted_gradients(M, mesh, values), aG, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -689,9 +689,10 @@ def weight_from_config(cfg: Mapping) -> Field:
 
 
 def scalar_weight_from_config(cfg: Mapping) -> Field:
-    """Build a scalar weight: ``constant``, ``power`` (|x|^a), or matrix-derived."""
+    """Build a scalar weight: ``constant`` without a ``matrix``, ``power``
+    (|x|^a), or |M| of the matrix weight."""
     kind = cfg.get("kind")
-    if kind == "constant":
+    if kind == "constant" and "matrix" not in cfg:
         c = float(cfg.get("value", 1.0))
         if c <= 0:
             raise NotPositiveDefiniteError("constant scalar weight must be positive")

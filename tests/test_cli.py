@@ -242,6 +242,27 @@ class TestAnalyzeWeight:
         assert summary["bmo_log_omega"] <= 1e-12
         assert summary["ap_p=2"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_constant_matrix_weight_analyzes_its_norm(self, tmp_path):
+        # omega of a constant matrix weight is |M|, not the scalar weight.value
+        from degcz.weight_algebra import scalar_weight_from_config
+
+        matrix = [[2.0, 0.5], [0.5, 1.0]]
+        norm = 1.5 + np.sqrt(0.5)  # largest eigenvalue, about 2.207
+        omega = scalar_weight_from_config({"kind": "constant", "matrix": matrix})
+        pts = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.0]])
+        assert np.allclose(omega.evaluate(pts), norm, rtol=1e-15, atol=0.0)
+        cfg = write_cfg(
+            tmp_path / "w.cfg",
+            f'weight.kind = "constant"\nweight.matrix = {matrix}\nap.p_list = [2.0]\n',
+        )
+        out = tmp_path / "o"
+        assert main(["analyze-weight", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "weight_analysis.json").read_text())
+        assert summary["label"] != "constant(1)"
+        assert summary["label"] == omega.label
+        assert summary["bmo_log_omega"] <= 1e-12
+        assert summary["ap_p=2"] == pytest.approx(1.0, abs=1e-10)
+
     def test_degenerate_weight_flags(self, tmp_path):
         cfg = write_cfg(
             tmp_path / "w.cfg",

@@ -1,8 +1,9 @@
-"""Byte-for-byte golden outputs of ``degcz analyze-weight``.
+"""Byte-for-byte golden outputs of the ``degcz`` CLI.
 
-Each directory under ``golden/`` holds a config (``config.cfg``) and the
-files one run of it writes.  The CSV and JSON bodies must match byte for
-byte; the config echo may differ only in its ``out`` path.  The bodies are
+Each directory under ``golden/`` holds a config (``config.cfg``), the config
+echo of one run of it (``<command>_config.json``, which names the command)
+and the files that run wrote.  Every written body must match byte for byte;
+the config echo may differ only in its ``out`` path.  The bodies are
 reproducible for a single-threaded BLAS (``OMP_NUM_THREADS=1``,
 ``OPENBLAS_NUM_THREADS=1``), which is how CI runs this suite.
 """
@@ -14,25 +15,42 @@ import pytest
 from degcz.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-BODIES = (
-    "weight_summary.csv",
-    "weight_bmo_balls.csv",
-    "weight_oscillation.csv",
-    "weight_power_means.csv",
-    "weight_analysis.json",
-)
+ECHOES = {
+    "analyze-weight": "analyze_weight_config.json",
+    "solve": "solve_config.json",
+    "cz-sweep": "cz_sweep_config.json",
+}
 
 
-@pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()))
-def test_analyze_weight_bodies_are_byte_identical(case, tmp_path):
+def _cases(*commands):
+    return [
+        (p.name, command)
+        for p in sorted(GOLDEN.iterdir()) if p.is_dir()
+        for command in commands if (p / ECHOES[command]).exists()
+    ]
+
+
+def _check_bodies(case, command, tmp_path):
     ref = GOLDEN / case
     out = tmp_path / case
-    assert main(["analyze-weight", "--config", str(ref / "config.cfg"), "--out", str(out)]) == 0
-    for name in BODIES:
+    assert main([command, "--config", str(ref / "config.cfg"), "--out", str(out)]) == 0
+    echo_name = ECHOES[command]
+    bodies = sorted(p.name for p in ref.iterdir() if p.name not in ("config.cfg", echo_name))
+    assert sorted(p.name for p in out.iterdir() if p.name != echo_name) == bodies
+    for name in bodies:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    echo, ref_echo = (
-        json.loads((d / "analyze_weight_config.json").read_text()) for d in (out, ref)
-    )
+    echo, ref_echo = (json.loads((d / echo_name).read_text()) for d in (out, ref))
     assert echo.pop("out") == str(out)
     ref_echo.pop("out")
     assert echo == ref_echo
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _cases("analyze-weight")])
+def test_analyze_weight_bodies_are_byte_identical(case, tmp_path):
+    _check_bodies(case, "analyze-weight", tmp_path)
+
+
+@pytest.mark.parametrize("case, command", _cases("solve", "cz-sweep"))
+def test_p2_solver_bodies_are_byte_identical(case, command, tmp_path):
+    """p = 2 ``solve`` (solution, mesh, trace) and a ``use_fem`` ``cz-sweep``."""
+    _check_bodies(case, command, tmp_path)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import integrate
 
 from degcz import pde_solver
+from degcz.cz_harness import SweepSpec
 from degcz.exact_examples import MeyersExample
 from degcz.meshing import disk_mesh, unit_square_mesh
 from degcz.pde_solver import (
@@ -283,9 +285,111 @@ class TestOneFactorization:
         result = solve(prob, mesh, SolverConfig(tolerance=1e-9))
         # K for the warm start and for the final residual, one Hessian per step
         steps = len(result.trace) - 1
-        assert factorizations == {"splu": 2, "spsolve": steps}
+        assert factorizations == {"splu": 2 + steps, "spsolve": 0}
         assert result.residual == weak_residual(prob, result.field)[0]
         assert result.trace[-1]["energy"] == energy(prob, result.field)
+
+
+def reference_gradient_hessian(kernel, values, eps):
+    """Gradient and free-block Hessian by the 4-operand einsum blocks, the
+    np.add.at scatter and the COO assembly that the kernel's refill replaced."""
+    mesh, Mgrads, p = kernel.mesh, kernel.Mgrads, kernel.p
+    q = np.einsum("cab,cb->ca", kernel.M, mesh.cell_gradients(values))
+    q2 = (q * q).sum(axis=1) + eps * eps
+    kappa = q2 ** ((p - 2.0) / 2.0)
+    r_cells = np.einsum("cla,ca,c->cl", Mgrads, kappa[:, None] * q - kernel.aG, mesh.areas)
+    r = np.zeros(mesh.num_vertices)
+    np.add.at(r, mesh.cells, r_cells)
+    kprime = (p - 2.0) * q2 ** ((p - 4.0) / 2.0)
+    g = np.einsum("cla,ca->cl", Mgrads, q)
+    h_cells = np.einsum("c,cla,cma,c->clm", kappa, Mgrads, Mgrads, mesh.areas) + np.einsum(
+        "c,cl,cm,c->clm", kprime, g, g, mesh.areas
+    )
+    rows = np.repeat(mesh.cells, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.cells, (1, 3)).reshape(-1)
+    n = mesh.num_vertices
+    H = sp.coo_matrix((h_cells.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return r, H[kernel.free][:, kernel.free].tocsc()
+
+
+class TestKernel:
+    """The per-solve kernel against the assembly it replaced."""
+
+    EX = MeyersExample(2, 0.5, "plain")
+    CASES = {
+        "square": lambda: (unit_square_mesh(8), identity_weight(2),
+                           lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1] ** 2),
+        "graded-disk": lambda: (disk_mesh(angular=16, layers=20, grading=0.7),
+                                TestKernel.EX.weight_field(), TestKernel.EX.u_with_origin),
+        # cell areas down to 1e-100
+        "sweep-level-3": lambda: (SweepSpec(p=3, use_fem=True).mesh_for(3),
+                                  TestKernel.EX.weight_field(), TestKernel.EX.u_with_origin),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-8])
+    def test_refilled_hessian_matches_reference(self, name, p, eps):
+        mesh, weight, fn = self.CASES[name]()
+        kernel = pde_solver._Kernel(WeakProblem(weight, p, None, fn), mesh)
+        values = fn(mesh.vertices)
+        r, H = kernel.gradient_hessian(values, eps)
+        r_ref, H_ref = reference_gradient_hessian(kernel, values, eps)
+        assert np.array_equal(r, r_ref)
+        assert H.format == "csc" and H.shape == H_ref.shape
+        assert np.array_equal(H.indptr, H_ref.indptr)
+        assert np.array_equal(H.indices, H_ref.indices)
+        assert np.all(np.abs(H.data - H_ref.data) <= 1e-13 * np.abs(H_ref.data))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bincount_scatter_equals_add_at(self, name):
+        mesh, weight, fn = self.CASES[name]()
+        kernel = pde_solver._Kernel(WeakProblem(weight, 3.0, None, fn), mesh)
+        flux = np.random.default_rng(5).standard_normal((mesh.num_cells, 2))
+        r_cells = np.einsum("cla,ca,c->cl", kernel.Mgrads, flux, mesh.areas)
+        ref = np.zeros(mesh.num_vertices)
+        np.add.at(ref, mesh.cells, r_cells)
+        assert np.array_equal(kernel.scatter(flux), ref)
+
+
+class TestHessianFactorFailure:
+    """An exactly singular Hessian factor: COLAMD is tried after the
+    minimum-degree ordering, and when both fail the solve raises
+    NonconvergenceError with the trace of the steps taken so far."""
+
+    @staticmethod
+    def failing_splu(monkeypatch, fails):
+        orig = pde_solver.spla.splu
+        orders = []
+
+        def splu(A, permc_spec=None, **kwargs):
+            if permc_spec is None:  # the stiffness matrix K
+                return orig(A, **kwargs)
+            orders.append(permc_spec)
+            if fails(permc_spec, len(orders)):
+                raise RuntimeError("Factor is exactly singular")
+            return orig(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(pde_solver.spla, "splu", splu)
+        return orders
+
+    def test_minimum_degree_failure_falls_back_to_colamd(self, monkeypatch):
+        orders = self.failing_splu(monkeypatch, lambda order, _: order == "MMD_AT_PLUS_A")
+        result = solve(TestNewtonStopping.p3_problem(), unit_square_mesh(8),
+                       SolverConfig(tolerance=1e-9))
+        steps = len(result.trace) - 1
+        assert result.converged and steps > 0
+        assert orders == ["MMD_AT_PLUS_A", "COLAMD"] * steps
+
+    def test_singular_factor_raises_with_trace(self, monkeypatch):
+        # the first two Hessians factor; every ordering of the third fails
+        orders = self.failing_splu(monkeypatch, lambda _, calls: calls > 2)
+        with pytest.raises(NonconvergenceError, match="singular Hessian") as err:
+            solve(TestNewtonStopping.p3_problem(), unit_square_mesh(8),
+                  SolverConfig(tolerance=1e-9))
+        assert orders == ["MMD_AT_PLUS_A"] * 3 + ["COLAMD"]
+        assert [row["iteration"] for row in err.value.trace] == [1, 2]
+        assert isinstance(err.value.__cause__, RuntimeError)
 
 
 class TestWeightedLpNorm:
