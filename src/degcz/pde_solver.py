@@ -346,9 +346,8 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray):
     stage stops when the dual-norm residual passes the test ``solve``
     applies, and returns the factor of K that measured it (None when its
     steps ran out).  Each Hessian is factored with partial pivoting and the
-    minimum-degree ordering of H + H^T; a Hessian of a graded mesh can be
-    singular to working precision, and when that ordering meets an exactly
-    zero pivot COLAMD is tried, then NonconvergenceError raised.  The line
+    minimum-degree ordering of H + H^T; a factor that meets an exactly zero
+    pivot raises NonconvergenceError with the trace so far.  The line
     search accepts the full step once lambda^2 is below the energy's
     round-off.  Each accepted step adds a trace row that also records
     ``decrement`` (lambda^2 = -r . step) and ``stalled`` (true on the last
@@ -373,14 +372,10 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray):
             rn = float(np.linalg.norm(r[interior]))
             if not last_stage and rn <= stage_tol * scale:
                 break
-            for order in ("MMD_AT_PLUS_A", "COLAMD"):
-                try:
-                    hlu = spla.splu(H, permc_spec=order)
-                    break
-                except RuntimeError as exc:
-                    failure = exc
-            else:
-                raise NonconvergenceError(f"singular Hessian: {failure}", trace) from failure
+            try:
+                hlu = spla.splu(H, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise NonconvergenceError(f"singular Hessian: {exc}", trace) from exc
             step = np.zeros_like(values)
             step[interior] = hlu.solve(-r[interior])
             hlu = None  # freed before the next factorization (peak memory)

@@ -54,3 +54,11 @@ def test_analyze_weight_bodies_are_byte_identical(case, tmp_path):
 def test_p2_solver_bodies_are_byte_identical(case, command, tmp_path):
     """p = 2 ``solve`` (solution, mesh, trace) and a ``use_fem`` ``cz-sweep``."""
     _check_bodies(case, command, tmp_path)
+
+
+def test_every_golden_case_names_one_command():
+    """A directory without exactly one known config echo would drop out of
+    the parametrizations above instead of failing."""
+    for case in sorted(p for p in GOLDEN.iterdir() if p.is_dir()):
+        echoes = [c for c, echo in ECHOES.items() if (case / echo).exists()]
+        assert len(echoes) == 1, (case.name, echoes)

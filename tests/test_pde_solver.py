@@ -353,12 +353,10 @@ class TestKernel:
 
 
 class TestHessianFactorFailure:
-    """An exactly singular Hessian factor: COLAMD is tried after the
-    minimum-degree ordering, and when both fail the solve raises
-    NonconvergenceError with the trace of the steps taken so far."""
+    """An exactly singular Hessian factor raises NonconvergenceError with
+    the trace of the steps taken so far."""
 
-    @staticmethod
-    def failing_splu(monkeypatch, fails):
+    def test_singular_factor_raises_with_trace(self, monkeypatch):
         orig = pde_solver.spla.splu
         orders = []
 
@@ -366,28 +364,15 @@ class TestHessianFactorFailure:
             if permc_spec is None:  # the stiffness matrix K
                 return orig(A, **kwargs)
             orders.append(permc_spec)
-            if fails(permc_spec, len(orders)):
+            if len(orders) > 2:  # the first two Hessians factor
                 raise RuntimeError("Factor is exactly singular")
             return orig(A, permc_spec=permc_spec, **kwargs)
 
         monkeypatch.setattr(pde_solver.spla, "splu", splu)
-        return orders
-
-    def test_minimum_degree_failure_falls_back_to_colamd(self, monkeypatch):
-        orders = self.failing_splu(monkeypatch, lambda order, _: order == "MMD_AT_PLUS_A")
-        result = solve(TestNewtonStopping.p3_problem(), unit_square_mesh(8),
-                       SolverConfig(tolerance=1e-9))
-        steps = len(result.trace) - 1
-        assert result.converged and steps > 0
-        assert orders == ["MMD_AT_PLUS_A", "COLAMD"] * steps
-
-    def test_singular_factor_raises_with_trace(self, monkeypatch):
-        # the first two Hessians factor; every ordering of the third fails
-        orders = self.failing_splu(monkeypatch, lambda _, calls: calls > 2)
         with pytest.raises(NonconvergenceError, match="singular Hessian") as err:
             solve(TestNewtonStopping.p3_problem(), unit_square_mesh(8),
                   SolverConfig(tolerance=1e-9))
-        assert orders == ["MMD_AT_PLUS_A"] * 3 + ["COLAMD"]
+        assert orders == ["MMD_AT_PLUS_A"] * 3
         assert [row["iteration"] for row in err.value.trace] == [1, 2]
         assert isinstance(err.value.__cause__, RuntimeError)
 
