@@ -8,9 +8,11 @@ config (with its hash) is echoed next to every output.  Exit codes: 1 usage,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -55,11 +57,18 @@ class PropertyViolation(RuntimeError):
 # config handling
 # ---------------------------------------------------------------------------
 
+# a line up to its comment: the first '#' outside a double-quoted string
+_UNCOMMENTED = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*"|")*')
+
+
 def parse_config_file(path: str | Path) -> dict:
-    """Parse ``key = value`` lines; dotted keys nest, values parse as JSON."""
+    """Parse ``key = value`` lines; dotted keys nest, values parse as JSON.
+
+    A ``#`` starts a comment unless it lies inside a JSON string.
+    """
     cfg: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(raw).group(0).strip()
         if not line:
             continue
         if "=" not in line:
@@ -273,9 +282,7 @@ def cmd_verify_example(cfg: dict) -> int:
     pts = rng.standard_normal((50, ex.n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= 0.05 + 0.9 * rng.random((50, 1))
-    from .nfunctions import weighted_maps
-
-    cal_a, _ = weighted_maps(ex.weight(pts), 2.0, ex.grad_u(pts))
+    cal_a, _ = nfunctions.weighted_maps(ex.weight(pts), 2.0, ex.grad_u(pts))
     flux_err = float(
         np.max(np.linalg.norm(cal_a - ex.flux(pts), axis=1)
                / np.maximum(np.linalg.norm(ex.flux(pts), axis=1), 1e-30))
@@ -423,8 +430,6 @@ def cmd_cz_sweep(cfg: dict) -> int:
     )
     threads = int(cfg.get("threads", 1))
     if threads > 1 and len(spec.eps_list) > 1:
-        import dataclasses
-
         parts = [dataclasses.replace(spec, eps_list=(eps,)) for eps in spec.eps_list]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(cz_harness.run_sweep, parts))

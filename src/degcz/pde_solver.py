@@ -13,7 +13,15 @@ One kernel per solve (``_Kernel``) holds the weight at the barycenters, the
 M-applied hat gradients and the stiffness matrix K, assembled once.  Newton
 writes each Hessian straight into the free block of K's sparsity pattern
 through index maps built once, and factors it with the minimum-degree
-ordering of H + H^T, which fills less than the default COLAMD.
+ordering of H + H^T, which fills less than the default COLAMD.  A solve
+factors K once: that factor gives the p = 2 solution (the Newton warm start
+for other p) and every dual-norm residual of the solve.
+
+scipy.sparse and scipy.sparse.linalg load at the first use of the module
+attributes ``sp`` and ``spla``, which a solve makes, so importing the package
+and running the commands that never solve loads no scipy.  Either attribute
+can be read or replaced before the first solve; a solve calls whatever module
+is bound to it at call time.
 
 Newton stopping rule: the last continuation stage stops on the quantity the
 result is accepted on, the dual norm sqrt(r K^-1 r) of the unregularized
@@ -25,6 +33,7 @@ the predicted decrease lambda^2 / 2, and the full step is taken.
 """
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
@@ -32,8 +41,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .meshing import Mesh, cells_in_ball
 from .nfunctions import a_map
@@ -52,6 +59,23 @@ __all__ = [
     "weighted_lp_norm",
     "weighted_h1_error",
 ]
+
+
+_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+
+
+def __getattr__(name: str):
+    """Load and bind ``sp`` or ``spla`` at its first use."""
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import waits for another thread's import of the same module, and
+    # setdefault keeps a module bound meanwhile, such as a wrapped spla
+    return globals().setdefault(name, importlib.import_module(_SCIPY[name]))
+
+
+def _scipy(name: str):
+    """The module bound to ``sp`` or ``spla`` now, loaded at its first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 class NonconvergenceError(RuntimeError):
@@ -170,13 +194,13 @@ class _Kernel:
         self.aG = a_map(prob.p, self.MG)
 
     @cached_property
-    def K(self) -> sp.csr_matrix:
+    def K(self):
         # cell-block entry (c, l, m) sits at row cells[c, l], column cells[c, m]
         cells, n = self.mesh.cells, self.mesh.num_vertices
         rows = np.repeat(cells, 3, axis=1).reshape(-1)
         cols = np.tile(cells, (1, 3)).reshape(-1)
         blocks = np.einsum("cla,cma,c->clm", self.Mgrads, self.Mgrads, self.mesh.areas)
-        return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+        return _scipy("sp").coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
 
     def q(self, values: np.ndarray) -> np.ndarray:
         """q = M grad u per cell."""
@@ -195,7 +219,9 @@ class _Kernel:
 
     def factor(self):
         """SuperLU factor of the free block of K; None when no vertex is free."""
-        return spla.splu(self.K[self.free][:, self.free].tocsc()) if len(self.free) else None
+        if not len(self.free):
+            return None
+        return _scipy("spla").splu(self.K[self.free][:, self.free].tocsc())
 
     def dual_residual(self, q: np.ndarray, lu) -> tuple[float, np.ndarray]:
         """Dual norm sqrt(r K^-1 r) of the residual, K^-1 applied through the
@@ -214,7 +240,8 @@ class _Kernel:
         keys = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
         slot = np.searchsorted(keys, (cells[:, :, None] * n + cells[:, None, :]).reshape(-1))
         # K's slot numbers, shifted by one so that none is an explicit zero
-        numbered = sp.csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr), shape=K.shape)
+        numbered = _scipy("sp").csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr),
+                                           shape=K.shape)
         block = numbered[self.free][:, self.free].tocsc()
         return slot, block.data.astype(np.int64) - 1, block.indices, block.indptr
 
@@ -236,7 +263,7 @@ class _Kernel:
         blocks += (kprime * areas)[:, None, None] * (g[:, :, None] * g[:, None, :])
         slot, gather, indices, indptr = self._refill
         data = np.bincount(slot, blocks.reshape(-1), self.K.nnz)[gather]
-        return r, sp.csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
+        return r, _scipy("sp").csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
 
 
 def energy(prob: WeakProblem, u: DiscreteField, eps: float = 0.0) -> float:
@@ -292,21 +319,15 @@ def solve(
         values = np.zeros(mesh.num_vertices)
         if prob.dirichlet is not None:
             values[fixed] = np.asarray(prob.dirichlet(mesh.vertices[fixed]), dtype=float)
-    # one kernel serves the p = 2 solve (the Newton warm start for other p)
-    # and the dual-norm residual of the result; at p = 2 one factorization
-    # of the free block of K serves both
+    # one factorization of the free block of K serves the p = 2 solve (the
+    # Newton warm start for other p) and every dual-norm residual
     lu = kernel.factor()
     if lu is not None:
         rhs = kernel.scatter(kernel.aG if prob.p == 2.0 else a_map(2.0, kernel.MG))
         values[free] = lu.solve(rhs[free] - kernel.K[free][:, fixed] @ values[fixed])
     trace: list[dict] = []
     if prob.p != 2.0:
-        # a factor kept through the Newton loop would add to the peak memory
-        # of every Hessian factorization
-        lu = None
-        values, trace, lu = _newton(kernel, cfg, values)
-        if lu is None:
-            lu = kernel.factor()
+        values, trace = _newton(kernel, cfg, values, lu)
     q = kernel.q(values)
     res, _ = kernel.dual_residual(q, lu)
     trace.append({"iteration": len(trace), "eps": 0.0, "energy": kernel.energy(q, 0.0),
@@ -338,20 +359,19 @@ def _eps_schedule(cfg: SolverConfig) -> list[float]:
     return stages
 
 
-def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray):
+def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
     """Damped Newton with Armijo backtracking through the continuation in eps.
 
     An intermediate stage stops when the Euclidean norm of its regularized
     residual is at most max(tolerance, eps / 100) * (1 + max|u|); the last
-    stage stops when the dual-norm residual passes the test ``solve``
-    applies, and returns the factor of K that measured it (None when its
-    steps ran out).  Each Hessian is factored with partial pivoting and the
-    minimum-degree ordering of H + H^T; a factor that meets an exactly zero
-    pivot raises NonconvergenceError with the trace so far.  The line
-    search accepts the full step once lambda^2 is below the energy's
-    round-off.  Each accepted step adds a trace row that also records
-    ``decrement`` (lambda^2 = -r . step) and ``stalled`` (true on the last
-    row of a stage that used up ``max_iterations`` steps).
+    stage stops when the dual-norm residual, measured through ``lu``, the
+    factor of K, passes the test ``solve`` applies.  Each Hessian is factored
+    with partial pivoting and the minimum-degree ordering of H + H^T; a
+    factor that meets an exactly zero pivot raises NonconvergenceError with
+    the trace so far.  The line search accepts the full step once lambda^2 is
+    below the energy's round-off.  Each accepted step adds a trace row that
+    also records ``decrement`` (lambda^2 = -r . step) and ``stalled`` (true
+    on the last row of a stage that used up ``max_iterations`` steps).
     """
     interior = kernel.free
     stages = _eps_schedule(cfg)
@@ -363,17 +383,15 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray):
         for it in range(cfg.max_iterations):
             scale = 1.0 + float(np.abs(values).max())
             if last_stage:
-                lu = kernel.factor()
                 res, _ = kernel.dual_residual(kernel.q(values), lu)
                 if res <= cfg.tolerance * scale:
-                    return values, trace, lu
-                lu = None  # freed before the Hessian is factored (peak memory)
+                    return values, trace
             r, H = kernel.gradient_hessian(values, eps)
             rn = float(np.linalg.norm(r[interior]))
             if not last_stage and rn <= stage_tol * scale:
                 break
             try:
-                hlu = spla.splu(H, permc_spec="MMD_AT_PLUS_A")
+                hlu = _scipy("spla").splu(H, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise NonconvergenceError(f"singular Hessian: {exc}", trace) from exc
             step = np.zeros_like(values)
@@ -402,7 +420,7 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray):
                  "residual": rn, "step": t, "decrement": lam2,
                  "stalled": it == cfg.max_iterations - 1}
             )
-    return values, trace, None
+    return values, trace
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,17 @@ class TestConfigParsing:
         assert cfg["flag"] is True
         assert cfg["name"] == "bare-string"
 
+    @pytest.mark.parametrize("value, parsed", [
+        ('"run#7"', "run#7"),
+        ('"a"  # note', "a"),
+        ("3 # note", 3),
+        ('["x#1", "y"] # note', ["x#1", "y"]),
+        (r'"say \"#1\"" # note', 'say "#1"'),
+    ])
+    def test_hash_starts_a_comment_only_outside_strings(self, tmp_path, value, parsed):
+        cfg = parse_config_file(write_cfg(tmp_path / "c.cfg", f"experiment_id = {value}\n"))
+        assert cfg == {"experiment_id": parsed}
+
     def test_malformed_line(self, tmp_path):
         path = write_cfg(tmp_path / "bad.cfg", "just words\n")
         assert main(["nfun-props", "--config", path, "--out", str(tmp_path)]) == 1
