@@ -452,11 +452,21 @@ def cmd_nfun_props(cfg: dict) -> int:
     out = _outdir(cfg)
     resolved = _echo_config(cfg, out, "nfun-props")
     p_list = _get(cfg, "nfun.p_list", [1.5, 2.0, 3.0, 4.5])
-    samples = int(_get(cfg, "nfun.samples", 100_000))
+    if not isinstance(p_list, list):
+        raise UsageError(f"nfun.p_list must be a list, got {p_list!r}")
+    try:
+        p_list = [float(p) for p in p_list]
+        samples = int(_get(cfg, "nfun.samples", 100_000))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"nfun.p_list and nfun.samples must be numbers: {exc}") from exc
+    if samples < 1:
+        raise UsageError(f"nfun.samples must be at least 1, got {samples}")
+    if not all(math.isfinite(p) and p > 1.0 for p in p_list):
+        raise UsageError(f"nfun.p_list entries must be finite and exceed 1, got {p_list}")
     rows = []
     violations = 0
     for p in p_list:
-        for case in nfunctions.run_property_sweep(float(p), samples, int(cfg["seed"])):
+        for case in nfunctions.run_property_sweep(p, samples, int(cfg["seed"])):
             rows.append(
                 (case.p, case.case, case.min_ratio, case.max_ratio, case.violations)
             )

@@ -208,20 +208,34 @@ def equivalence_constant(x: np.ndarray, y: np.ndarray) -> float:
 # conjugation oracle and shift lemma checks
 # ---------------------------------------------------------------------------
 
-def conjugate_by_maximization(p: float, a: float, t, iters: int = 130) -> np.ndarray:
+def conjugate_by_maximization(p: float, a: float | np.ndarray, t, iters: int = 130) -> np.ndarray:
     """sup_s (t s - phi_a(s)) by bracketed ternary search on the concave objective.
 
-    Independent of the closed-form conjugate; used to validate it.
+    The shift ``a`` broadcasts against ``t``: a ``(k, 1)`` column of shifts
+    against ``n`` arguments searches all ``k * n`` pairs at once.  The search
+    is elementwise, so each value equals, bit for bit, that of a call with its
+    shift alone.  Independent of the closed-form conjugate; used to validate it.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    obj = lambda s: t * s - shifted_phi(p, a, s)
-    hi = np.ones_like(t)
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("shift must be nonnegative")
+    a, t = np.broadcast_arrays(a, np.atleast_1d(np.asarray(t, dtype=float)))
+    a_pm2, a_p = _pow(a, p - 2.0), _pow(a, p)
+
+    def obj(s):
+        # t s - shifted_phi(p, a, s) in its exact operation order, with the
+        # shift's powers computed once; the search points s are nonnegative
+        below = a_pm2 * s * s / 2.0
+        above = a_p / 2.0 + (_pow(s, p) - a_p) / p
+        return t * s - np.where(s <= a, below, above)
+
+    hi = np.ones(t.shape)
     for _ in range(120):
         grow = obj(hi) > obj(0.99 * hi)
         if not grow.any():
             break
         hi = np.where(grow, 2.0 * hi, hi)
-    lo = np.zeros_like(t)
+    lo = np.zeros(t.shape)
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -354,19 +368,15 @@ def run_property_sweep(p: float, samples: int = 100_000, seed: int = 0) -> list[
     s = _log_uniform(rng, 1e-4, 1e4, samples)
     delta = np.exp(rng.uniform(math.log(1e-3), 0.0, samples))
 
+    def record(case: str, ratio, bound=math.inf, empty=math.nan):
+        lo, hi = (float(ratio.min()), float(ratio.max())) if ratio.size else (empty, empty)
+        rows.append(
+            PropertyCase(p, case, lo, hi, int(np.count_nonzero(ratio > bound)), int(ratio.size))
+        )
+
     def add(case: str, lhs, rhs):
         ratio = np.asarray(lhs) / np.asarray(rhs)
-        ratio = ratio[np.isfinite(ratio)]
-        rows.append(
-            PropertyCase(
-                p,
-                case,
-                float(ratio.min()) if ratio.size else math.nan,
-                float(ratio.max()) if ratio.size else math.nan,
-                int(np.count_nonzero(ratio > slack)),
-                int(ratio.size),
-            )
-        )
+        record(case, ratio[np.isfinite(ratio)], slack)
 
     (l1, r1), (l2, r2), (l3, r3) = removal_shift_margins(p, a, t, delta)
     add("removal-shift-1", l1, r1)
@@ -376,27 +386,21 @@ def run_property_sweep(p: float, samples: int = 100_000, seed: int = 0) -> list[
     ly, ry = young_margins(p, a, s, t, delta)
     add("young-scaled", ly, ry)
 
-    # conjugate duality against the maximization oracle, on a log grid
+    # conjugate duality against the maximization oracle, on a log grid; one
+    # oracle call searches a column of all the shifts against the grid
     tg = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
-    worst = 0.0
-    for shift in [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]:
-        closed = shifted_phi(_conj(p), _pow(np.asarray(shift), p - 1.0), tg)
-        numeric = conjugate_by_maximization(p, shift, tg)
-        scale = np.maximum(np.abs(closed), 1e-300)
-        worst = max(worst, float(np.abs(closed - numeric).max() / scale.max()))
-        rel = np.abs(closed - numeric) / np.maximum(scale, np.abs(numeric))
-        rows.append(
-            PropertyCase(p, f"conjugate-duality(a={shift:g})",
-                         float(rel.min()), float(rel.max()),
-                         int(np.count_nonzero(rel > 1e-8)), int(rel.size))
-        )
+    shifts = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
+    column = np.array(shifts)[:, None]
+    closed = shifted_phi(_conj(p), _pow(column, p - 1.0), tg)
+    numeric = conjugate_by_maximization(p, column, tg)
+    scale = np.maximum(np.abs(closed), 1e-300)
+    rel_all = np.abs(closed - numeric) / np.maximum(scale, np.abs(numeric))
+    for shift, rel in zip(shifts, rel_all):
+        record(f"conjugate-duality(a={shift:g})", rel, 1e-8)
 
     # two-branch comparability and doubling
     eq = phi_a_equivalence_ratio(p, a, t)
-    eq = eq[np.isfinite(eq)]
-    rows.append(
-        PropertyCase(p, "phi-a-comparability", float(eq.min()), float(eq.max()), 0, eq.size)
-    )
+    record("phi-a-comparability", eq[np.isfinite(eq)])
 
     # the lambda-shift scaling: phi_a(lambda a) against lambda^2 phi(a)
     # below lambda = 1 and against phi(lambda a) above it
@@ -405,21 +409,10 @@ def run_property_sweep(p: float, samples: int = 100_000, seed: int = 0) -> list[
     lam_hi = np.exp(rng.uniform(0.0, math.log(1e3), a_pos.size))
     below = shifted_phi(p, a_pos, lam_lo * a_pos) / (lam_lo ** 2 * _pow(a_pos, p) / p)
     above = shifted_phi(p, a_pos, lam_hi * a_pos) / (_pow(lam_hi * a_pos, p) / p)
-    both = np.concatenate([below, above])
-    rows.append(
-        PropertyCase(
-            p, "shift-scaling", float(both.min()), float(both.max()), 0, both.size
-        )
-    )
+    # (empty when every sampled shift is zero, as for a handful of samples)
+    record("shift-scaling", np.concatenate([below, above]))
     d2 = delta2_ratio(p, a, t)
-    d2 = d2[np.isfinite(d2)]
-    bound = 2.0 ** max(2.0, p)
-    rows.append(
-        PropertyCase(
-            p, "doubling", float(d2.min()), float(d2.max()),
-            int(np.count_nonzero(d2 > bound * slack)), d2.size,
-        )
-    )
+    record("doubling", d2[np.isfinite(d2)], 2.0 ** max(2.0, p) * slack)
 
     # monotonicity quantities on random vector pairs
     dim = 2
@@ -432,13 +425,5 @@ def run_property_sweep(p: float, samples: int = 100_000, seed: int = 0) -> list[
     rep = hammer_check(p, P, Q)
     qs = rep.quantities()
     pos = np.all(qs > 0, axis=0)
-    ratio = qs[2][pos] / qs[0][pos]
-    rows.append(
-        PropertyCase(
-            p, "hammer-equivalence",
-            float(ratio.min()) if ratio.size else 1.0,
-            float(ratio.max()) if ratio.size else 1.0,
-            0, int(pos.sum()),
-        )
-    )
+    record("hammer-equivalence", qs[2][pos] / qs[0][pos], empty=1.0)
     return rows

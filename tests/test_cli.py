@@ -57,6 +57,30 @@ class TestExitCodes:
     def test_usage_error_missing_weight(self, tmp_path):
         assert main(["analyze-weight", "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("line", [
+        "nfun.samples = 0",
+        "nfun.samples = -5",
+        'nfun.samples = "many"',
+        "nfun.samples = Infinity",
+        "nfun.p_list = [1.0]",
+        "nfun.p_list = [3.0, 0.5]",
+        "nfun.p_list = 2.0",
+        'nfun.p_list = "23"',
+        'nfun.p_list = ["x"]',
+    ])
+    def test_usage_error_bad_nfun_settings(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path / "n.cfg", line + "\n")
+        assert main(["nfun-props", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "usage error: nfun." in capsys.readouterr().err
+
+    def test_nfun_props_single_sample_runs(self, tmp_path):
+        # seed 25 draws a zero shift, leaving the shift-scaling case empty
+        cfg = write_cfg(tmp_path / "n.cfg", "nfun.samples = 1\nnfun.p_list = [2.0]\n")
+        out = tmp_path / "o"
+        assert main(["nfun-props", "--config", cfg, "--seed", "25", "--out", str(out)]) == 0
+        rows = (out / "nfun_props.csv").read_text().splitlines()
+        assert "2,shift-scaling,nan,nan,0" in rows
+
     def test_setup_error_bad_mesh(self, tmp_path):
         cfg = write_cfg(tmp_path / "m.cfg", 'mesh.kind = "torus"\n')
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

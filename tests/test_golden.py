@@ -19,6 +19,7 @@ ECHOES = {
     "analyze-weight": "analyze_weight_config.json",
     "solve": "solve_config.json",
     "cz-sweep": "cz_sweep_config.json",
+    "nfun-props": "nfun_props_config.json",
 }
 
 
@@ -54,6 +55,12 @@ def test_analyze_weight_bodies_are_byte_identical(case, tmp_path):
 def test_p2_solver_bodies_are_byte_identical(case, command, tmp_path):
     """p = 2 ``solve`` (solution, mesh, trace) and a ``use_fem`` ``cz-sweep``."""
     _check_bodies(case, command, tmp_path)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _cases("nfun-props")])
+def test_nfun_props_bodies_are_byte_identical(case, tmp_path):
+    """The default p list at seed 1, conjugate-duality rows included."""
+    _check_bodies(case, "nfun-props", tmp_path)
 
 
 def test_every_golden_case_names_one_command():

@@ -208,6 +208,47 @@ class TestConjugateDuality:
                 rel = np.abs(closed - numeric) / np.maximum(np.abs(closed), np.abs(numeric))
                 assert rel.max() <= 1e-8
 
+    @staticmethod
+    def per_shift_oracle(p, a, t, iters=130):
+        """The one-shift search through shifted_phi, kept as the reference
+        for the batched oracle."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        obj = lambda s: t * s - shifted_phi(p, a, s)
+        hi = np.ones_like(t)
+        for _ in range(120):
+            grow = obj(hi) > obj(0.99 * hi)
+            if not grow.any():
+                break
+            hi = np.where(grow, 2.0 * hi, hi)
+        lo = np.zeros_like(t)
+        for _ in range(iters):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            takes_hi = obj(m1) < obj(m2)
+            lo = np.where(takes_hi, m1, lo)
+            hi = np.where(takes_hi, hi, m2)
+        return obj(0.5 * (lo + hi))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_batched_shifts_match_per_shift_search_bitwise(self, p):
+        tg = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
+        shifts = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
+        batched = conjugate_by_maximization(p, np.array(shifts)[:, None], tg)
+        assert batched.shape == (len(shifts), tg.size)
+        for row, a in zip(batched, shifts):
+            assert np.array_equal(row, self.per_shift_oracle(p, a, tg)), a
+
+    def test_scalar_shift_keeps_grid_shape(self):
+        tg = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
+        numeric = conjugate_by_maximization(3.0, 1.0, tg)
+        assert numeric.shape == (25,)
+        assert np.array_equal(numeric, self.per_shift_oracle(3.0, 1.0, tg))
+
+    @pytest.mark.parametrize("a", [-1.0, [[0.5], [-1e-3]]])
+    def test_negative_shift_rejected(self, a):
+        with pytest.raises(ValueError):
+            conjugate_by_maximization(3.0, a, np.array([0.5, 2.0]))
+
 
 class TestEquivalences:
     def test_delta2_uniform(self, rng):
