@@ -144,6 +144,8 @@ def _quad_from_cfg(cfg: dict, default: QuadratureSpec = DEFAULT_QUAD) -> Quadrat
     q = _get(cfg, "quadrature", None)
     if not q:
         return default
+    if not isinstance(q, dict):
+        raise UsageError(f"quadrature must be a table of settings, got {q!r}")
     res = q.get("resolution", list(default.counts()))
     if isinstance(res, list):
         res = tuple(int(r) for r in res)
@@ -164,14 +166,23 @@ def cmd_analyze_weight(cfg: dict) -> int:
             + ", ".join(SCALAR_WEIGHT_KINDS)
         )
     scalar_only = wcfg["kind"] in ("power", "constant") and "matrix" not in wcfg
+    p_list = _get(cfg, "ap.p_list", [2.0])
+    q_list = _get(cfg, "oscillation.q_list", [2.0, 4.0])
+    s_list = _get(cfg, "small.s_list", [1.0, 2.0, 4.0])
+    lists = (p_list, q_list, s_list)
+    if not (all(isinstance(x, list) and all(type(v) in (int, float) for v in x) for x in lists)
+            and all(1.0 < p < math.inf for p in p_list)
+            and all(1.0 <= v < math.inf for v in q_list + s_list)):
+        raise UsageError("ap.p_list, oscillation.q_list and small.s_list must list finite "
+                         "numbers, each p above 1 and each q and s at least 1")
     try:
         omega = scalar_weight_from_config(wcfg)
         matrix = None if scalar_only else weight_from_config(wcfg)
-    except KeyError as exc:
+        dom = Ball(tuple(_get(cfg, "domain.center", (0.0, 0.0))), _get(cfg, "domain.radius", 1.0))
+        quad = _quad_from_cfg(cfg)
+        fam = seminorms.standard_family(dom, int(_get(cfg, "family.levels", 3)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    dom = Ball(tuple(_get(cfg, "domain.center", (0.0, 0.0))), _get(cfg, "domain.radius", 1.0))
-    quad = _quad_from_cfg(cfg)
-    fam = seminorms.standard_family(dom, int(_get(cfg, "family.levels", 3)))
     header = {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]}
 
     summary: dict = {"label": omega.label, "calibrated": CALIBRATED.as_dict()}
@@ -186,15 +197,14 @@ def cmd_analyze_weight(cfg: dict) -> int:
             "value": est.value,
         }
 
-    # omega = |M| for every matrix weight; with a closed-form log M, one
+    # omega = |M|, and every matrix kind has a closed-form log M, so one
     # evaluation of it serves both, since log omega = lambda_max(log M)
-    if matrix is not None and matrix.log_fn is not None:
+    if matrix is not None:
         est_w, est_m = seminorms.bmo_views(
             matrix.log(), fam, quad, (lambda_max_sym, lambda h: h)
         )
     else:
-        est_w = seminorms.bmo(omega.log(), fam, quad)
-        est_m = None if matrix is None else seminorms.bmo(matrix.log(), fam, quad)
+        est_w, est_m = seminorms.bmo(omega.log(), fam, quad), None
     summary["bmo_log_omega"] = est_w.value
     rows.append(("bmo_log_omega", est_w.value, est_w.attaining_ball.radius))
     record_balls("bmo_log_omega", est_w)
@@ -218,18 +228,18 @@ def cmd_analyze_weight(cfg: dict) -> int:
         )
         summary["condition_sampled"] = sampled
         summary["condition_bound"] = matrix.cond_bound
-    for p in _get(cfg, "ap.p_list", [2.0]):
+    for p in p_list:
         est = seminorms.muckenhoupt_ap(omega, float(p), fam, quad)
         key = f"ap_p={p:g}"
         summary[key] = "divergent" if est.divergent else est.value
         rows.append((key, math.nan if est.divergent else est.value, 0.0))
     # oscillation and power-mean check tables
     prop_rows = []
-    for q_exp in _get(cfg, "oscillation.q_list", [2.0, 4.0]):
+    for q_exp in q_list:
         rep = seminorms.prop_small_check(omega, dom, float(q_exp), quad, bmo_log=est_w.value)
         prop_rows.append((q_exp, rep.lhs, rep.bmo, rep.ratio))
     small_rows = []
-    for s in _get(cfg, "small.s_list", [1.0, 2.0, 4.0]):
+    for s in s_list:
         rep = seminorms.small_scalar_checks(omega, dom, float(s), quad, bmo_log=est_w.value)
         small_rows.append(
             (s, rep.bmo_log, int(rep.condition_met), int(rep.divergent),

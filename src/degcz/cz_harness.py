@@ -25,7 +25,6 @@ from .pde_solver import (
     WeakProblem,
     interpolate,
     solve,
-    weighted_lp_norm,
 )
 from .seminorms import BallFamily, bmo, muckenhoupt_ap, standard_family
 from .weight_algebra import (
@@ -68,8 +67,18 @@ def _require_ball(mesh: Mesh, ball: Ball, label: str) -> None:
         raise GeometryError(f"{label} ball {ball} exits the mesh domain")
 
 
-def _omega_cells(omega: Field, mesh: Mesh) -> np.ndarray:
-    return omega.evaluate(mesh.barycenters)
+class _Cells:
+    """|grad u|, omega and |G| at the barycenters of u's mesh; ``mean`` is the
+    area mean over the cells whose barycenter lies in a ball."""
+
+    def __init__(self, u: DiscreteField, omega: Field, data=None):
+        self.mesh = mesh = u.mesh
+        self.grad = np.linalg.norm(u.cell_gradients(), axis=1)
+        self.w = omega.evaluate(mesh.barycenters)
+        self.data = None if data is None else np.linalg.norm(data(mesh.barycenters), axis=1)
+
+    def mean(self, values: np.ndarray, ball: Ball) -> float:
+        return region_mean(self.mesh, values, cells_in_ball(self.mesh, ball.center, ball.radius))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +89,11 @@ def _omega_cells(omega: Field, mesh: Mesh) -> np.ndarray:
 class RatioReport:
     lhs: float
     rhs: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        """lhs / rhs; nan when both sides vanish, inf when only the right does."""
+        return self.lhs / self.rhs if self.rhs > 0 else (math.nan if self.lhs == 0 else math.inf)
 
 
 def cz_ratio(
@@ -98,50 +111,36 @@ def cz_ratio(
     """
     if geometry not in ("nonlinear", "linear"):
         raise ValueError("geometry must be 'nonlinear' or 'linear'")
+    if rho < 1:
+        raise ValueError("rho must be at least 1")
     inner = b0.scaled(0.5) if geometry == "nonlinear" else b0
     outer = b0.scaled(4.0) if geometry == "nonlinear" else b0.scaled(2.0)
-    mesh = u.mesh
-    _require_ball(mesh, outer, "outer")
-    omega = prob.weight.omega()
-    lhs = weighted_lp_norm(u, omega, rho, inner)
-    w = _omega_cells(omega, mesh)
-    grad_mag = np.linalg.norm(u.cell_gradients(), axis=1)
-    mask = cells_in_ball(mesh, outer.center, outer.radius)
-    rhs = region_mean(mesh, grad_mag * w, mask)
-    if prob.data is not None:
-        gm = np.linalg.norm(prob.data(mesh.barycenters), axis=1)
-        rhs += region_mean(mesh, (gm * w) ** rho, mask) ** (1.0 / rho)
-    ratio = lhs / rhs if rhs > 0 else (math.nan if lhs == 0 else math.inf)
-    return RatioReport(lhs, rhs, ratio)
+    _require_ball(u.mesh, outer, "outer")
+    c = _Cells(u, prob.weight.omega(), prob.data)
+    lhs = c.mean((c.grad * c.w) ** rho, inner) ** (1.0 / rho)
+    rhs = c.mean(c.grad * c.w, outer)
+    if c.data is not None:
+        rhs += c.mean((c.data * c.w) ** rho, outer) ** (1.0 / rho)
+    return RatioReport(lhs, rhs)
 
 
 def caccioppoli_check(u: DiscreteField, prob: WeakProblem, ball: Ball) -> RatioReport:
     """Gradient energy on B against scaled oscillation plus data on 2B."""
-    mesh = u.mesh
     outer = ball.scaled(2.0)
-    _require_ball(mesh, outer, "outer")
+    _require_ball(u.mesh, outer, "outer")
     p = prob.p
-    omega = prob.weight.omega()
-    w = _omega_cells(omega, mesh)
-    grad_mag = np.linalg.norm(u.cell_gradients(), axis=1)
-    inner_mask = cells_in_ball(mesh, ball.center, ball.radius)
-    outer_mask = cells_in_ball(mesh, outer.center, outer.radius)
-    lhs = region_mean(mesh, (grad_mag * w) ** p, inner_mask)
+    c = _Cells(u, prob.weight.omega(), prob.data)
+    lhs = c.mean((c.grad * c.w) ** p, ball)
     uc = u.cell_values()
-    u_mean = region_mean(mesh, uc, outer_mask)
-    rhs = region_mean(mesh, (np.abs(uc - u_mean) / ball.radius * w) ** p, outer_mask)
-    if prob.data is not None:
-        gm = np.linalg.norm(prob.data(mesh.barycenters), axis=1)
-        rhs += region_mean(mesh, (gm * w) ** p, outer_mask)
-    ratio = lhs / rhs if rhs > 0 else (math.nan if lhs == 0 else math.inf)
-    return RatioReport(lhs, rhs, ratio)
+    u_mean = c.mean(uc, outer)
+    rhs = c.mean((np.abs(uc - u_mean) / ball.radius * c.w) ** p, outer)
+    if c.data is not None:
+        rhs += c.mean((c.data * c.w) ** p, outer)
+    return RatioReport(lhs, rhs)
 
 
 @dataclass
-class PoincareReport:
-    lhs: float
-    rhs: float
-    ratio: float
+class PoincareReport(RatioReport):
     condition_value: float
     condition_flagged: bool
 
@@ -165,15 +164,11 @@ def poincare_check(
         raise ValueError("theta p must be at least max(1, n p / (n + p))")
     mesh = u.mesh
     _require_ball(mesh, ball, "poincare")
-    mask = cells_in_ball(mesh, ball.center, ball.radius)
-    w = _omega_cells(omega, mesh)
+    c = _Cells(u, omega)
     uc = u.cell_values()
-    u_mean = region_mean(mesh, uc, mask)
-    lhs = region_mean(
-        mesh, (np.abs(uc - u_mean) / ball.radius * w) ** p, mask
-    ) ** (1.0 / p)
-    grad_mag = np.linalg.norm(u.cell_gradients(), axis=1)
-    rhs = region_mean(mesh, (grad_mag * w) ** tp, mask) ** (1.0 / tp)
+    u_mean = c.mean(uc, ball)
+    lhs = c.mean((np.abs(uc - u_mean) / ball.radius * c.w) ** p, ball) ** (1.0 / p)
+    rhs = c.mean((c.grad * c.w) ** tp, ball) ** (1.0 / tp)
     # duality-exponent Muckenhoupt-type condition on sampled sub-balls of 2B
     tpc = tp / (tp - 1.0) if tp > 1.0 else math.inf
     cond_val, flagged = math.inf, True
@@ -182,8 +177,7 @@ def poincare_check(
         fam = standard_family(dom, levels=2)
         est = muckenhoupt_ap(omega, p, fam, quad, neg_exponent=tpc)
         cond_val, flagged = max(0.0, *(row[4] for row in est.rows)), est.divergent
-    ratio = lhs / rhs if rhs > 0 else (math.nan if lhs == 0 else math.inf)
-    return PoincareReport(lhs, rhs, ratio, cond_val, flagged)
+    return PoincareReport(lhs, rhs, cond_val, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +238,7 @@ def build_localized(
 
     m_b = log_mean_matrix(prob.weight, comparison_ball, quad)
     frozen = WeakProblem(prob.weight, prob.p, None, None, frozen=m_b)
-    inside = np.zeros(mesh.num_vertices, dtype=bool)
-    inside[
-        np.linalg.norm(mesh.vertices - np.asarray(comparison_ball.center), axis=1)
-        < comparison_ball.radius
-    ] = True
-    fixed = ~inside
+    fixed = ~comparison_ball.contains(mesh.vertices)
     result = solve(frozen, mesh, cfg, fixed_mask=fixed, fixed_values=z.values)
     return LocalizedTriple(
         z, g, result.field, DiscreteField(mesh, zeta_v), b0, comparison_ball,
@@ -286,36 +275,20 @@ def comparison_check(
     mesh = triple.z.mesh
     b = triple.comparison_ball
     p = triple.p
-    mask = cells_in_ball(mesh, b.center, b.radius)
-    vz = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.z.cell_gradients()))
-    vh = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.h.cell_gradients()))
-    lhs = region_mean(mesh, np.linalg.norm(vh - vz, axis=1) ** 2, mask)
-
-    omega = prob.weight.omega()
-    w = _omega_cells(omega, mesh)
-    fam = standard_family(b, levels=3)
-    bmo_log = bmo(prob.weight.log(), fam, quad).value
-    gz = np.linalg.norm(triple.z.cell_gradients(), axis=1)
-    osc = (bmo_log ** 2 + delta) * region_mean(
-        mesh, (gz * w) ** (p * s), mask
-    ) ** (1.0 / s)
-
     outer = b.scaled(4.0)
     _require_ball(mesh, outer, "comparison outer")
-    mask4 = cells_in_ball(mesh, outer.center, outer.radius)
-    r_big = 2.0 * triple.ball.radius
-    zeta_c = cutoff_values(mesh.barycenters, triple.ball)
-    u_minus_mean = triple.u.cell_values() - triple.u_mean
-    u_term = delta ** (1.0 - p) * region_mean(
-        mesh, (np.abs(u_minus_mean) / r_big * w) ** (p * s), mask4
-    ) ** (1.0 / s)
-    if prob.data is not None:
-        gm = np.linalg.norm(prob.data(mesh.barycenters), axis=1)
-        data_term = delta ** (1.0 - p) * region_mean(
-            mesh, (zeta_c * gm * w) ** (p * s), mask4
-        ) ** (1.0 / s)
-    else:
-        data_term = 0.0
+    c = _Cells(triple.z, prob.weight.omega(), prob.data)
+    vz = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.z.cell_gradients()))
+    vh = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.h.cell_gradients()))
+    lhs = c.mean(np.linalg.norm(vh - vz, axis=1) ** 2, b)
+    bmo_log = bmo(prob.weight.log(), standard_family(b, levels=3), quad).value
+    osc = (bmo_log ** 2 + delta) * c.mean((c.grad * c.w) ** (p * s), b) ** (1.0 / s)
+    dev = np.abs(triple.u.cell_values() - triple.u_mean) / (2.0 * triple.ball.radius)
+    u_term = delta ** (1.0 - p) * c.mean((dev * c.w) ** (p * s), outer) ** (1.0 / s)
+    data_term = 0.0
+    if c.data is not None:
+        g = cutoff_values(mesh.barycenters, triple.ball) * c.data
+        data_term = delta ** (1.0 - p) * c.mean((g * c.w) ** (p * s), outer) ** (1.0 / s)
     return ComparisonReport(lhs, osc, u_term, data_term, bmo_log, delta, s)
 
 
@@ -323,11 +296,15 @@ def comparison_check(
 # discrete maximal operators
 # ---------------------------------------------------------------------------
 
-def _ball_masks(mesh: Mesh, fam: BallFamily) -> np.ndarray:
-    centers = np.asarray([b.center for b in fam.balls])
-    radii = np.asarray([b.radius for b in fam.balls])
-    d = np.linalg.norm(mesh.barycenters[None, :, :] - centers[:, None, :], axis=-1)
-    return d < radii[:, None]
+def _family_max(mesh: Mesh, fam: BallFamily, per_ball) -> np.ndarray:
+    """Per cell, the max of ``per_ball(mask)`` over the family balls whose
+    cell region ``mask`` holds its barycenter (0 where none does)."""
+    out = np.zeros(mesh.num_cells)
+    for ball in fam.balls:
+        mask = cells_in_ball(mesh, ball.center, ball.radius)
+        if mask.any():
+            np.maximum(out, np.where(mask, per_ball(mask), 0.0), out=out)
+    return out
 
 
 def maximal(mesh: Mesh, cell_values: np.ndarray, rho: float, fam: BallFamily) -> np.ndarray:
@@ -336,41 +313,26 @@ def maximal(mesh: Mesh, cell_values: np.ndarray, rho: float, fam: BallFamily) ->
     Returns, per cell, the max over family balls containing its barycenter of
     the rho-mean of |f| over the ball.
     """
-    masks = _ball_masks(mesh, fam)
     vals = np.abs(np.asarray(cell_values, dtype=float)) ** rho
-    out = np.zeros(mesh.num_cells)
-    for mask in masks:
-        if not mask.any():
-            continue
-        areas = mesh.areas[mask]
-        mean = float(np.sum(vals[mask] * areas) / areas.sum()) ** (1.0 / rho)
-        np.maximum(out, np.where(mask, mean, 0.0), out=out)
-    return out
+    return _family_max(mesh, fam, lambda mask: region_mean(mesh, vals, mask) ** (1.0 / rho))
 
 
 def sharp_maximal(
     mesh: Mesh, cell_values: np.ndarray, rho: float, fam: BallFamily
 ) -> np.ndarray:
     """Sharp (mean-oscillation) maximal field over the family, brute force."""
-    masks = _ball_masks(mesh, fam)
     vals = np.asarray(cell_values, dtype=float)
-    out = np.zeros(mesh.num_cells)
-    for mask in masks:
-        if not mask.any():
-            continue
-        areas = mesh.areas[mask]
-        mean = float(np.sum(vals[mask] * areas) / areas.sum())
-        osc = float(
-            np.sum(np.abs(vals[mask] - mean) ** rho * areas) / areas.sum()
-        ) ** (1.0 / rho)
-        np.maximum(out, np.where(mask, osc, 0.0), out=out)
-    return out
+
+    def osc(mask):
+        dev = np.abs(vals - region_mean(mesh, vals, mask)) ** rho
+        return region_mean(mesh, dev, mask) ** (1.0 / rho)
+
+    return _family_max(mesh, fam, osc)
 
 
 def _lq_norm(mesh: Mesh, cell_values: np.ndarray, q: float) -> float:
-    return float(
-        (np.sum(np.abs(cell_values) ** q * mesh.areas) / mesh.areas.sum()) ** (1.0 / q)
-    )
+    everywhere = np.ones(mesh.num_cells, dtype=bool)
+    return region_mean(mesh, np.abs(cell_values) ** q, everywhere) ** (1.0 / q)
 
 
 def fefferman_stein_constant(

@@ -58,8 +58,11 @@ def shifted_phi(p: float, a, t) -> np.ndarray:
     if np.any(t < 0) or np.any(a < 0):
         raise ValueError("shift and argument must be nonnegative")
     a, t = np.broadcast_arrays(a, t)
+    # one a^p, released before the other branch is built (peak memory)
+    a_p = _pow(a, p)
+    above = (_pow(t, p) - a_p) / p + a_p / 2.0
+    del a_p
     below = _pow(a, p - 2.0) * t * t / 2.0
-    above = _pow(a, p) / 2.0 + (_pow(t, p) - _pow(a, p)) / p
     return np.where(t <= a, below, above)
 
 

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .meshing import Mesh, cells_in_ball
+from .meshing import Mesh, cells_in_ball, region_mean
 from .nfunctions import a_map
 from .weight_algebra import Ball, Field
 
@@ -439,12 +439,9 @@ def weighted_lp_norm(
         raise ValueError("rho must be at least 1")
     mesh = u.mesh
     mask = cells_in_ball(mesh, region.center, region.radius)
-    if not mask.any():
-        raise ValueError("region contains no cell barycenters")
-    grads = np.linalg.norm(u.cell_gradients()[mask], axis=1)
-    w = omega.evaluate(mesh.barycenters[mask])
-    areas = mesh.areas[mask]
-    return float((np.sum((grads * w) ** rho * areas) / areas.sum()) ** (1.0 / rho))
+    grads = np.linalg.norm(u.cell_gradients(), axis=1)
+    values = (grads * omega.evaluate(mesh.barycenters)) ** rho
+    return region_mean(mesh, values, mask) ** (1.0 / rho)
 
 
 def weighted_h1_error(

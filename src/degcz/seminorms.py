@@ -191,9 +191,8 @@ def bmo_views(
     field at the same points; ``lambda_max_sym`` of log M gives log omega, for
     instance.  One estimate is returned per view.
     """
-    sing = np.atleast_2d(np.asarray(f.singular_points or ()).reshape(-1, fam.domain.dim))
     per_ball = [[] for _ in views]
-    for start, pts, w, cuts in node_batches(fam.balls, quad, fam.domain, sing):
+    for start, pts, w, cuts in node_batches(fam.balls, quad, fam.domain, f.singular_points):
         seen = [None] * len(views)
         if len(w):
             vals = f.evaluate(pts)
@@ -276,7 +275,7 @@ def muckenhoupt_ap(
         if not (1.0 < p < math.inf):
             raise ValueError("p must lie in (1, inf)")
         pc = p / (p - 1.0)
-    sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, fam.domain.dim))
+    sing = omega.singular_points
     coarse = _family_power_means(omega, fam.balls, quad, (p, -pc), sing)
     fine = _family_power_means(omega, fam.balls, quad.refined(4), (p, -pc), sing)
     best, witness, rows = 0.0, None, []
@@ -330,8 +329,7 @@ def prop_small_check(
         raise ValueError("q must be at least 1")
     if bmo_log is None:
         bmo_log = bmo(field.log(), standard_family(ball, levels=3), quad).value
-    sing = np.atleast_2d(np.asarray(field.singular_points or ()).reshape(-1, ball.dim))
-    pts, w = ball_nodes(ball, quad, singular=sing)
+    pts, w = ball_nodes(ball, quad, singular=field.singular_points)
     vals = field.evaluate(pts)
     if vals.ndim == 3:
         center = log_mean_matrix(field, ball, quad, nodes=(pts, w))
@@ -389,10 +387,9 @@ def small_scalar_checks(
         raise ValueError("s must be at least 1")
     if bmo_log is None:
         bmo_log = bmo(omega.log(), standard_family(ball, levels=3), quad).value
-    sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, ball.dim))
-    pts, w = ball_nodes(ball, quad, singular=sing)
+    pts, w = ball_nodes(ball, quad, singular=omega.singular_points)
     lm = log_mean_scalar(omega, ball, quad, nodes=(pts, w))
-    pts_f, w_f = ball_nodes(ball, quad.refined(4), singular=sing)
+    pts_f, w_f = ball_nodes(ball, quad.refined(4), singular=omega.singular_points)
     mean_pos, mean_neg, mean_pos_f, mean_neg_f = (
         m ** (1.0 / s)
         for x, wx in ((pts, w), (pts_f, w_f))

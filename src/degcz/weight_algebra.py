@@ -372,7 +372,7 @@ def node_batches(
     balls,
     quad: QuadratureSpec = DEFAULT_QUAD,
     clip: Ball | None = None,
-    singular: np.ndarray | None = None,
+    singular: np.typing.ArrayLike | None = None,
 ):
     """Quadrature nodes of a sequence of balls, a batch of balls at a time.
 
@@ -427,7 +427,7 @@ def ball_nodes(
     ball: Ball,
     quad: QuadratureSpec = DEFAULT_QUAD,
     clip: Ball | None = None,
-    singular: np.ndarray | None = None,
+    singular: np.typing.ArrayLike | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and absolute weights for integration over a ball.
 
@@ -552,7 +552,7 @@ def log_mean_scalar(
     singular=...)`` for omega's singular points, when the caller has built it.
     """
     if nodes is None:
-        nodes = ball_nodes(ball, quad, singular=np.asarray(omega.singular_points))
+        nodes = ball_nodes(ball, quad, singular=omega.singular_points)
     pts, w = nodes
     if omega.log_fn is not None:
         logs = omega.log_fn(pts)
@@ -575,7 +575,7 @@ def log_mean_matrix(
     ``nodes`` is as for :func:`log_mean_scalar`.
     """
     if nodes is None:
-        nodes = ball_nodes(ball, quad, singular=np.asarray(M.singular_points))
+        nodes = ball_nodes(ball, quad, singular=M.singular_points)
     pts, w = nodes
     if M.log_fn is not None:
         logs = M.log_fn(pts)

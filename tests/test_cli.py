@@ -73,6 +73,27 @@ class TestExitCodes:
         assert main(["nfun-props", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "usage error: nfun." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        'quadrature.scheme = "gauss"',
+        "quadrature = 5",
+        "family.levels = 0",
+        "domain.radius = -1",
+        "ap.p_list = [1.0]",
+        "small.s_list = [0.5]",
+        "oscillation.q_list = [0.5]",
+        'weight.kind = "log-normal"\nweight.seed = "x"',
+        'ap.p_list = ["2"]',
+        'oscillation.q_list = "24"',
+    ])
+    def test_usage_error_bad_weight_settings(self, tmp_path, capsys, line):
+        # each is rejected before any estimate runs
+        text = 'weight.kind = "power"\nweight.exponent = 0.25\n' + line + "\n"
+        out = tmp_path / "o"
+        assert main(["analyze-weight", "--config", write_cfg(tmp_path / "w.cfg", text),
+                     "--out", str(out)]) == 1
+        assert "usage error: " in capsys.readouterr().err
+        assert not (out / "weight_summary.csv").exists()
+
     def test_nfun_props_single_sample_runs(self, tmp_path):
         # seed 25 draws a zero shift, leaving the shift-scaling case empty
         cfg = write_cfg(tmp_path / "n.cfg", "nfun.samples = 1\nnfun.p_list = [2.0]\n")

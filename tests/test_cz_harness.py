@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -20,7 +21,13 @@ from degcz.cz_harness import (
 )
 from degcz.exact_examples import MeyersExample
 from degcz.meshing import cells_in_ball, disk_mesh, unit_square_mesh
-from degcz.pde_solver import DiscreteField, WeakProblem, energy, interpolate
+from degcz.pde_solver import (
+    DiscreteField,
+    WeakProblem,
+    energy,
+    interpolate,
+    weighted_lp_norm,
+)
 from degcz.seminorms import standard_family
 from degcz.weight_algebra import Ball, identity_weight, scalar_weight_from_config
 
@@ -360,3 +367,135 @@ class TestFemSweep:
         with pytest.raises(NonconvergenceError) as err:
             run_sweep(spec)
         assert err.value.trace and "eps=0.5, level 1" in str(err.value)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values).tobytes()).hexdigest()
+
+
+def _pinned_outputs(mesh) -> dict[str, str]:
+    """Every mesh-side check on one graded disk, scalars by ``repr`` and
+    arrays by the sha256 of their bytes."""
+
+    def data(x):
+        return np.stack([np.cos(3.0 * x[:, 1]), 0.5 + x[:, 0] * x[:, 1]], axis=1)
+
+    out = {}
+
+    def record(key, rep, *names):
+        out.update({f"{key}.{name}": repr(getattr(rep, name)) for name in names})
+
+    fam = standard_family(Ball((0.0, 0.0), 1.0), 3)
+    b0 = Ball((0.05, 0.0), 0.2)
+    for variant in ("plain", "degenerate"):
+        ex = MeyersExample(2, 0.25, variant)
+        weight = ex.weight_field()
+        omega = weight.omega()
+        u = interpolate(mesh, ex.u_with_origin)
+        tri = build_localized(u, WeakProblem(weight, 2.0), Ball((0.1, 0.0), 0.4))
+        for g in (None, data):
+            key = f"{variant}/{'data' if g else 'none'}"
+            prob = WeakProblem(weight, 2.0, g)
+            for geometry in ("nonlinear", "linear"):
+                rep = cz_ratio(u, prob, b0, 3.0, geometry)
+                record(f"{key}/cz_ratio/{geometry}", rep, "lhs", "rhs", "ratio")
+            rep = caccioppoli_check(u, prob, Ball((0.1, 0.1), 0.3))
+            record(f"{key}/caccioppoli", rep, "lhs", "rhs", "ratio")
+            record(f"{key}/comparison", comparison_check(tri, prob, 0.3), "lhs",
+                   "oscillation_term", "u_term", "data_term", "bmo_log")
+        rep = poincare_check(u, omega, Ball((0.0, 0.0), 0.45), 3.0, 1.0)
+        record(f"{variant}/poincare", rep, "lhs", "rhs", "ratio", "condition_value",
+               "condition_flagged")
+        out[f"{variant}/weighted_lp_norm"] = repr(
+            weighted_lp_norm(u, omega, 2.5, Ball((0.0, 0.1), 0.5))
+        )
+        f = np.linalg.norm(u.cell_gradients(), axis=1) * omega.evaluate(mesh.barycenters)
+        out[f"{variant}/maximal"] = _digest(maximal(mesh, f, 2.0, fam))
+        out[f"{variant}/sharp_maximal"] = _digest(sharp_maximal(mesh, f, 1.5, fam))
+        out[f"{variant}/fefferman_stein"] = repr(fefferman_stein_constant(mesh, f, fam, 4.0))
+    return out
+
+
+PINNED = {
+    "plain/none/cz_ratio/nonlinear.lhs": "1.801044972798708",
+    "plain/none/cz_ratio/nonlinear.rhs": "1.0605502978742496",
+    "plain/none/cz_ratio/nonlinear.ratio": "1.6982174031808714",
+    "plain/none/cz_ratio/linear.lhs": "1.5470881751880112",
+    "plain/none/cz_ratio/linear.rhs": "1.2698824931347914",
+    "plain/none/cz_ratio/linear.ratio": "1.2182923881160994",
+    "plain/none/caccioppoli.lhs": "1.8194989510661848",
+    "plain/none/caccioppoli.rhs": "1.446311846338267",
+    "plain/none/caccioppoli.ratio": "1.258026722019005",
+    "plain/none/comparison.lhs": "0.1594168533483808",
+    "plain/none/comparison.oscillation_term": "0.6820411128274344",
+    "plain/none/comparison.u_term": "1.21401264350479",
+    "plain/none/comparison.data_term": "0.0",
+    "plain/none/comparison.bmo_log": "0.14384103622589045",
+    "plain/data/cz_ratio/nonlinear.lhs": "1.801044972798708",
+    "plain/data/cz_ratio/nonlinear.rhs": "1.9302409434498828",
+    "plain/data/cz_ratio/nonlinear.ratio": "0.9330674385031614",
+    "plain/data/cz_ratio/linear.lhs": "1.5470881751880112",
+    "plain/data/cz_ratio/linear.rhs": "2.256485561532034",
+    "plain/data/cz_ratio/linear.ratio": "0.6856184686320884",
+    "plain/data/caccioppoli.lhs": "1.8194989510661848",
+    "plain/data/caccioppoli.rhs": "2.2423586485284965",
+    "plain/data/caccioppoli.ratio": "0.8114219160526328",
+    "plain/data/comparison.lhs": "0.1594168533483808",
+    "plain/data/comparison.oscillation_term": "0.6820411128274344",
+    "plain/data/comparison.u_term": "1.21401264350479",
+    "plain/data/comparison.data_term": "0.642565319248118",
+    "plain/data/comparison.bmo_log": "0.14384103622589045",
+    "plain/poincare.lhs": "0.6755354326416274",
+    "plain/poincare.rhs": "1.2892584002620073",
+    "plain/poincare.ratio": "0.5239721009413961",
+    "plain/poincare.condition_value": "1.0000000000000002",
+    "plain/poincare.condition_flagged": "False",
+    "plain/weighted_lp_norm": "1.2233627874751272",
+    "plain/maximal": "3a0c5122f258c33f49c4149083f9a5aa743c72ca0775397854d4c0be68f4a1f3",
+    "plain/sharp_maximal": "453328e510ebaa53349fba50dc5ed4bb93bfef0481cf36520178f4eb8289c6d1",
+    "plain/fefferman_stein": "1.4459583885205523",
+    "degenerate/none/cz_ratio/nonlinear.lhs": "1.9126612366076188",
+    "degenerate/none/cz_ratio/nonlinear.rhs": "1.1351218479229979",
+    "degenerate/none/cz_ratio/nonlinear.ratio": "1.684983193749052",
+    "degenerate/none/cz_ratio/linear.lhs": "1.6380716538938083",
+    "degenerate/none/cz_ratio/linear.rhs": "1.351702185282201",
+    "degenerate/none/cz_ratio/linear.ratio": "1.2118584047060785",
+    "degenerate/none/caccioppoli.lhs": "2.0567537840395107",
+    "degenerate/none/caccioppoli.rhs": "1.4724801848223839",
+    "degenerate/none/caccioppoli.ratio": "1.3967955597905748",
+    "degenerate/none/comparison.lhs": "0.09972999927831253",
+    "degenerate/none/comparison.oscillation_term": "0.7565506768474023",
+    "degenerate/none/comparison.u_term": "1.2214770066890388",
+    "degenerate/none/comparison.data_term": "0.0",
+    "degenerate/none/comparison.bmo_log": "0.1198135904069287",
+    "degenerate/data/cz_ratio/nonlinear.lhs": "1.9126612366076188",
+    "degenerate/data/cz_ratio/nonlinear.rhs": "2.117126002392681",
+    "degenerate/data/cz_ratio/nonlinear.ratio": "0.9034234308425737",
+    "degenerate/data/cz_ratio/linear.lhs": "1.6380716538938083",
+    "degenerate/data/cz_ratio/linear.rhs": "2.5544216909609636",
+    "degenerate/data/cz_ratio/linear.ratio": "0.6412690824268612",
+    "degenerate/data/caccioppoli.lhs": "2.0567537840395107",
+    "degenerate/data/caccioppoli.rhs": "2.5283276161234807",
+    "degenerate/data/caccioppoli.ratio": "0.8134838898738118",
+    "degenerate/data/comparison.lhs": "0.09972999927831253",
+    "degenerate/data/comparison.oscillation_term": "0.7565506768474023",
+    "degenerate/data/comparison.u_term": "1.2214770066890388",
+    "degenerate/data/comparison.data_term": "1.0157823387991565",
+    "degenerate/data/comparison.bmo_log": "0.1198135904069287",
+    "degenerate/poincare.lhs": "0.6762457308115171",
+    "degenerate/poincare.rhs": "1.364802369752501",
+    "degenerate/poincare.ratio": "0.49548985684583063",
+    "degenerate/poincare.condition_value": "1.0147766744012603",
+    "degenerate/poincare.condition_flagged": "False",
+    "degenerate/weighted_lp_norm": "1.297396484354125",
+    "degenerate/maximal": "6351bfc9db2f2ca0e6b67525d82384a872858fd94a80650f62858bdd7586dcaa",
+    "degenerate/sharp_maximal": "a723e91829668c3d240836974cd58bebdf0c895b2e308276acf69814f280ac10",
+    "degenerate/fefferman_stein": "1.6813723614743232",
+}
+
+
+def test_mesh_side_outputs_are_pinned(graded_disk):
+    """Refactors of the two-sided checks keep every bit: both Meyers
+    variants, with and without a data field.  The pins hold for a
+    single-threaded BLAS (``OMP_NUM_THREADS=1``, ``OPENBLAS_NUM_THREADS=1``)."""
+    assert _pinned_outputs(graded_disk) == PINNED

@@ -53,7 +53,8 @@ def test_analyze_weight_bodies_are_byte_identical(case, tmp_path):
 
 @pytest.mark.parametrize("case, command", _cases("solve", "cz-sweep"))
 def test_p2_solver_bodies_are_byte_identical(case, command, tmp_path):
-    """p = 2 ``solve`` (solution, mesh, trace) and a ``use_fem`` ``cz-sweep``."""
+    """p = 2 ``solve`` (solution, mesh, trace) and ``cz-sweep`` with and
+    without ``use_fem``."""
     _check_bodies(case, command, tmp_path)
 
 

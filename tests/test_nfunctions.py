@@ -67,6 +67,24 @@ class TestShiftedPhi:
                 assert np.all(d1 > 0)
                 assert np.min(np.diff(d1)) >= -1e-12
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_matches_two_power_expression_bitwise(self, p):
+        """One a^p serves both terms of the upper branch; addition commutes,
+        so every bit of the expression that evaluated it twice is kept."""
+        from degcz.nfunctions import _pow
+
+        def reference(p, a, t):
+            a, t = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
+            below = _pow(a, p - 2.0) * t * t / 2.0
+            above = _pow(a, p) / 2.0 + (_pow(t, p) - _pow(a, p)) / p
+            return np.where(t <= a, below, above)
+
+        rng = np.random.default_rng(7)
+        grid = np.array([0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 1e3])
+        a, t = np.meshgrid(grid, grid)                    # a = 0, t = 0 and t = a
+        for a_, t_ in ((a, t), (grid[:, None], grid), rng.exponential(2.0, (2, 500))):
+            assert np.array_equal(shifted_phi(p, a_, t_), reference(p, a_, t_))
+
     def test_shift_zero_recovers_phi(self):
         phi = PowerPhi(3.0)
         t = np.linspace(0.1, 5, 17)
