@@ -10,17 +10,15 @@ from .weight_algebra import (
     Ball,
     Field,
     QuadratureSpec,
-    condition_number,
-    log_mean_matrix,
-    log_mean_scalar,
+    log_mean,
     sandwich_check,
     spd_exp,
     spd_log,
 )
 from .exact_examples import MeyersExample
 from .seminorms import BallFamily, bmo, muckenhoupt_ap
-from .nfunctions import PowerPhi, ShiftedPhi, a_map, hammer_check, v_map, weighted_maps
-from .meshing import Mesh, annulus_mesh, disk_mesh, unit_square_mesh
+from .nfunctions import a_map, hammer_check, shifted_dphi, shifted_phi, v_map, weighted_maps
+from .meshing import Mesh, disk_mesh, unit_square_mesh
 from .pde_solver import (
     DiscreteField,
     SolverConfig,

@@ -117,7 +117,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         _set(cfg, "sweep.rho", [args.rho])
     if args.grid is not None:
         _set(cfg, "sweep.levels", list(range(1, args.grid + 1)))
-        _set(cfg, "mesh.refinements", args.grid)
     cfg["threads"] = args.threads
     out = os.environ.get("DEGCZ_OUT") or args.out
     cfg["out"] = str(out)
@@ -179,6 +178,8 @@ def cmd_analyze_weight(cfg: dict) -> int:
         omega = scalar_weight_from_config(wcfg)
         matrix = None if scalar_only else weight_from_config(wcfg)
         dom = Ball(tuple(_get(cfg, "domain.center", (0.0, 0.0))), _get(cfg, "domain.radius", 1.0))
+        if dom.dim != omega.dim:
+            raise ValueError(f"domain.center must have {omega.dim} coordinates, got {dom.dim}")
         quad = _quad_from_cfg(cfg)
         fam = seminorms.standard_family(dom, int(_get(cfg, "family.levels", 3)))
     except (KeyError, TypeError, ValueError) as exc:

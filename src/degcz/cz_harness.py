@@ -33,7 +33,7 @@ from .weight_algebra import (
     MEAN_QUAD,
     Field,
     QuadratureSpec,
-    log_mean_matrix,
+    log_mean,
 )
 
 __all__ = [
@@ -236,7 +236,7 @@ def build_localized(
     zeta_c = cutoff_values(mesh.barycenters, b0)
     g = (zeta_c ** pc)[:, None] * u.cell_gradients() - z.cell_gradients()
 
-    m_b = log_mean_matrix(prob.weight, comparison_ball, quad)
+    m_b = log_mean(prob.weight, comparison_ball, quad)
     frozen = WeakProblem(prob.weight, prob.p, None, None, frozen=m_b)
     fixed = ~comparison_ball.contains(mesh.vertices)
     result = solve(frozen, mesh, cfg, fixed_mask=fixed, fixed_values=z.values)

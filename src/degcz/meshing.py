@@ -1,4 +1,4 @@
-"""Conforming P1 triangulations of disks, squares, and annuli.
+"""Conforming P1 triangulations of disks and the unit square, with CSV export.
 
 Disk meshes are built from concentric vertex rings whose radii decrease
 geometrically toward the center, so that point singularities at the origin
@@ -19,7 +19,6 @@ __all__ = [
     "Mesh",
     "unit_square_mesh",
     "disk_mesh",
-    "annulus_mesh",
     "cells_in_ball",
     "region_mean",
 ]
@@ -109,19 +108,12 @@ class Mesh:
     def contains_ball(self, center, radius: float, tol: float = 1e-9) -> bool:
         kind = self.geometry.get("kind")
         c = np.asarray(center, dtype=float)
-        if kind in ("unit-disk", "disk"):
+        if kind == "disk":
             mid = np.asarray(self.geometry.get("center", (0.0, 0.0)))
             return np.linalg.norm(c - mid) + radius <= self.geometry["radius"] + tol
         if kind == "unit-square":
             return bool(
                 np.all(c - radius >= -tol) and np.all(c + radius <= 1.0 + tol)
-            )
-        if kind == "annulus":
-            mid = np.asarray(self.geometry.get("center", (0.0, 0.0)))
-            d = np.linalg.norm(c - mid)
-            return (
-                d - radius >= self.geometry["r_in"] - tol
-                and d + radius <= self.geometry["r_out"] + tol
             )
         # fall back to the convex hull of the vertices via bounding circle
         mid = self.vertices.mean(axis=0)
@@ -135,24 +127,19 @@ class Mesh:
         projected back onto the boundary circle."""
         edges, counts = self.edges, self.edge_counts
         mids = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
-        kind = self.geometry.get("kind")
-        if kind in ("unit-disk", "disk", "annulus"):
+        if self.geometry.get("kind") == "disk":
             center = np.asarray(self.geometry.get("center", (0.0, 0.0)))
-            if kind == "annulus":
-                radii = [self.geometry["r_in"], self.geometry["r_out"]]
-            else:
-                radii = [self.geometry["radius"]]
+            rad = self.geometry["radius"]
             vr = np.linalg.norm(self.vertices - center, axis=1)
-            for rad in radii:
-                both = (np.abs(vr[edges[:, 0]] - rad) < 1e-9 * max(rad, 1.0)) & (
-                    np.abs(vr[edges[:, 1]] - rad) < 1e-9 * max(rad, 1.0)
-                )
-                project = both & (counts == 1)
-                if project.any():
-                    vec = mids[project] - center
-                    mids[project] = center + vec * (
-                        rad / np.linalg.norm(vec, axis=1)
-                    )[:, None]
+            both = (np.abs(vr[edges[:, 0]] - rad) < 1e-9 * max(rad, 1.0)) & (
+                np.abs(vr[edges[:, 1]] - rad) < 1e-9 * max(rad, 1.0)
+            )
+            project = both & (counts == 1)
+            if project.any():
+                vec = mids[project] - center
+                mids[project] = center + vec * (
+                    rad / np.linalg.norm(vec, axis=1)
+                )[:, None]
         nv = len(self.vertices)
         new_vertices = np.vstack([self.vertices, mids])
         a, b, c = self.cells.T
@@ -182,25 +169,6 @@ class Mesh:
             for tri in self.cells:
                 wr.writerow([int(tri[0]), int(tri[1]), int(tri[2])])
         return vpath, cpath
-
-    @staticmethod
-    def from_csv(prefix: str | Path, geometry: dict | None = None) -> "Mesh":
-        prefix = Path(prefix)
-        verts = np.loadtxt(
-            prefix.with_name(prefix.name + "_vertices.csv"),
-            delimiter=",",
-            skiprows=1,
-            usecols=(0, 1),
-            ndmin=2,
-        )
-        cells = np.loadtxt(
-            prefix.with_name(prefix.name + "_cells.csv"),
-            delimiter=",",
-            skiprows=1,
-            dtype=np.int64,
-            ndmin=2,
-        )
-        return Mesh(verts, cells, geometry or {})
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +235,6 @@ def disk_mesh(
         np.vstack([_ring_cells(len(radii) - 1, angular), fan]),
         {"kind": "disk", "radius": radius, "center": tuple(center),
          "grading": grading, "layers": layers},
-    )
-
-
-def annulus_mesh(
-    r_in: float,
-    r_out: float,
-    angular: int = 24,
-    layers: int = 8,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> Mesh:
-    """Annulus triangulated by concentric rings (uniform radial spacing)."""
-    if not (0 < r_in < r_out):
-        raise ValueError("need 0 < r_in < r_out")
-    radii = np.linspace(r_out, r_in, layers + 1)
-    theta = np.arange(angular) * (2.0 * math.pi / angular)
-    ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    verts = (radii[:, None, None] * ring[None, :, :]).reshape(-1, 2) + np.asarray(center)
-    return Mesh(
-        verts,
-        _ring_cells(layers, angular),
-        {"kind": "annulus", "r_in": r_in, "r_out": r_out, "center": tuple(center)},
     )
 
 

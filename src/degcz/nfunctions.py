@@ -6,8 +6,10 @@ The base function is phi(t) = t^p / p.  Its shifted versions
 
 have the closed two-branch form  a^(p-2) t^2 / 2  for t <= a  and
 a^p / 2 + (t^p - a^p) / p  for t > a, which is what this module evaluates;
-the defining integral is kept only as a test oracle.  Conjugation maps a
-shift a to the shift a^(p-1) on the conjugate exponent.
+the defining integral is kept only as a test oracle.  ``shifted_phi`` and
+``shifted_dphi`` give phi_a and its derivative as functions of (p, a, t);
+a = 0 recovers phi.  Conjugation maps a shift a to the shift a^(p-1) on the
+conjugate exponent: (phi_a)* is ``shifted_phi(p / (p - 1), a^(p - 1), t)``.
 """
 from __future__ import annotations
 
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PowerPhi",
-    "ShiftedPhi",
     "shifted_phi",
     "shifted_dphi",
     "a_map",
@@ -72,50 +72,6 @@ def shifted_dphi(p: float, a, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     a, t = np.broadcast_arrays(a, t)
     return np.where(t <= a, _pow(a, p - 2.0) * t, _pow(t, p - 1.0))
-
-
-@dataclass(frozen=True)
-class PowerPhi:
-    """The N-function t^p / p together with its conjugate t^p' / p'."""
-
-    p: float
-
-    def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"exponent must exceed 1, got {self.p}")
-
-    def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return _pow(t, self.p) / self.p
-
-    def derivative(self, t) -> np.ndarray:
-        return _pow(np.asarray(t, dtype=float), self.p - 1.0)
-
-    def shifted(self, a: float) -> "ShiftedPhi":
-        return ShiftedPhi(self, a)
-
-
-@dataclass(frozen=True)
-class ShiftedPhi:
-    """phi_a for the power base; a = 0 recovers phi itself."""
-
-    base: PowerPhi
-    a: float
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("shift must be nonnegative")
-
-    def value(self, t) -> np.ndarray:
-        return shifted_phi(self.base.p, self.a, t)
-
-    def derivative(self, t) -> np.ndarray:
-        return shifted_dphi(self.base.p, self.a, t)
-
-    def conjugate(self) -> "ShiftedPhi":
-        """(phi_a)* = (phi*)_{phi'(a)}."""
-        p = self.base.p
-        return ShiftedPhi(PowerPhi(_conj(p)), float(_pow(self.a, p - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +229,17 @@ def removal_shift_margins(p: float, a, t, delta):
     if np.any(delta <= 0) or np.any(delta > 1):
         raise ValueError("delta must lie in (0, 1]")
     q = _conj(p)
-    phi = PowerPhi(p)
-    phis = PowerPhi(q)
 
     lhs1 = shifted_dphi(p, a, t)
-    rhs1 = np.maximum(phi.derivative(t / delta), delta * phi.derivative(a))
+    rhs1 = np.maximum(_pow(t / delta, p - 1.0), delta * _pow(a, p - 1.0))
 
     c_p = removal_shift_constant(p)
     lhs2 = shifted_phi(p, a, t)
-    rhs2 = delta * phi.value(a) + c_p * delta * phi.value(t / delta)
+    rhs2 = delta * (_pow(a, p) / p) + c_p * delta * (_pow(t / delta, p) / p)
 
     c_q = removal_shift_constant(q)
     lhs3 = shifted_phi(q, _pow(a, p - 1.0), t)
-    rhs3 = (p / q) * delta * phi.value(a) + c_q * delta * phis.value(t / delta)
+    rhs3 = (p / q) * delta * (_pow(a, p) / p) + c_q * delta * (_pow(t / delta, q) / q)
     return (lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)
 
 

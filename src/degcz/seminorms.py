@@ -20,8 +20,7 @@ from .weight_algebra import (
     Field,
     QuadratureSpec,
     ball_nodes,
-    log_mean_matrix,
-    log_mean_scalar,
+    log_mean,
     node_batches,
     spectral_norm_sym,
 )
@@ -331,11 +330,10 @@ def prop_small_check(
         bmo_log = bmo(field.log(), standard_family(ball, levels=3), quad).value
     pts, w = ball_nodes(ball, quad, singular=field.singular_points)
     vals = field.evaluate(pts)
+    center = log_mean(field, ball, quad, nodes=(pts, w))
     if vals.ndim == 3:
-        center = log_mean_matrix(field, ball, quad, nodes=(pts, w))
         rel = spectral_norm_sym(vals - center) / spectral_norm_sym(center[None])[0]
     else:
-        center = log_mean_scalar(field, ball, quad, nodes=(pts, w))
         rel = np.abs(vals - center) / center
     lhs = float((np.sum(w * rel ** q) / w.sum()) ** (1.0 / q))
     ratio = lhs / (q * bmo_log) if bmo_log > 0 else (0.0 if lhs == 0.0 else math.inf)
@@ -388,7 +386,7 @@ def small_scalar_checks(
     if bmo_log is None:
         bmo_log = bmo(omega.log(), standard_family(ball, levels=3), quad).value
     pts, w = ball_nodes(ball, quad, singular=omega.singular_points)
-    lm = log_mean_scalar(omega, ball, quad, nodes=(pts, w))
+    lm = log_mean(omega, ball, quad, nodes=(pts, w))
     pts_f, w_f = ball_nodes(ball, quad.refined(4), singular=omega.singular_points)
     mean_pos, mean_neg, mean_pos_f, mean_neg_f = (
         m ** (1.0 / s)

@@ -6,11 +6,12 @@ functions, use symmetric eigendecomposition.  All field evaluators are
 batched: they map an ``(m, n)`` array of points to ``(m,)`` scalars or
 ``(m, n, n)`` matrices, and they must be stateless and act row by row, since
 ball quadrature evaluates the nodes of several balls in one call.
+:func:`log_mean` gives the logarithmic mean of a scalar or a matrix field from
+the logs that :meth:`Field.log` returns.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -21,10 +22,8 @@ __all__ = [
     "NotPositiveDefiniteError",
     "QuadratureFailureError",
     "SYMMETRY_RTOL",
-    "symmetrize",
     "spd_exp",
     "spd_log",
-    "condition_number",
     "sym_exp_batched",
     "sym_log_batched",
     "spectral_norm_sym",
@@ -37,8 +36,7 @@ __all__ = [
     "ball_nodes",
     "node_batches",
     "Field",
-    "log_mean_scalar",
-    "log_mean_matrix",
+    "log_mean",
     "SandwichReport",
     "sandwich_check",
     "constant_weight",
@@ -79,15 +77,6 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def symmetrize(m: np.ndarray, warn: bool = True) -> np.ndarray:
-    """Return ``(m + m.T) / 2``, warning if the defect exceeds tolerance."""
-    m = np.asarray(m, dtype=float)
-    asym = np.abs(m - m.T)
-    if warn and np.any(asym > SYMMETRY_RTOL * (1.0 + np.abs(m))):
-        warnings.warn("symmetrizing a matrix with defect above 1e-12", stacklevel=2)
-    return 0.5 * (m + m.T)
-
-
 def spd_exp(h: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix via eigendecomposition.
 
@@ -108,15 +97,6 @@ def spd_log(m: np.ndarray) -> np.ndarray:
     if w.min() <= 0.0:
         raise NotPositiveDefiniteError(f"matrix has eigenvalue {w.min():g} <= 0")
     return (v * np.log(w)) @ v.T
-
-
-def condition_number(m: np.ndarray) -> float:
-    """Spectral condition number lambda_max / lambda_min of an SPD matrix."""
-    m = _check_symmetric(m)
-    w = np.linalg.eigvalsh(m)
-    if w.min() <= 0.0:
-        raise NotPositiveDefiniteError(f"matrix has eigenvalue {w.min():g} <= 0")
-    return float(w.max() / w.min())
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +450,17 @@ class Field:
         return np.asarray(self.fn(np.atleast_2d(np.asarray(points, dtype=float))), dtype=float)
 
     def log(self) -> "Field":
+        """The pointwise logarithm: ``log_fn`` when given, else the log of the
+        values; raises :class:`NotPositiveDefiniteError` on a non-positive one."""
         base = self.fn
 
         def fn(pts):
             v = base(pts)
-            return sym_log_batched(v) if _is_matrix(v) else np.log(v)
+            if _is_matrix(v):
+                return sym_log_batched(v)
+            if np.any(v <= 0.0):
+                raise NotPositiveDefiniteError("scalar weight is not positive at a point")
+            return np.log(v)
 
         return replace(
             self, fn=self.log_fn or fn, label=f"log({self.label})", cond_bound=None, log_fn=None
@@ -540,49 +526,27 @@ ScalarField = MatrixField = ScalarWeightField = WeightField = Field
 # logarithmic means
 # ---------------------------------------------------------------------------
 
-def log_mean_scalar(
-    omega: Field,
+def log_mean(
+    field: Field,
     ball: Ball,
     quad: QuadratureSpec = MEAN_QUAD,
     nodes: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """exp of the ball average of log(omega): the multiplicative mean.
+) -> float | np.ndarray:
+    """The logarithmic mean exp(ball average of log field).
 
-    ``nodes`` is the ``(points, weights)`` pair of ``ball_nodes(ball, quad,
-    singular=...)`` for omega's singular points, when the caller has built it.
+    A float for a scalar field, the multiplicative mean; an SPD matrix for a
+    matrix field, which commutes with pointwise inversion.  ``nodes`` is the
+    ``(points, weights)`` pair of ``ball_nodes(ball, quad, singular=...)`` for
+    the field's singular points, when the caller has built it.
     """
     if nodes is None:
-        nodes = ball_nodes(ball, quad, singular=omega.singular_points)
+        nodes = ball_nodes(ball, quad, singular=field.singular_points)
     pts, w = nodes
-    if omega.log_fn is not None:
-        logs = omega.log_fn(pts)
-    else:
-        vals = omega.evaluate(pts)
-        if np.any(vals <= 0.0):
-            raise NotPositiveDefiniteError("scalar weight is not positive at a quadrature node")
-        logs = np.log(vals)
-    return float(np.exp(np.sum(w * logs) / np.sum(w)))
-
-
-def log_mean_matrix(
-    M: Field,
-    ball: Ball,
-    quad: QuadratureSpec = MEAN_QUAD,
-    nodes: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """exp of the ball average of log(M); commutes with pointwise inversion.
-
-    ``nodes`` is as for :func:`log_mean_scalar`.
-    """
-    if nodes is None:
-        nodes = ball_nodes(ball, quad, singular=M.singular_points)
-    pts, w = nodes
-    if M.log_fn is not None:
-        logs = M.log_fn(pts)
-    else:
-        logs = sym_log_batched(M.evaluate(pts))
+    logs = field.log().evaluate(pts)
+    if not _is_matrix(logs):
+        return float(np.exp(np.sum(w * logs) / np.sum(w)))
     mean = np.einsum("m,mij->ij", w, logs) / np.sum(w)
-    return spd_exp(symmetrize(mean, warn=False))
+    return spd_exp(0.5 * (mean + mean.T))
 
 
 @dataclass(frozen=True)
@@ -602,8 +566,8 @@ def sandwich_check(
     """Check the two-sided comparison of the matrix log-mean with the scalar one."""
     if M.cond_bound is None:
         raise ValueError("sandwich_check requires the field's condition bound")
-    m_b = log_mean_matrix(M, ball, quad)
-    omega_b = log_mean_scalar(M.omega(), ball, quad)
+    m_b = log_mean(M, ball, quad)
+    omega_b = log_mean(M.omega(), ball, quad)
     w = np.linalg.eigvalsh(m_b)
     lower = float(w.min() - omega_b / M.cond_bound)
     upper = float(omega_b - w.max())

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degcz.cli import main, parse_config_file
+from degcz.cli import build_parser, main, parse_config_file, resolve_config
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -43,6 +43,11 @@ class TestConfigParsing:
     def test_hash_starts_a_comment_only_outside_strings(self, tmp_path, value, parsed):
         cfg = parse_config_file(write_cfg(tmp_path / "c.cfg", f"experiment_id = {value}\n"))
         assert cfg == {"experiment_id": parsed}
+
+    def test_grid_sets_only_the_sweep_levels(self, tmp_path):
+        cfg = resolve_config(build_parser().parse_args(
+            ["cz-sweep", "--grid", "2", "--out", str(tmp_path)]))
+        assert cfg == {"seed": 0, "sweep": {"levels": [1, 2]}, "threads": 1, "out": str(tmp_path)}
 
     def test_malformed_line(self, tmp_path):
         path = write_cfg(tmp_path / "bad.cfg", "just words\n")
@@ -92,6 +97,18 @@ class TestExitCodes:
         assert main(["analyze-weight", "--config", write_cfg(tmp_path / "w.cfg", text),
                      "--out", str(out)]) == 1
         assert "usage error: " in capsys.readouterr().err
+        assert not (out / "weight_summary.csv").exists()
+
+    @pytest.mark.parametrize("weight, center", [
+        ('weight.kind = "power"\nweight.exponent = 0.25', "[0.0]"),
+        ('weight.kind = "power-radial"\nweight.eps = 0.25', "[0, 0, 0]"),
+    ])
+    def test_usage_error_domain_dimension(self, tmp_path, capsys, weight, center):
+        text = f"{weight}\ndomain.center = {center}\n"
+        out = tmp_path / "o"
+        assert main(["analyze-weight", "--config", write_cfg(tmp_path / "w.cfg", text),
+                     "--out", str(out)]) == 1
+        assert "usage error: domain.center must have" in capsys.readouterr().err
         assert not (out / "weight_summary.csv").exists()
 
     def test_nfun_props_single_sample_runs(self, tmp_path):

@@ -20,6 +20,7 @@ ECHOES = {
     "solve": "solve_config.json",
     "cz-sweep": "cz_sweep_config.json",
     "nfun-props": "nfun_props_config.json",
+    "verify-example": "verify_example_config.json",
 }
 
 
@@ -31,10 +32,10 @@ def _cases(*commands):
     ]
 
 
-def _check_bodies(case, command, tmp_path):
+def _check_bodies(case, command, tmp_path, code=0):
     ref = GOLDEN / case
     out = tmp_path / case
-    assert main([command, "--config", str(ref / "config.cfg"), "--out", str(out)]) == 0
+    assert main([command, "--config", str(ref / "config.cfg"), "--out", str(out)]) == code
     echo_name = ECHOES[command]
     bodies = sorted(p.name for p in ref.iterdir() if p.name not in ("config.cfg", echo_name))
     assert sorted(p.name for p in out.iterdir() if p.name != echo_name) == bodies
@@ -62,6 +63,14 @@ def test_p2_solver_bodies_are_byte_identical(case, command, tmp_path):
 def test_nfun_props_bodies_are_byte_identical(case, tmp_path):
     """The default p list at seed 1, conjugate-duality rows included."""
     _check_bodies(case, "nfun-props", tmp_path)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _cases("verify-example")])
+def test_verify_example_bodies_are_byte_identical(case, tmp_path):
+    """Both variants at n = 2, the only runs that refine disk meshes.  The
+    degenerate weight fails ``residual_refinement`` and exits 4, but the
+    table it writes is pinned all the same."""
+    _check_bodies(case, "verify-example", tmp_path, 4 if case == "verify_degenerate" else 0)
 
 
 def test_every_golden_case_names_one_command():

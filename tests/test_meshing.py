@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from degcz.meshing import Mesh, annulus_mesh, cells_in_ball, disk_mesh, region_mean, unit_square_mesh
+from degcz.meshing import Mesh, cells_in_ball, disk_mesh, region_mean, unit_square_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -21,22 +21,17 @@ def reference_refine(mesh):
     edges, counts = reference_edges(mesh.cells)
     edge_ids = {tuple(e): i for i, e in enumerate(edges)}
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    kind = mesh.geometry.get("kind")
-    if kind in ("unit-disk", "disk", "annulus"):
+    if mesh.geometry.get("kind") == "disk":
         center = np.asarray(mesh.geometry.get("center", (0.0, 0.0)))
-        if kind == "annulus":
-            radii = [mesh.geometry["r_in"], mesh.geometry["r_out"]]
-        else:
-            radii = [mesh.geometry["radius"]]
+        rad = mesh.geometry["radius"]
         vr = np.linalg.norm(mesh.vertices - center, axis=1)
-        for rad in radii:
-            both = (np.abs(vr[edges[:, 0]] - rad) < 1e-9 * max(rad, 1.0)) & (
-                np.abs(vr[edges[:, 1]] - rad) < 1e-9 * max(rad, 1.0)
-            )
-            project = both & (counts == 1)
-            if project.any():
-                vec = mids[project] - center
-                mids[project] = center + vec * (rad / np.linalg.norm(vec, axis=1))[:, None]
+        both = (np.abs(vr[edges[:, 0]] - rad) < 1e-9 * max(rad, 1.0)) & (
+            np.abs(vr[edges[:, 1]] - rad) < 1e-9 * max(rad, 1.0)
+        )
+        project = both & (counts == 1)
+        if project.any():
+            vec = mids[project] - center
+            mids[project] = center + vec * (rad / np.linalg.norm(vec, axis=1))[:, None]
     nv = len(mesh.vertices)
     cells = []
     for tri in mesh.cells:
@@ -137,13 +132,6 @@ class TestConstruction:
         mesh = unit_square_mesh(2)
         assert Mesh(mesh.vertices, mesh.cells).cells is mesh.cells
 
-    def test_annulus(self):
-        mesh = annulus_mesh(0.5, 1.0, angular=32, layers=6)
-        exact = math.pi * (1.0 - 0.25)
-        assert mesh.areas.sum() == pytest.approx(exact, rel=2e-2)
-        r = np.linalg.norm(mesh.vertices[mesh.boundary_vertices], axis=1)
-        assert set(np.round(r, 6)) == {0.5, 1.0}
-
 
 class TestGradients:
     def test_linear_exact(self):
@@ -177,7 +165,7 @@ class TestRefine:
 class TestArrayCodeMatchesLoops:
     MESHES = {
         "graded-disk": lambda: disk_mesh(angular=20, layers=36, grading=0.7),
-        "annulus": lambda: annulus_mesh(0.4, 1.0, angular=14, layers=5, center=(0.2, -0.1)),
+        "off-centre-disk": lambda: disk_mesh(angular=14, layers=5, center=(0.2, -0.1)),
         "square": lambda: unit_square_mesh(6),
     }
 
@@ -203,10 +191,6 @@ class TestArrayCodeMatchesLoops:
         for angular, layers in ((20, 36), (6, 1), (9, 4)):
             mesh = disk_mesh(radius=1.5, angular=angular, layers=layers, center=(0.1, 0.3))
             want = Mesh(mesh.vertices, np.asarray(reference_disk_cells(angular, layers)))
-            assert np.array_equal(mesh.cells, want.cells)
-        for angular, layers in ((14, 5), (8, 1)):
-            mesh = annulus_mesh(0.4, 1.0, angular=angular, layers=layers)
-            want = Mesh(mesh.vertices, np.asarray(reference_ring_cells(layers, angular)))
             assert np.array_equal(mesh.cells, want.cells)
         for k in (1, 6):
             mesh = unit_square_mesh(k)
@@ -240,7 +224,9 @@ class TestRegions:
 class TestIO:
     def test_csv_round_trip(self, tmp_path):
         mesh = disk_mesh(angular=12, layers=4, grading=0.7)
-        mesh.to_csv(tmp_path / "m")
-        back = Mesh.from_csv(tmp_path / "m", dict(mesh.geometry))
-        assert np.allclose(back.vertices, mesh.vertices)
+        vpath, cpath = mesh.to_csv(tmp_path / "m")
+        verts = np.loadtxt(vpath, delimiter=",", skiprows=1)
+        back = Mesh(verts[:, :2], np.loadtxt(cpath, delimiter=",", skiprows=1, dtype=np.int64))
+        assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.cells, mesh.cells)
+        assert np.array_equal(verts[:, 2], mesh.boundary_mask)

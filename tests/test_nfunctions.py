@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate
 
 from degcz.nfunctions import (
-    PowerPhi,
-    ShiftedPhi,
+    _pow,
     a_map,
     change_of_shift_needed_c,
     conjugate_by_maximization,
@@ -16,6 +15,7 @@ from degcz.nfunctions import (
     phi_a_equivalence_ratio,
     removal_shift_margins,
     run_property_sweep,
+    shifted_dphi,
     shifted_phi,
     v_map,
     weighted_maps,
@@ -71,8 +71,6 @@ class TestShiftedPhi:
     def test_matches_two_power_expression_bitwise(self, p):
         """One a^p serves both terms of the upper branch; addition commutes,
         so every bit of the expression that evaluated it twice is kept."""
-        from degcz.nfunctions import _pow
-
         def reference(p, a, t):
             a, t = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
             below = _pow(a, p - 2.0) * t * t / 2.0
@@ -86,15 +84,18 @@ class TestShiftedPhi:
             assert np.array_equal(shifted_phi(p, a_, t_), reference(p, a_, t_))
 
     def test_shift_zero_recovers_phi(self):
-        phi = PowerPhi(3.0)
         t = np.linspace(0.1, 5, 17)
-        assert np.allclose(ShiftedPhi(phi, 0.0).value(t), phi.value(t))
+        assert np.allclose(shifted_phi(3.0, 0.0, t), t ** 3 / 3.0)
+        assert np.allclose(shifted_dphi(3.0, 0.0, t), t ** 2)
 
     def test_conjugate_shift_map(self):
-        sp = ShiftedPhi(PowerPhi(3.0), 2.0)
-        conj = sp.conjugate()
-        assert conj.base.p == pytest.approx(1.5)
-        assert conj.a == pytest.approx(4.0)  # phi'(2) = 2^(p-1)
+        # (phi_a)* = (phi*)_{phi'(a)} on the conjugate exponent p' = p / (p - 1)
+        p, a = 3.0, 2.0
+        shift = float(_pow(a, p - 1.0))
+        assert shift == pytest.approx(4.0)  # phi'(2) = 2^(p-1)
+        t = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 9))
+        assert np.allclose(shifted_phi(p / (p - 1.0), shift, t),
+                           conjugate_by_maximization(p, a, t), rtol=1e-8)
 
 
 class TestMaps:
@@ -289,13 +290,12 @@ class TestEquivalences:
     def test_shift_scaling_branches(self):
         # phi_a(lambda a) against lambda^2 phi(a) below 1 and phi(lambda a) above
         p = 3.0
-        phi = PowerPhi(p)
         a = 2.0
         for lam in (0.1, 0.5, 0.9):
-            ratio = shifted_phi(p, a, lam * a) / (lam ** 2 * phi.value(a))
+            ratio = shifted_phi(p, a, lam * a) / (lam ** 2 * shifted_phi(p, 0.0, a))
             assert ratio == pytest.approx(p / 2.0, rel=1e-12)
         for lam in (1.5, 4.0, 32.0):
-            ratio = shifted_phi(p, a, lam * a) / phi.value(lam * a)
+            ratio = shifted_phi(p, a, lam * a) / shifted_phi(p, 0.0, lam * a)
             assert min(1.0, p / 2.0) - 1e-12 <= ratio <= max(1.0, p / 2.0) + 1e-12
 
 

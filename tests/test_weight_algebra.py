@@ -14,13 +14,11 @@ from degcz.weight_algebra import (
     NotSymmetricError,
     QuadratureSpec,
     ball_nodes,
-    condition_number,
     constant_weight,
     euclidean_norm,
     identity_weight,
     lambda_max_sym,
-    log_mean_matrix,
-    log_mean_scalar,
+    log_mean,
     node_batches,
     sandwich_check,
     scalar_weight_from_config,
@@ -90,11 +88,12 @@ class TestSpdFunctions:
             spd_log(np.diag([1.0, -2.0]))
 
     def test_condition_number(self):
-        assert condition_number(np.eye(2)) == pytest.approx(1.0)
         theta = 0.5
         m = theta * np.eye(2) + (1 - theta) * np.outer([1, 0], [1, 0])
-        assert condition_number(m) == pytest.approx(2.0)
-        assert condition_number(np.diag([4.0, 1.0])) == pytest.approx(4.0)
+        for matrix, cond in ((np.eye(2), 1.0), (m, 2.0), (np.diag([4.0, 1.0]), 4.0)):
+            field = constant_weight(matrix)
+            assert field.cond_bound == pytest.approx(cond)
+            assert field.measured_condition(np.zeros((3, 2))) == pytest.approx(cond)
 
 
 class TestBallQuadrature:
@@ -235,15 +234,40 @@ class TestLogMeans:
         w = weight_from_config({"kind": "power-radial", "eps": 0.25})
         ball, quad = Ball((0.1, 0.2), 0.5), QuadratureSpec("polar-midpoint", (64, 32))
         nodes = ball_nodes(ball, quad, singular=np.zeros((1, 2)))
-        assert log_mean_scalar(w.omega(), ball, quad, nodes=nodes) == (
-            log_mean_scalar(w.omega(), ball, quad)
+        assert log_mean(w.omega(), ball, quad, nodes=nodes) == (
+            log_mean(w.omega(), ball, quad)
         )
-        assert np.array_equal(log_mean_matrix(w, ball, quad, nodes=nodes),
-                              log_mean_matrix(w, ball, quad))
+        assert np.array_equal(log_mean(w, ball, quad, nodes=nodes),
+                              log_mean(w, ball, quad))
+
+    @pytest.mark.parametrize("closed_form_log", [True, False])
+    def test_matches_the_scalar_and_matrix_reductions_bitwise(self, closed_form_log):
+        """One log mean keeps the bits of the former scalar and matrix means,
+        with the field's ``log_fn`` and without it."""
+        quad = QuadratureSpec("polar-midpoint", (64, 32))
+        for cfg in ({"kind": "power-radial", "eps": 0.25}, {"kind": "log-normal", "seed": 3}):
+            w = weight_from_config(cfg)
+            om = w.omega()
+            if not closed_form_log:
+                w, om = replace(w, log_fn=None), replace(om, log_fn=None)
+            for ball in (Ball((0.1, 0.2), 0.5), Ball((0.0, 0.0), 0.3)):
+                pts, wts = ball_nodes(ball, quad, singular=w.singular_points)
+                logs = om.log_fn(pts) if closed_form_log else np.log(om.evaluate(pts))
+                want = float(np.exp(np.sum(wts * logs) / np.sum(wts)))
+                assert log_mean(om, ball, quad) == want
+                logs = w.log_fn(pts) if closed_form_log else sym_log_batched(w.evaluate(pts))
+                mean = np.einsum("m,mij->ij", wts, logs) / np.sum(wts)
+                assert np.array_equal(log_mean(w, ball, quad), spd_exp(0.5 * (mean + mean.T)))
+
+    def test_non_positive_scalar_rejected(self, unit_ball):
+        field = scalar_weight_from_config({"kind": "power", "exponent": 1.0})
+        shifted = replace(field, fn=lambda pts: field.fn(pts) - 0.5, log_fn=None)
+        with pytest.raises(NotPositiveDefiniteError):
+            log_mean(shifted, unit_ball)
 
     def test_constant_scalar(self, unit_ball):
         om = scalar_weight_from_config({"kind": "constant", "value": 2.5})
-        assert log_mean_scalar(om, unit_ball) == pytest.approx(2.5, rel=1e-12)
+        assert log_mean(om, unit_ball) == pytest.approx(2.5, rel=1e-12)
 
     def test_power_weight_closed_form(self):
         # oracle: mean of log|x| over B_r(0) in 2d equals log r - 1/2, checked
@@ -254,32 +278,32 @@ class TestLogMeans:
             oracle, _ = integrate.quad(lambda s: math.log(s) * 2.0 * s / r ** 2, 0.0, r)
             expected = math.exp(eps * oracle)
             assert expected == pytest.approx(r ** eps * math.exp(-eps / 2.0), rel=1e-12)
-            got = log_mean_scalar(om, Ball((0.0, 0.0), r), MEAN_QUAD)
+            got = log_mean(om, Ball((0.0, 0.0), r), MEAN_QUAD)
             assert got == pytest.approx(expected, abs=1e-6)
 
     def test_inversion_duality_scalar(self, unit_ball):
         om = scalar_weight_from_config({"kind": "power", "exponent": 0.4})
-        v = log_mean_scalar(om, unit_ball)
-        vi = log_mean_scalar(om.inverse(), unit_ball)
+        v = log_mean(om, unit_ball)
+        vi = log_mean(om.inverse(), unit_ball)
         assert abs(vi - 1.0 / v) <= 1e-10
 
     def test_scaling(self, unit_ball):
         om = scalar_weight_from_config({"kind": "power", "exponent": 0.4})
-        v = log_mean_scalar(om, unit_ball)
-        vt = log_mean_scalar(om.scaled(17.0), unit_ball)
+        v = log_mean(om, unit_ball)
+        vt = log_mean(om.scaled(17.0), unit_ball)
         assert vt == pytest.approx(17.0 * v, rel=1e-12)
 
     def test_constant_matrix(self, unit_ball, rng):
         c = random_spd(rng, 1, 2, max_cond=50)[0]
         field = constant_weight(c)
-        assert np.allclose(log_mean_matrix(field, unit_ball), c, rtol=1e-10)
+        assert np.allclose(log_mean(field, unit_ball), c, rtol=1e-10)
 
     def test_inversion_duality_matrix(self, unit_ball):
         from degcz.exact_examples import MeyersExample
 
         field = MeyersExample(2, 0.5, "plain").weight_field()
-        m = log_mean_matrix(field, unit_ball)
-        mi = log_mean_matrix(field.inverse(), unit_ball)
+        m = log_mean(field, unit_ball)
+        mi = log_mean(field.inverse(), unit_ball)
         assert np.abs(mi - np.linalg.inv(m)).max() <= 1e-10
 
     def test_rotation_average_contracts_spectrum(self, unit_ball):
@@ -288,8 +312,8 @@ class TestLogMeans:
 
         ex = MeyersExample(2, 0.5, "plain", theta_override=0.5)
         field = ex.weight_field()
-        m = log_mean_matrix(field, unit_ball, MEAN_QUAD)
-        mc = log_mean_matrix(field, unit_ball, QuadratureSpec("monte-carlo", 1_000_000, seed=9))
+        m = log_mean(field, unit_ball, MEAN_QUAD)
+        mc = log_mean(field, unit_ball, QuadratureSpec("monte-carlo", 1_000_000, seed=9))
         assert np.abs(m - mc).max() <= 5e-3
         evs = np.linalg.eigvalsh(m)
         assert 0.5 < evs.min() <= evs.max() < 1.0
