@@ -27,7 +27,6 @@ from .pde_solver import (
     interpolate,
     solve,
     weak_residual,
-    weighted_lp_norm,
 )
 from .cz_harness import (
     CzReport,
@@ -36,7 +35,6 @@ from .cz_harness import (
     caccioppoli_check,
     comparison_check,
     cz_ratio,
-    maximal,
     poincare_check,
     run_sweep,
     sharp_maximal,

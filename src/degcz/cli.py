@@ -29,6 +29,7 @@ from .weight_algebra import (
     QuadratureSpec,
     SCALAR_WEIGHT_KINDS,
     lambda_max_sym,
+    sandwich_check,
     scalar_weight_from_config,
     weight_from_config,
 )
@@ -109,13 +110,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
-    if args.eps is not None:
+    # a command registers only the flags it reads, so the others are absent
+    if getattr(args, "eps", None) is not None:
         _set(cfg, "example.eps", args.eps)
-    if args.p is not None:
+    if getattr(args, "p", None) is not None:
         _set(cfg, "problem.p", args.p)
-    if args.rho is not None:
+    if getattr(args, "rho", None) is not None:
         _set(cfg, "sweep.rho", [args.rho])
-    if args.grid is not None:
+    if getattr(args, "grid", None) is not None:
         _set(cfg, "sweep.levels", list(range(1, args.grid + 1)))
     cfg["threads"] = args.threads
     out = os.environ.get("DEGCZ_OUT") or args.out
@@ -213,10 +215,12 @@ def cmd_analyze_weight(cfg: dict) -> int:
         summary["bmo_log_M"] = est_m.value
         rows.append(("bmo_log_M", est_m.value, est_m.attaining_ball.radius))
         record_balls("bmo_log_M", est_m)
-        # refined() extends the ladder, so its first ladder.count rows are the
-        # ladder's own per-ball values
+        # the three-level ladder starts with the two-level one, so its first
+        # ladder.count rows are the shallow ladder's own per-ball values
         ladder = seminorms.BallFamily.origin_ladder(dom, levels=2)
-        est_raw_deep = seminorms.bmo(matrix, ladder.refined(), quad)
+        est_raw_deep = seminorms.bmo(
+            matrix, seminorms.BallFamily.origin_ladder(dom, levels=3), quad
+        )
         raw_value = max(row[4] for row in est_raw_deep.rows[:ladder.count])
         unbounded = est_raw_deep.value > 1.5 * raw_value
         summary["bmo_M"] = est_raw_deep.value
@@ -271,12 +275,45 @@ def cmd_analyze_weight(cfg: dict) -> int:
     return 0
 
 
-def _example_from_cfg(cfg: dict) -> exact_examples.MeyersExample:
-    return exact_examples.MeyersExample(
-        n=int(_get(cfg, "example.n", 2)),
-        eps=float(_get(cfg, "example.eps", 0.25)),
-        variant=str(_get(cfg, "example.variant", "plain")),
-        theta_override=_get(cfg, "example.theta_override"),
+def _example_from_cfg(cfg: dict, eps=None) -> exact_examples.MeyersExample:
+    """The configured example, at ``eps`` when given; bad ``example.*``
+    settings are usage errors."""
+    try:
+        return exact_examples.MeyersExample(
+            n=int(_get(cfg, "example.n", 2)),
+            eps=float(_get(cfg, "example.eps", 0.25) if eps is None else eps),
+            variant=str(_get(cfg, "example.variant", "plain")),
+            theta_override=_get(cfg, "example.theta_override"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"example settings: {exc}") from exc
+
+
+#: B0 of the local checks in verify-example: centred on the singular point,
+#: with 2 B0 inside the unit disk
+LOCAL_BALL = Ball((0.0, 0.0), 0.4)
+
+LOCAL_COLUMNS = (
+    "level", "cells", "caccioppoli_lhs", "caccioppoli_rhs", "poincare_lhs",
+    "poincare_rhs", "poincare_condition_value", "poincare_condition_flagged",
+    "comparison_lhs", "oscillation_term", "u_term", "data_term", "bmo_log",
+    "sandwich_lower_margin", "sandwich_upper_margin", "sandwich_holds",
+)
+
+
+def _local_row(level: int, u, prob, sandwich) -> tuple:
+    """Both sides of the local estimates on B0 = LOCAL_BALL at one mesh level:
+    Caccioppoli, Poincare (p = 2, theta = 1) and the comparison of the
+    localized solution with the one frozen at the log-mean of (1/2) B0."""
+    cacc = cz_harness.caccioppoli_check(u, prob, LOCAL_BALL)
+    poin = cz_harness.poincare_check(u, prob.weight.omega(), LOCAL_BALL, p=2.0, theta=1.0)
+    tri = cz_harness.build_localized(u, prob, LOCAL_BALL)
+    comp = cz_harness.comparison_check(tri, prob, delta=0.3)
+    return (
+        level, u.mesh.num_cells, cacc.lhs, cacc.rhs, poin.lhs, poin.rhs,
+        poin.condition_value, int(poin.condition_flagged), comp.lhs,
+        comp.oscillation_term, comp.u_term, comp.data_term, comp.bmo_log,
+        sandwich.lower_margin, sandwich.upper_margin, int(sandwich.holds),
     )
 
 
@@ -314,15 +351,19 @@ def cmd_verify_example(cfg: dict) -> int:
         )
     checks.append(("gradient_fd", fd_err <= 1e-5, fd_err))
 
+    local_rows = []
     if ex.n == 2:
         wfield = ex.weight_field()
         prob = pde_solver.WeakProblem(wfield, 2.0, None, ex.u_with_origin)
+        # the log-mean sandwich does not depend on the mesh
+        sandwich = sandwich_check(wfield, LOCAL_BALL.scaled(0.5))
         residuals = []
         mesh = disk_mesh(angular=20, layers=16, grading=0.7)
         for level in range(3):
             u = pde_solver.interpolate(mesh, ex.u_with_origin)
             res, _ = pde_solver.weak_residual(prob, u)
             residuals.append(res)
+            local_rows.append(_local_row(level, u, prob, sandwich))
             if level < 2:
                 mesh = mesh.refine()
         # observed order >= 0.5 in h over two quadrisections when the flux is
@@ -331,8 +372,10 @@ def cmd_verify_example(cfg: dict) -> int:
         checks.append(("residual_refinement", vanishing, residuals[-1] / residuals[0]))
 
     rows = [(name, int(ok), val) for name, ok, val in checks]
-    write_csv(out / "verify_example.csv", ("check", "passed", "value"), rows,
-              {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]})
+    header = {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]}
+    write_csv(out / "verify_example.csv", ("check", "passed", "value"), rows, header)
+    if local_rows:
+        write_csv(out / "verify_local.csv", LOCAL_COLUMNS, local_rows, header)
     for name, ok, val in checks:
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({val:.3e})")
     if not all(ok for _, ok, _ in checks):
@@ -422,10 +465,13 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_cz_sweep(cfg: dict) -> int:
     out = _outdir(cfg)
     resolved = _echo_config(cfg, out, "cz-sweep")
+    # checks example.n and example.variant too, before they are read below
+    eps_list = tuple(_example_from_cfg(cfg, eps).eps
+                     for eps in np.atleast_1d(_get(cfg, "example.eps", [0.5])).tolist())
     spec = cz_harness.SweepSpec(
         variant=str(_get(cfg, "example.variant", "plain")),
         n=int(_get(cfg, "example.n", 2)),
-        eps_list=tuple(np.atleast_1d(_get(cfg, "example.eps", [0.5])).tolist()),
+        eps_list=eps_list,
         rho_list=tuple(_get(cfg, "sweep.rho", [2.0, 3.0, 5.0])),
         levels=tuple(_get(cfg, "sweep.levels", [1, 2, 3])),
         ball_center=tuple(_get(cfg, "ball.center", (0.0, 0.0))),
@@ -521,27 +567,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments around degenerate matrix-weighted elliptic estimates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze-weight", "verify-example", "solve", "cz-sweep",
-                 "nfun-props", "report"):
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", type=str, default="degcz_out")
-        sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--rho", type=float, default=None)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", type=_FLAG_TYPES[flag], default=None)
     return parser
 
 
+_FLAG_TYPES = {"eps": float, "p": float, "grid": int, "rho": float}
+
+#: each command with the setting flags it reads, on top of --config, --seed,
+#: --threads and --out
 _COMMANDS = {
-    "analyze-weight": cmd_analyze_weight,
-    "verify-example": cmd_verify_example,
-    "solve": cmd_solve,
-    "cz-sweep": cmd_cz_sweep,
-    "nfun-props": cmd_nfun_props,
-    "report": cmd_report,
+    "analyze-weight": (cmd_analyze_weight, ()),
+    "verify-example": (cmd_verify_example, ("eps",)),
+    "solve": (cmd_solve, ("eps", "p")),
+    "cz-sweep": (cmd_cz_sweep, ("eps", "p", "grid", "rho")),
+    "nfun-props": (cmd_nfun_props, ()),
+    "report": (cmd_report, ()),
 }
 
 
@@ -553,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else 0
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,7 +47,6 @@ __all__ = [
     "LocalizedTriple",
     "build_localized",
     "comparison_check",
-    "maximal",
     "sharp_maximal",
     "fefferman_stein_constant",
     "SweepSpec",
@@ -296,38 +295,21 @@ def comparison_check(
 # discrete maximal operators
 # ---------------------------------------------------------------------------
 
-def _family_max(mesh: Mesh, fam: BallFamily, per_ball) -> np.ndarray:
-    """Per cell, the max of ``per_ball(mask)`` over the family balls whose
-    cell region ``mask`` holds its barycenter (0 where none does)."""
+def sharp_maximal(
+    mesh: Mesh, cell_values: np.ndarray, rho: float, fam: BallFamily
+) -> np.ndarray:
+    """Sharp (mean-oscillation) maximal field over the family, brute force:
+    per cell, the max of the rho-oscillation over the family balls whose cell
+    region holds its barycenter (0 where none does)."""
+    vals = np.asarray(cell_values, dtype=float)
     out = np.zeros(mesh.num_cells)
     for ball in fam.balls:
         mask = cells_in_ball(mesh, ball.center, ball.radius)
         if mask.any():
-            np.maximum(out, np.where(mask, per_ball(mask), 0.0), out=out)
+            dev = np.abs(vals - region_mean(mesh, vals, mask)) ** rho
+            osc = region_mean(mesh, dev, mask) ** (1.0 / rho)
+            np.maximum(out, np.where(mask, osc, 0.0), out=out)
     return out
-
-
-def maximal(mesh: Mesh, cell_values: np.ndarray, rho: float, fam: BallFamily) -> np.ndarray:
-    """Hardy-Littlewood-type maximal field over the family, brute force.
-
-    Returns, per cell, the max over family balls containing its barycenter of
-    the rho-mean of |f| over the ball.
-    """
-    vals = np.abs(np.asarray(cell_values, dtype=float)) ** rho
-    return _family_max(mesh, fam, lambda mask: region_mean(mesh, vals, mask) ** (1.0 / rho))
-
-
-def sharp_maximal(
-    mesh: Mesh, cell_values: np.ndarray, rho: float, fam: BallFamily
-) -> np.ndarray:
-    """Sharp (mean-oscillation) maximal field over the family, brute force."""
-    vals = np.asarray(cell_values, dtype=float)
-
-    def osc(mask):
-        dev = np.abs(vals - region_mean(mesh, vals, mask)) ** rho
-        return region_mean(mesh, dev, mask) ** (1.0 / rho)
-
-    return _family_max(mesh, fam, osc)
 
 
 def _lq_norm(mesh: Mesh, cell_values: np.ndarray, q: float) -> float:

@@ -31,7 +31,6 @@ class Mesh:
     vertices: np.ndarray            # (nv, 2)
     cells: np.ndarray               # (nc, 3) int
     geometry: dict = field(default_factory=dict)
-    refinement_level: int = 0
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -145,12 +144,7 @@ class Mesh:
         a, b, c = self.cells.T
         ab, bc, ca = (nv + self.cell_edges).T
         cells = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
-        return Mesh(
-            new_vertices,
-            cells,
-            dict(self.geometry),
-            self.refinement_level + 1,
-        )
+        return Mesh(new_vertices, cells, dict(self.geometry))
 
     # -- persistence ----------------------------------------------------------
 
@@ -233,8 +227,7 @@ def disk_mesh(
     return Mesh(
         verts,
         np.vstack([_ring_cells(len(radii) - 1, angular), fan]),
-        {"kind": "disk", "radius": radius, "center": tuple(center),
-         "grading": grading, "layers": layers},
+        {"kind": "disk", "radius": radius, "center": tuple(center)},
     )
 
 

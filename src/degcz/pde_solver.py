@@ -42,9 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from .meshing import Mesh, cells_in_ball, region_mean
+from .meshing import Mesh
 from .nfunctions import a_map
-from .weight_algebra import Ball, Field
+from .weight_algebra import Field
 
 __all__ = [
     "NonconvergenceError",
@@ -56,7 +56,6 @@ __all__ = [
     "energy",
     "weak_residual",
     "solve",
-    "weighted_lp_norm",
     "weighted_h1_error",
 ]
 
@@ -424,25 +423,8 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
 
 
 # ---------------------------------------------------------------------------
-# weighted norms and errors
+# weighted errors
 # ---------------------------------------------------------------------------
-
-def weighted_lp_norm(
-    u: DiscreteField, omega: Field, rho: float, region: Ball
-) -> float:
-    """(mean over the region of (|grad u| omega)^rho)^(1/rho).
-
-    Cells belong to the region when their barycenter does; the mean is taken
-    against the covered area.
-    """
-    if rho < 1:
-        raise ValueError("rho must be at least 1")
-    mesh = u.mesh
-    mask = cells_in_ball(mesh, region.center, region.radius)
-    grads = np.linalg.norm(u.cell_gradients(), axis=1)
-    values = (grads * omega.evaluate(mesh.barycenters)) ** rho
-    return region_mean(mesh, values, mask) ** (1.0 / rho)
-
 
 def weighted_h1_error(
     u: DiscreteField,

@@ -94,21 +94,6 @@ class BallFamily:
         return BallFamily(tuple(balls), "dyadic-grid", domain, (("levels", float(levels)),))
 
     @staticmethod
-    def random(
-        domain: Ball, count: int, r_min: float, r_max: float, seed: int
-    ) -> "BallFamily":
-        rng = np.random.default_rng(seed)
-        center = np.asarray(domain.center)
-        balls = []
-        while len(balls) < count:
-            g = rng.standard_normal(domain.dim)
-            g /= np.linalg.norm(g)
-            c = center + g * domain.radius * rng.random() ** (1.0 / domain.dim)
-            r = math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
-            balls.append(Ball(tuple(c), min(r, domain.radius)))
-        return BallFamily(tuple(balls), "random", domain, (("seed", float(seed)),))
-
-    @staticmethod
     def origin_ladder(
         domain: Ball, levels: int, scale: float = 1e-4, offsets: bool = True
     ) -> "BallFamily":
@@ -143,11 +128,7 @@ class BallFamily:
                 self.domain, int(meta.get("levels", 2)) + 1, meta.get("scale", 1e-4)
             )
         else:
-            seed = int(meta.get("seed", 0))
-            radii = [b.radius for b in self.balls]
-            extra = BallFamily.random(
-                self.domain, self.count, min(radii), max(radii), seed + 1
-            )
+            raise ValueError(f"cannot refine a {self.strategy!r} family")
         return self.union(extra)
 
 

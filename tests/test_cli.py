@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,31 @@ class TestConfigParsing:
     def test_malformed_line(self, tmp_path):
         path = write_cfg(tmp_path / "bad.cfg", "just words\n")
         assert main(["nfun-props", "--config", path, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command, reads", [
+        ("analyze-weight", ()),
+        ("verify-example", ("eps",)),
+        ("solve", ("eps", "p")),
+        ("cz-sweep", ("eps", "p", "grid", "rho")),
+        ("nfun-props", ()),
+        ("report", ()),
+    ])
+    def test_each_command_accepts_only_the_flags_it_reads(self, command, reads):
+        parser = build_parser()
+        for flag, value in (("eps", "0.3"), ("p", "3"), ("grid", "2"), ("rho", "4")):
+            argv = [command, f"--{flag}", value, "--seed", "1", "--threads", "1"]
+            if flag in reads:
+                assert parser.parse_args(argv).seed == 1
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+
+    def test_unread_flags_are_a_usage_error(self, tmp_path):
+        # nothing is written, so no echo or settings hash records them
+        out = tmp_path / "o"
+        assert main(["nfun-props", "--p", "3", "--rho", "9", "--grid", "2", "--eps", "0.1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -119,6 +145,15 @@ class TestExitCodes:
         rows = (out / "nfun_props.csv").read_text().splitlines()
         assert "2,shift-scaling,nan,nan,0" in rows
 
+    @pytest.mark.parametrize("command", ["verify-example", "solve", "cz-sweep"])
+    def test_usage_error_bad_example_settings(self, tmp_path, capsys, command):
+        out = str(tmp_path / "o")
+        assert main([command, "--eps", "0.75", "--out", out]) == 1
+        assert "usage error: example settings: eps must lie in (0, 1/2]" in capsys.readouterr().err
+        for text in ('example.variant = "wavy"\n', 'example.n = "x"\n', "example.n = 1\n"):
+            assert main([command, "--config", write_cfg(tmp_path / "e.cfg", text),
+                         "--out", out]) == 1
+
     def test_setup_error_bad_mesh(self, tmp_path):
         cfg = write_cfg(tmp_path / "m.cfg", 'mesh.kind = "torus"\n')
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -174,6 +209,16 @@ class TestExitCodes:
 
 
 class TestVerifyExample:
+    @pytest.mark.parametrize("variant, code", [("plain", 0), ("degenerate", 4)])
+    def test_local_table_is_finite(self, tmp_path, variant, code):
+        cfg = write_cfg(tmp_path / "v.cfg", f'example.variant = "{variant}"\n')
+        out = tmp_path / "o"
+        assert main(["verify-example", "--config", cfg, "--out", str(out)]) == code
+        text = (out / "verify_local.csv").read_text().splitlines()
+        header, *rows = (ln.split(",") for ln in text if not ln.startswith("#"))
+        assert header[:2] == ["level", "cells"] and [r[0] for r in rows] == ["0", "1", "2"]
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+
     def test_plain_passes(self, tmp_path):
         assert main(["verify-example", "--eps", "0.5", "--out", str(tmp_path / "o")]) == 0
         rows = (tmp_path / "o" / "verify_example.csv").read_text().splitlines()
@@ -185,6 +230,8 @@ class TestVerifyExample:
             'example.variant = "degenerate"\nexample.n = 3\nexample.eps = 0.1\n',
         )
         assert main(["verify-example", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        # the local checks run on the 2-d disk meshes only
+        assert not (tmp_path / "o" / "verify_local.csv").exists()
 
 
 class TestSolveCommand:

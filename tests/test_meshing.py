@@ -41,7 +41,7 @@ def reference_refine(mesh):
         ca = nv + edge_ids[tuple(sorted((c, a)))]
         cells.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
     return Mesh(np.vstack([mesh.vertices, mids]), np.asarray(cells, dtype=np.int64),
-                dict(mesh.geometry), mesh.refinement_level + 1)
+                dict(mesh.geometry))
 
 
 def reference_ring_cells(gaps, angular):
@@ -79,7 +79,6 @@ def assert_same_mesh(got, want):
     assert np.array_equal(got.cells, want.cells)
     assert np.array_equal(got.vertices, want.vertices)
     assert np.array_equal(got.boundary_vertices, want.boundary_vertices)
-    assert got.refinement_level == want.refinement_level
     assert got.geometry == want.geometry
 
 
@@ -152,7 +151,6 @@ class TestRefine:
         fine = mesh.refine()
         assert fine.num_cells == 4 * mesh.num_cells
         assert fine.areas.sum() == pytest.approx(1.0, rel=1e-12)
-        assert fine.refinement_level == mesh.refinement_level + 1
 
     def test_disk_refine_projects_boundary(self):
         mesh = disk_mesh(angular=16, layers=6, grading=0.7)

@@ -19,9 +19,8 @@ from degcz.pde_solver import (
     solve,
     weak_residual,
     weighted_h1_error,
-    weighted_lp_norm,
 )
-from degcz.weight_algebra import Ball, identity_weight, scalar_weight_from_config
+from degcz.weight_algebra import identity_weight
 
 
 def dirichlet_energy_oracle(ex: MeyersExample) -> float:
@@ -376,29 +375,3 @@ class TestHessianFactorFailure:
         assert orders == ["MMD_AT_PLUS_A"] * 3
         assert [row["iteration"] for row in err.value.trace] == [1, 2]
         assert isinstance(err.value.__cause__, RuntimeError)
-
-
-class TestWeightedLpNorm:
-    def test_unit_gradient(self):
-        mesh = unit_square_mesh(24)
-        u = interpolate(mesh, lambda p: p[:, 0])
-        one = scalar_weight_from_config({"kind": "constant", "value": 1.0})
-        for rho in (1.5, 2.0, 4.0):
-            assert weighted_lp_norm(u, one, rho, Ball((0.5, 0.5), 0.3)) == pytest.approx(1.0)
-
-    def test_degenerate_example_dichotomy(self):
-        # radial oracle: (|grad u| omega)^rho ~ r^-(rho eps); the mean over a
-        # centered ball converges iff rho eps < n
-        ex = MeyersExample(2, 0.5, "degenerate")
-        om = ex.scalar_weight()
-        ball = Ball((0.0, 0.0), 0.4)
-        values = {3.0: [], 5.0: []}
-        for layers in (60, 140, 220):
-            mesh = disk_mesh(angular=16, layers=layers, grading=0.7)
-            u = interpolate(mesh, ex.u_with_origin)
-            for rho in values:
-                values[rho].append(weighted_lp_norm(u, om, rho, ball))
-        stable = values[3.0]
-        assert abs(stable[2] / stable[1] - 1.0) <= 0.02
-        growing = values[5.0]
-        assert growing[1] >= 2.0 * growing[0] and growing[2] >= 2.0 * growing[1]

@@ -55,16 +55,24 @@ class TestBallFamily:
     @pytest.mark.parametrize("make", [
         lambda dom: BallFamily.origin_ladder(dom, 2),
         lambda dom: standard_family(dom, 2),
-        lambda dom: BallFamily.random(dom, 12, 0.05, 0.5, 4),
+        lambda dom: BallFamily.origin_ladder(dom, 1, scale=0.1),
     ])
     def test_refined_rows_start_with_the_family_rows(self, make, unit_ball, quad):
-        # analyze-weight reads the origin ladder's per-ball BMO values off the
-        # first rows of its refinement
+        # a refinement keeps the family's balls first, so its first rows are
+        # the family's own per-ball values
         fam = make(unit_ball)
         ref = fam.refined()
         assert ref.balls[: fam.count] == fam.balls
         field = MeyersExample(2, 0.25, "degenerate").weight_field()
         assert bmo(field, ref, quad).rows[: fam.count] == bmo(field, fam, quad).rows
+
+    def test_deeper_ladder_starts_with_the_shallow_one(self, unit_ball, quad):
+        # analyze-weight reads the two-level ladder's per-ball BMO values off
+        # the first rows of the three-level one
+        shallow, deep = (BallFamily.origin_ladder(unit_ball, k) for k in (2, 3))
+        assert deep.balls[: shallow.count] == shallow.balls
+        field = MeyersExample(2, 0.25, "degenerate").weight_field()
+        assert bmo(field, deep, quad).rows[: shallow.count] == bmo(field, shallow, quad).rows
 
     def test_origin_ladder_scales(self, unit_ball):
         fam = BallFamily.origin_ladder(unit_ball, 2, scale=1e-4, offsets=False)
@@ -83,12 +91,13 @@ class TestBmoScalar:
             BallFamily((), "empty", unit_ball)
 
     def test_log_wiggle_against_brute_force(self, unit_ball, quad):
-        # oracle: a 10x denser family can raise the sampled sup by at most 10%
+        # oracle: a 17x denser family can raise the sampled sup by at most 10%
         f = log_abs_field()
         fam = standard_family(unit_ball, 4)
         est = bmo(f, fam, quad)
         assert est.value > 0
-        dense = fam.union(BallFamily.random(unit_ball, 10 * fam.count, 0.005, 1.0, 17))
+        dense = fam.union(BallFamily.dyadic(unit_ball, 6, max_per_level=64 ** 2))
+        assert dense.count >= 17 * fam.count
         est_dense = bmo(f, dense, quad)
         assert est_dense.value <= 1.10 * est.value
         # the attaining ball is a member of the family

@@ -162,7 +162,7 @@ class TestNodeBatches:
     FAMILIES = {
         "dyadic": lambda dom: BallFamily.dyadic(dom, 3),
         "ladder": lambda dom: BallFamily.origin_ladder(dom, 2),
-        "random": lambda dom: BallFamily.random(dom, 30, 0.01, 0.6, 5),
+        "random": lambda dom: TestNodeBatches.random_family(dom, 30, 0.01, 0.6, 5),
     }
     RULES = [
         QuadratureSpec("polar-midpoint", (64, 32)),
@@ -170,6 +170,17 @@ class TestNodeBatches:
         QuadratureSpec("polar-midpoint", 100),
         QuadratureSpec("monte-carlo", 300, seed=2),
     ]
+
+    @staticmethod
+    def random_family(domain, count, r_min, r_max, seed):
+        """Seeded balls with centers in the domain and log-uniform radii, in
+        no radius order."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((count, domain.dim))
+        g *= domain.radius * rng.random((count, 1)) / np.linalg.norm(g, axis=1, keepdims=True)
+        radii = np.exp(rng.uniform(math.log(r_min), math.log(r_max), count))
+        balls = tuple(Ball(tuple(np.asarray(domain.center) + c), r) for c, r in zip(g, radii))
+        return BallFamily(balls, "random", domain)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("quad", RULES, ids=lambda q: f"{q.scheme}-{q.resolution}")
