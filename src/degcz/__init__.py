@@ -36,6 +36,7 @@ from .cz_harness import (
     comparison_check,
     cz_ratio,
     poincare_check,
+    poincare_condition,
     run_sweep,
     sharp_maximal,
 )

@@ -241,11 +241,11 @@ def cmd_analyze_weight(cfg: dict) -> int:
     # oscillation and power-mean check tables
     prop_rows = []
     for q_exp in q_list:
-        rep = seminorms.prop_small_check(omega, dom, float(q_exp), quad, bmo_log=est_w.value)
+        rep = seminorms.prop_small_check(omega, dom, float(q_exp), est_w.value, quad)
         prop_rows.append((q_exp, rep.lhs, rep.bmo, rep.ratio))
     small_rows = []
     for s in s_list:
-        rep = seminorms.small_scalar_checks(omega, dom, float(s), quad, bmo_log=est_w.value)
+        rep = seminorms.small_scalar_checks(omega, dom, float(s), est_w.value, quad)
         small_rows.append(
             (s, rep.bmo_log, int(rep.condition_met), int(rep.divergent),
              rep.mean_pos, rep.mean_neg, rep.margin_pos, rep.margin_neg,
@@ -301,17 +301,18 @@ LOCAL_COLUMNS = (
 )
 
 
-def _local_row(level: int, u, prob, sandwich) -> tuple:
+def _local_row(level: int, u, prob, sandwich, condition, bmo_log: float) -> tuple:
     """Both sides of the local estimates on B0 = LOCAL_BALL at one mesh level:
     Caccioppoli, Poincare (p = 2, theta = 1) and the comparison of the
-    localized solution with the one frozen at the log-mean of (1/2) B0."""
+    localized solution with the one frozen at the log-mean M_B of (1/2) B0,
+    given the mesh-independent estimates of ``cmd_verify_example``."""
     cacc = cz_harness.caccioppoli_check(u, prob, LOCAL_BALL)
     poin = cz_harness.poincare_check(u, prob.weight.omega(), LOCAL_BALL, p=2.0, theta=1.0)
-    tri = cz_harness.build_localized(u, prob, LOCAL_BALL)
-    comp = cz_harness.comparison_check(tri, prob, delta=0.3)
+    tri = cz_harness.build_localized(u, prob, LOCAL_BALL, sandwich.matrix_mean)
+    comp = cz_harness.comparison_check(tri, prob, delta=0.3, bmo_log=bmo_log)
     return (
         level, u.mesh.num_cells, cacc.lhs, cacc.rhs, poin.lhs, poin.rhs,
-        poin.condition_value, int(poin.condition_flagged), comp.lhs,
+        condition[0], int(condition[1]), comp.lhs,
         comp.oscillation_term, comp.u_term, comp.data_term, comp.bmo_log,
         sandwich.lower_margin, sandwich.upper_margin, int(sandwich.holds),
     )
@@ -355,15 +356,21 @@ def cmd_verify_example(cfg: dict) -> int:
     if ex.n == 2:
         wfield = ex.weight_field()
         prob = pde_solver.WeakProblem(wfield, 2.0, None, ex.u_with_origin)
-        # the log-mean sandwich does not depend on the mesh
-        sandwich = sandwich_check(wfield, LOCAL_BALL.scaled(0.5))
+        # weight-side estimates, shared by every level: the log-mean sandwich
+        # (with M_B) and |log M|_BMO on (1/2) B0, the Poincare condition on 2 B0
+        half = LOCAL_BALL.scaled(0.5)
+        sandwich = sandwich_check(wfield, half)
+        bmo_log = seminorms.bmo(wfield.log(), seminorms.standard_family(half, 3)).value
+        condition = cz_harness.poincare_condition(
+            wfield.omega(), LOCAL_BALL.scaled(2.0), p=2.0, theta=1.0
+        )
         residuals = []
         mesh = disk_mesh(angular=20, layers=16, grading=0.7)
         for level in range(3):
             u = pde_solver.interpolate(mesh, ex.u_with_origin)
             res, _ = pde_solver.weak_residual(prob, u)
             residuals.append(res)
-            local_rows.append(_local_row(level, u, prob, sandwich))
+            local_rows.append(_local_row(level, u, prob, sandwich, condition, bmo_log))
             if level < 2:
                 mesh = mesh.refine()
         # observed order >= 0.5 in h over two quadrisections when the flux is
@@ -432,12 +439,15 @@ def cmd_solve(cfg: dict) -> int:
         mesh = _mesh_from_cfg(cfg)
     except ValueError as exc:
         raise SetupError(str(exc)) from exc
-    prob = pde_solver.WeakProblem(
-        wfield,
-        float(_get(cfg, "problem.p", 2.0)),
-        _data_from_cfg(cfg),
-        _dirichlet_from_cfg(cfg, ex),
-    )
+    try:
+        prob = pde_solver.WeakProblem(
+            wfield,
+            float(_get(cfg, "problem.p", 2.0)),
+            _data_from_cfg(cfg),
+            _dirichlet_from_cfg(cfg, ex),
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"problem settings: {exc}") from exc
     scfg = pde_solver.SolverConfig(
         tolerance=float(_get(cfg, "solver.tolerance", 1e-10)),
         max_iterations=int(_get(cfg, "solver.max_iterations", 60)),
@@ -468,23 +478,26 @@ def cmd_cz_sweep(cfg: dict) -> int:
     # checks example.n and example.variant too, before they are read below
     eps_list = tuple(_example_from_cfg(cfg, eps).eps
                      for eps in np.atleast_1d(_get(cfg, "example.eps", [0.5])).tolist())
-    spec = cz_harness.SweepSpec(
-        variant=str(_get(cfg, "example.variant", "plain")),
-        n=int(_get(cfg, "example.n", 2)),
-        eps_list=eps_list,
-        rho_list=tuple(_get(cfg, "sweep.rho", [2.0, 3.0, 5.0])),
-        levels=tuple(_get(cfg, "sweep.levels", [1, 2, 3])),
-        ball_center=tuple(_get(cfg, "ball.center", (0.0, 0.0))),
-        ball_radius=float(_get(cfg, "ball.radius", 0.2)),
-        p=float(_get(cfg, "problem.p", 2.0)),
-        geometry=str(_get(cfg, "sweep.geometry", "nonlinear")),
-        angular=int(_get(cfg, "mesh.angular", 16)),
-        base_layers=int(_get(cfg, "mesh.base_layers", 20)),
-        layers_per_level=int(_get(cfg, "mesh.layers_per_level", 100)),
-        grading=float(_get(cfg, "mesh.grading", 0.7)),
-        use_fem=bool(_get(cfg, "sweep.use_fem", False)),
-        experiment_id=str(_get(cfg, "experiment_id", resolved["settings_hash"])),
-    )
+    try:
+        spec = cz_harness.SweepSpec(
+            variant=str(_get(cfg, "example.variant", "plain")),
+            n=int(_get(cfg, "example.n", 2)),
+            eps_list=eps_list,
+            rho_list=tuple(_get(cfg, "sweep.rho", [2.0, 3.0, 5.0])),
+            levels=tuple(_get(cfg, "sweep.levels", [1, 2, 3])),
+            ball_center=tuple(_get(cfg, "ball.center", (0.0, 0.0))),
+            ball_radius=float(_get(cfg, "ball.radius", 0.2)),
+            p=float(_get(cfg, "problem.p", 2.0)),
+            geometry=str(_get(cfg, "sweep.geometry", "nonlinear")),
+            angular=int(_get(cfg, "mesh.angular", 16)),
+            base_layers=int(_get(cfg, "mesh.base_layers", 20)),
+            layers_per_level=int(_get(cfg, "mesh.layers_per_level", 100)),
+            grading=float(_get(cfg, "mesh.grading", 0.7)),
+            use_fem=bool(_get(cfg, "sweep.use_fem", False)),
+            experiment_id=str(_get(cfg, "experiment_id", resolved["settings_hash"])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"sweep settings: {exc}") from exc
     threads = int(cfg.get("threads", 1))
     if threads > 1 and len(spec.eps_list) > 1:
         parts = [dataclasses.replace(spec, eps_list=(eps,)) for eps in spec.eps_list]

@@ -21,20 +21,12 @@ from .nfunctions import v_map
 from .pde_solver import (
     DiscreteField,
     NonconvergenceError,
-    SolverConfig,
     WeakProblem,
     interpolate,
     solve,
 )
 from .seminorms import BallFamily, bmo, muckenhoupt_ap, standard_family
-from .weight_algebra import (
-    Ball,
-    DEFAULT_QUAD,
-    MEAN_QUAD,
-    Field,
-    QuadratureSpec,
-    log_mean,
-)
+from .weight_algebra import Ball, DEFAULT_QUAD, Field, QuadratureSpec
 
 __all__ = [
     "GeometryError",
@@ -44,6 +36,7 @@ __all__ = [
     "cz_ratio",
     "caccioppoli_check",
     "poincare_check",
+    "poincare_condition",
     "LocalizedTriple",
     "build_localized",
     "comparison_check",
@@ -55,6 +48,8 @@ __all__ = [
 
 #: per-level ratio growth above this classifies an (eps, rho) cell as diverging
 GROWTH_THRESHOLD = 1.5
+#: the ball pairs of ``cz_ratio``: (1/2) B0 vs 4 B0, or B0 vs 2 B0
+GEOMETRIES = ("nonlinear", "linear")
 
 
 class GeometryError(ValueError):
@@ -108,8 +103,8 @@ def cz_ratio(
     B0 vs 2 B0.  The right-hand side is the outer first-power mean of
     |grad u| omega plus the outer weighted rho-mean of |G|.
     """
-    if geometry not in ("nonlinear", "linear"):
-        raise ValueError("geometry must be 'nonlinear' or 'linear'")
+    if geometry not in GEOMETRIES:
+        raise ValueError(f"geometry must be one of {GEOMETRIES}")
     if rho < 1:
         raise ValueError("rho must be at least 1")
     inner = b0.scaled(0.5) if geometry == "nonlinear" else b0
@@ -138,45 +133,41 @@ def caccioppoli_check(u: DiscreteField, prob: WeakProblem, ball: Ball) -> RatioR
     return RatioReport(lhs, rhs)
 
 
-@dataclass
-class PoincareReport(RatioReport):
-    condition_value: float
-    condition_flagged: bool
-
-
 def poincare_check(
-    u: DiscreteField,
-    omega: Field,
-    ball: Ball,
-    p: float,
-    theta: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> PoincareReport:
+    u: DiscreteField, omega: Field, ball: Ball, p: float, theta: float
+) -> RatioReport:
     """Weighted oscillation mean against the theta-damped gradient mean.
 
-    The duality-weight condition on sub-balls is estimated and reported;
-    a violation flags the report instead of raising.
+    The duality-weight condition behind the inequality depends on the weight
+    alone; :func:`poincare_condition` estimates it.
     """
     n = ball.dim
     tp = theta * p
     if tp < max(1.0, n * p / (n + p)) - 1e-12:
         raise ValueError("theta p must be at least max(1, n p / (n + p))")
-    mesh = u.mesh
-    _require_ball(mesh, ball, "poincare")
+    _require_ball(u.mesh, ball, "poincare")
     c = _Cells(u, omega)
     uc = u.cell_values()
     u_mean = c.mean(uc, ball)
     lhs = c.mean((np.abs(uc - u_mean) / ball.radius * c.w) ** p, ball) ** (1.0 / p)
     rhs = c.mean((c.grad * c.w) ** tp, ball) ** (1.0 / tp)
-    # duality-exponent Muckenhoupt-type condition on sampled sub-balls of 2B
-    tpc = tp / (tp - 1.0) if tp > 1.0 else math.inf
-    cond_val, flagged = math.inf, True
-    if math.isfinite(tpc):
-        dom = ball.scaled(2.0) if mesh.contains_ball(ball.center, 2 * ball.radius) else ball
-        fam = standard_family(dom, levels=2)
-        est = muckenhoupt_ap(omega, p, fam, quad, neg_exponent=tpc)
-        cond_val, flagged = max(0.0, *(row[4] for row in est.rows)), est.divergent
-    return PoincareReport(lhs, rhs, cond_val, flagged)
+    return RatioReport(lhs, rhs)
+
+
+def poincare_condition(
+    omega: Field, dom: Ball, p: float, theta: float, quad: QuadratureSpec = DEFAULT_QUAD
+) -> tuple[float, bool]:
+    """The Poincare check's duality-exponent Muckenhoupt-type condition on the
+    dyadic sub-balls of ``dom`` (2B where it fits the domain, else B): the
+    largest sampled value and whether the estimate diverged, reported instead
+    of raised.  (inf, True) when theta p <= 1 leaves no finite dual exponent.
+    """
+    tp = theta * p
+    if tp <= 1.0:
+        return math.inf, True
+    fam = standard_family(dom, levels=2)
+    est = muckenhoupt_ap(omega, p, fam, quad, neg_exponent=tp / (tp - 1.0))
+    return max(0.0, *(row[4] for row in est.rows)), est.divergent
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +202,17 @@ class LocalizedTriple:
 
 
 def build_localized(
-    u: DiscreteField,
-    prob: WeakProblem,
-    b0: Ball,
-    comparison_ball: Ball | None = None,
-    quad: QuadratureSpec = MEAN_QUAD,
-    cfg: SolverConfig = SolverConfig(),
+    u: DiscreteField, prob: WeakProblem, b0: Ball, m_b: np.ndarray
 ) -> LocalizedTriple:
     """Construct the localized field, its cutoff defect, and the frozen solve.
 
-    The comparison ball defaults to (1/2) B0, for which its 4x enlargement
-    equals 2 B0 and stays inside the localization region.
+    The comparison ball is (1/2) B0, whose 4x enlargement equals 2 B0 and
+    stays inside the localization region; ``m_b`` is the logarithmic mean
+    M_B of the weight over it, at which the frozen problem is solved.
     """
     mesh = u.mesh
     _require_ball(mesh, b0.scaled(2.0), "localization")
-    comparison_ball = comparison_ball or b0.scaled(0.5)
+    comparison_ball = b0.scaled(0.5)
     pc = prob.p / (prob.p - 1.0)
 
     mask2 = cells_in_ball(mesh, b0.center, 2.0 * b0.radius)
@@ -235,10 +222,9 @@ def build_localized(
     zeta_c = cutoff_values(mesh.barycenters, b0)
     g = (zeta_c ** pc)[:, None] * u.cell_gradients() - z.cell_gradients()
 
-    m_b = log_mean(prob.weight, comparison_ball, quad)
     frozen = WeakProblem(prob.weight, prob.p, None, None, frozen=m_b)
     fixed = ~comparison_ball.contains(mesh.vertices)
-    result = solve(frozen, mesh, cfg, fixed_mask=fixed, fixed_values=z.values)
+    result = solve(frozen, mesh, fixed_mask=fixed, fixed_values=z.values)
     return LocalizedTriple(
         z, g, result.field, DiscreteField(mesh, zeta_v), b0, comparison_ball,
         m_b, prob.p, u, u_mean,
@@ -266,9 +252,11 @@ def comparison_check(
     triple: LocalizedTriple,
     prob: WeakProblem,
     delta: float,
+    bmo_log: float,
     s: float = 1.25,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> ComparisonReport:
+    """Both sides of the frozen-replacement estimate on the comparison ball B,
+    at the cost ``bmo_log`` = |log M|_BMO(B), estimated by the caller."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     mesh = triple.z.mesh
@@ -280,7 +268,6 @@ def comparison_check(
     vz = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.z.cell_gradients()))
     vh = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.h.cell_gradients()))
     lhs = c.mean(np.linalg.norm(vh - vz, axis=1) ** 2, b)
-    bmo_log = bmo(prob.weight.log(), standard_family(b, levels=3), quad).value
     osc = (bmo_log ** 2 + delta) * c.mean((c.grad * c.w) ** (p * s), b) ** (1.0 / s)
     dev = np.abs(triple.u.cell_values() - triple.u_mean) / (2.0 * triple.ball.radius)
     u_term = delta ** (1.0 - p) * c.mean((dev * c.w) ** (p * s), outer) ** (1.0 / s)
@@ -411,6 +398,16 @@ class SweepSpec:
     grading: float = 0.7
     use_fem: bool = False
     experiment_id: str = "sweep"
+
+    def __post_init__(self):
+        if not (self.eps_list and self.rho_list and self.levels):
+            raise ValueError("the eps, rho and level lists must not be empty")
+        if not (1.0 < self.p < math.inf):
+            raise ValueError("p must lie in (1, inf)")
+        if any(rho < 1 for rho in self.rho_list):
+            raise ValueError("rho must be at least 1")
+        if self.geometry not in GEOMETRIES:
+            raise ValueError(f"geometry must be one of {GEOMETRIES}")
 
     def mesh_for(self, level: int) -> Mesh:
         return disk_mesh(

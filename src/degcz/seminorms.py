@@ -113,23 +113,14 @@ class BallFamily:
             if offsets and domain.dim == 2:
                 for dx, dy in ((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)):
                     balls.append(Ball(tuple(center + r * np.array([dx, dy])), r))
-        return BallFamily(
-            tuple(balls), "origin-ladder", domain,
-            (("levels", float(levels)), ("scale", scale)),
-        )
+        return BallFamily(tuple(balls), "origin-ladder", domain)
 
     def refined(self) -> "BallFamily":
-        """A strictly larger family (superset), for stability studies."""
-        meta = dict(self.meta)
-        if self.strategy == "dyadic-grid":
-            extra = BallFamily.dyadic(self.domain, int(meta.get("levels", 3)) + 1)
-        elif self.strategy == "origin-ladder":
-            extra = BallFamily.origin_ladder(
-                self.domain, int(meta.get("levels", 2)) + 1, meta.get("scale", 1e-4)
-            )
-        else:
+        """A dyadic family with one more level (a superset), for stability studies."""
+        if self.strategy != "dyadic-grid":
             raise ValueError(f"cannot refine a {self.strategy!r} family")
-        return self.union(extra)
+        levels = int(dict(self.meta).get("levels", 3))
+        return self.union(BallFamily.dyadic(self.domain, levels + 1))
 
 
 def standard_family(domain: Ball, levels: int = 3) -> BallFamily:
@@ -224,13 +215,24 @@ def _power_means(w: np.ndarray, vals: np.ndarray, expos) -> list[float]:
     return [float(np.sum(w * vals ** e) / w.sum()) for e in expos]
 
 
-def _family_power_means(field, balls, quad, expos, sing) -> list[list[float]]:
-    """:func:`_power_means` on each ball's node set, one field evaluation per batch."""
-    means = []
-    for _, pts, w, cuts in node_batches(balls, quad, singular=sing):
-        vals = field.evaluate(pts)
-        means.extend(_power_means(w[a:b], vals[a:b], expos) for a, b in zip(cuts, cuts[1:]))
-    return means
+def _family_power_means(field, balls, quad, expos) -> list[list[list[float]]]:
+    """:func:`_power_means` on each ball's node set, one field evaluation per
+    batch: the per-ball lists for the rule ``quad`` and for its 4x radial
+    refinement."""
+    out = []
+    for rule in (quad, quad.refined(4)):
+        means = []
+        for _, pts, w, cuts in node_batches(balls, rule, singular=field.singular_points):
+            vals = field.evaluate(pts)
+            means.extend(_power_means(w[a:b], vals[a:b], expos) for a, b in zip(cuts, cuts[1:]))
+        out.append(means)
+    return out
+
+
+def _unstable(coarse: float, fine: float) -> bool:
+    """A refined-rule value past the overflow guard, or grown past the stability
+    guard under refinement: the sign of a non-integrable integrand."""
+    return fine > OVERFLOW_GUARD or fine > coarse * STABILITY_GUARD
 
 
 def muckenhoupt_ap(
@@ -255,9 +257,7 @@ def muckenhoupt_ap(
         if not (1.0 < p < math.inf):
             raise ValueError("p must lie in (1, inf)")
         pc = p / (p - 1.0)
-    sing = omega.singular_points
-    coarse = _family_power_means(omega, fam.balls, quad, (p, -pc), sing)
-    fine = _family_power_means(omega, fam.balls, quad.refined(4), (p, -pc), sing)
+    coarse, fine = _family_power_means(omega, fam.balls, quad, (p, -pc))
     best, witness, rows = 0.0, None, []
     divergent, div_ball = False, None
     for idx, (ball, (m_pos, m_neg), (m_pos_f, m_neg_f)) in enumerate(
@@ -265,7 +265,7 @@ def muckenhoupt_ap(
     ):
         val = m_pos ** (1.0 / p) * m_neg ** (1.0 / pc)
         val_f = m_pos_f ** (1.0 / p) * m_neg_f ** (1.0 / pc)
-        if val_f > OVERFLOW_GUARD or val_f > val * STABILITY_GUARD:
+        if _unstable(val, val_f):
             divergent, div_ball = True, ball
         c = ball.center
         rows.append((idx, c[0], c[1] if len(c) > 1 else 0.0, ball.radius, val_f))
@@ -295,23 +295,20 @@ def prop_small_check(
     field: Field,
     ball: Ball,
     q: float,
+    bmo_log: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    bmo_log: float | None = None,
 ) -> PropSmallReport:
-    """lhs = (mean (|W - W_B| / |W_B|)^q)^(1/q) against q * |log W|_BMO(ball).
+    """lhs = (mean (|W - W_B| / |W_B|)^q)^(1/q) against q * ``bmo_log``.
 
-    ``bmo_log`` is a precomputed |log W|_BMO, so a caller checking several q
-    computes it once; ``None`` computes it on ``standard_family(ball, 3)``.
-    The reported ratio lhs / (q bmo) tracks the oscillation constant
-    empirically; nothing is asserted about its value here.
+    ``bmo_log`` is |log W|_BMO of the ball, estimated by the caller.  The
+    reported ratio lhs / (q bmo) tracks the oscillation constant empirically;
+    nothing is asserted about its value here.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    if bmo_log is None:
-        bmo_log = bmo(field.log(), standard_family(ball, levels=3), quad).value
     pts, w = ball_nodes(ball, quad, singular=field.singular_points)
     vals = field.evaluate(pts)
-    center = log_mean(field, ball, quad, nodes=(pts, w))
+    center = log_mean(field, ball, quad)
     if vals.ndim == 3:
         rel = spectral_norm_sym(vals - center) / spectral_norm_sym(center[None])[0]
     else:
@@ -351,34 +348,20 @@ def small_scalar_checks(
     omega: Field,
     ball: Ball,
     s: float,
+    bmo_log: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
     gamma: float = CALIBRATED.gamma_small,
-    bmo_log: float | None = None,
 ) -> SmallScalarReport:
     """Check the factor-2 power-mean bounds that smallness of log w buys.
 
-    The s and -s means share one node set per rule (``quad`` and its 4x
-    radial refinement).  ``bmo_log`` is a precomputed |log w|_BMO, so a
-    caller checking several s computes it once; ``None`` computes it on
-    ``standard_family(ball, 3)``.
+    ``bmo_log`` is |log w|_BMO of the ball, estimated by the caller.  The s
+    and -s means share one node set per rule, as in :func:`muckenhoupt_ap`.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    if bmo_log is None:
-        bmo_log = bmo(omega.log(), standard_family(ball, levels=3), quad).value
-    pts, w = ball_nodes(ball, quad, singular=omega.singular_points)
-    lm = log_mean(omega, ball, quad, nodes=(pts, w))
-    pts_f, w_f = ball_nodes(ball, quad.refined(4), singular=omega.singular_points)
-    mean_pos, mean_neg, mean_pos_f, mean_neg_f = (
-        m ** (1.0 / s)
-        for x, wx in ((pts, w), (pts_f, w_f))
-        for m in _power_means(wx, omega.evaluate(x), (s, -s))
-    )
-    divergent = (
-        max(mean_pos_f, mean_neg_f) > OVERFLOW_GUARD
-        or mean_pos_f > mean_pos * STABILITY_GUARD
-        or mean_neg_f > mean_neg * STABILITY_GUARD
-    )
+    lm = log_mean(omega, ball, quad)
+    (coarse,), (fine,) = _family_power_means(omega, (ball,), quad, (s, -s))
+    mean_pos, mean_neg, mean_pos_f, mean_neg_f = (m ** (1.0 / s) for m in coarse + fine)
     return SmallScalarReport(
         s=s,
         bmo_log=bmo_log,
@@ -386,7 +369,7 @@ def small_scalar_checks(
         log_mean=lm,
         mean_pos=mean_pos_f,
         mean_neg=mean_neg_f,
-        divergent=divergent,
+        divergent=_unstable(mean_pos, mean_pos_f) or _unstable(mean_neg, mean_neg_f),
         margin_pos=2.0 * lm - mean_pos_f,
         margin_neg=2.0 / lm - mean_neg_f,
         margin_product=4.0 - mean_pos_f * mean_neg_f,

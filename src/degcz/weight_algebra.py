@@ -530,18 +530,13 @@ def log_mean(
     field: Field,
     ball: Ball,
     quad: QuadratureSpec = MEAN_QUAD,
-    nodes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float | np.ndarray:
     """The logarithmic mean exp(ball average of log field).
 
     A float for a scalar field, the multiplicative mean; an SPD matrix for a
-    matrix field, which commutes with pointwise inversion.  ``nodes`` is the
-    ``(points, weights)`` pair of ``ball_nodes(ball, quad, singular=...)`` for
-    the field's singular points, when the caller has built it.
+    matrix field, which commutes with pointwise inversion.
     """
-    if nodes is None:
-        nodes = ball_nodes(ball, quad, singular=field.singular_points)
-    pts, w = nodes
+    pts, w = ball_nodes(ball, quad, singular=field.singular_points)
     logs = field.log().evaluate(pts)
     if not _is_matrix(logs):
         return float(np.exp(np.sum(w * logs) / np.sum(w)))

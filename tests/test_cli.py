@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 from pathlib import Path
@@ -154,6 +155,33 @@ class TestExitCodes:
             assert main([command, "--config", write_cfg(tmp_path / "e.cfg", text),
                          "--out", out]) == 1
 
+    def test_usage_error_bad_problem_settings(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["solve", "--p", "0.5", "--out", str(out)]) == 1
+        assert "usage error: problem settings: p must lie in (1, inf)" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
+    def test_usage_error_bad_sweep_settings(self, tmp_path, capsys):
+        # each is rejected before any sweep runs, empty lists included, which
+        # would otherwise write a report without rows
+        out = tmp_path / "o"
+
+        def cfg(name, text):
+            return ["--config", write_cfg(tmp_path / name, text + "\n")]
+
+        empty = "the eps, rho and level lists must not be empty"
+        for flags, message in (
+            (["--p", "0.5"], "p must lie in (1, inf)"),
+            (["--rho", "0.5"], "rho must be at least 1"),
+            (["--grid", "0"], empty),
+            (cfg("rho.cfg", "sweep.rho = []"), empty),
+            (cfg("eps.cfg", "example.eps = []"), empty),
+            (cfg("geometry.cfg", 'sweep.geometry = "cubic"'), "geometry must be one of"),
+        ):
+            assert main(["cz-sweep", *flags, "--out", str(out)]) == 1
+            assert f"usage error: sweep settings: {message}" in capsys.readouterr().err
+        assert not (out / "cz_report.csv").exists()
+
     def test_setup_error_bad_mesh(self, tmp_path):
         cfg = write_cfg(tmp_path / "m.cfg", 'mesh.kind = "torus"\n')
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -223,6 +251,29 @@ class TestVerifyExample:
         assert main(["verify-example", "--eps", "0.5", "--out", str(tmp_path / "o")]) == 0
         rows = (tmp_path / "o" / "verify_example.csv").read_text().splitlines()
         assert any("divergence_identity" in r for r in rows)
+
+    def test_weight_side_estimates_run_once(self, tmp_path, monkeypatch):
+        # |log M|_BMO and the Poincare condition do not depend on the mesh, so
+        # the three levels share one estimate of each; the two log means are
+        # the sandwich's, M_B and omega_B, and the frozen solves reuse M_B
+        from degcz import cli, cz_harness, seminorms, weight_algebra
+
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for home, name in ((seminorms, "bmo"), (seminorms, "muckenhoupt_ap"),
+                           (weight_algebra, "log_mean")):
+            wrapped = counting(name, getattr(home, name))
+            for module in (home, cli, cz_harness):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        assert main(["verify-example", "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"bmo": 1, "muckenhoupt_ap": 1, "log_mean": 2}
 
     def test_degenerate_n3(self, tmp_path):
         cfg = write_cfg(

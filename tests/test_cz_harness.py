@@ -15,6 +15,7 @@ from degcz.cz_harness import (
     cz_ratio,
     fefferman_stein_constant,
     poincare_check,
+    poincare_condition,
     run_sweep,
     sharp_maximal,
 )
@@ -26,8 +27,26 @@ from degcz.pde_solver import (
     energy,
     interpolate,
 )
-from degcz.seminorms import standard_family
-from degcz.weight_algebra import Ball, identity_weight, scalar_weight_from_config
+from degcz.seminorms import bmo, standard_family
+from degcz.weight_algebra import (
+    MEAN_QUAD,
+    Ball,
+    identity_weight,
+    log_mean,
+    scalar_weight_from_config,
+)
+
+
+def localized(u, prob, b0):
+    """``build_localized`` frozen at M_B, the log mean of the weight on (1/2) B0."""
+    return build_localized(u, prob, b0, log_mean(prob.weight, b0.scaled(0.5), MEAN_QUAD))
+
+
+def compare(tri, prob, delta):
+    """``comparison_check`` at |log M|_BMO of the comparison ball on its
+    three-level dyadic family."""
+    fam = standard_family(tri.comparison_ball, 3)
+    return comparison_check(tri, prob, delta, bmo(prob.weight.log(), fam).value)
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +143,12 @@ class TestPoincare:
         mesh = disk_mesh(angular=64, layers=30, grading=0.85)
         u = interpolate(mesh, lambda p: p[:, 0])
         one = scalar_weight_from_config({"kind": "constant", "value": 1.0})
-        rep = poincare_check(u, one, Ball((0.0, 0.0), 1.0), 2.0, 1.0)
+        ball = Ball((0.0, 0.0), 1.0)
+        rep = poincare_check(u, one, ball, 2.0, 1.0)
         assert rep.lhs == pytest.approx(0.5, rel=2e-2)
         assert rep.rhs == pytest.approx(1.0, rel=1e-10)
-        assert not rep.condition_flagged
+        # 2B exits the disk, so the condition is sampled on B itself
+        assert not poincare_condition(one, ball, 2.0, 1.0)[1]
 
     def test_constant_zero(self, square):
         one = scalar_weight_from_config({"kind": "constant", "value": 1.0})
@@ -144,16 +165,17 @@ class TestPoincare:
     def test_degenerate_weight_finite(self, graded_disk):
         ex = MeyersExample(2, 0.1, "degenerate")
         u = interpolate(graded_disk, ex.u_with_origin)
-        rep = poincare_check(u, ex.scalar_weight(), Ball((0.0, 0.0), 0.45), 2.0, 1.0)
+        ball = Ball((0.0, 0.0), 0.45)
+        rep = poincare_check(u, ex.scalar_weight(), ball, 2.0, 1.0)
         assert np.isfinite(rep.ratio) and rep.ratio > 0
-        assert not rep.condition_flagged
+        assert not poincare_condition(ex.scalar_weight(), ball.scaled(2.0), 2.0, 1.0)[1]
 
 
 class TestLocalized:
     def test_constant_gives_zero_triple(self, graded_disk):
         prob = WeakProblem(identity_weight(2), 2.0)
         u = DiscreteField(graded_disk, np.full(graded_disk.num_vertices, 5.0))
-        tri = build_localized(u, prob, Ball((0.4, 0.0), 0.25))
+        tri = localized(u, prob, Ball((0.4, 0.0), 0.25))
         assert np.abs(tri.z.values).max() <= 1e-12
         assert np.abs(tri.g).max() <= 1e-12
         assert np.abs(tri.h.values).max() <= 1e-12
@@ -171,7 +193,7 @@ class TestLocalized:
         prob = WeakProblem(ex.weight_field(), 2.0)
         u = interpolate(graded_disk, ex.u_with_origin)
         b0 = Ball((0.4, 0.0), 0.25)
-        tri = build_localized(u, prob, b0)
+        tri = localized(u, prob, b0)
         pc = prob.p / (prob.p - 1.0)
         zeta_c = cutoff_values(graded_disk.barycenters, b0)
         defect = (zeta_c ** pc)[:, None] * u.cell_gradients() - tri.z.cell_gradients() - tri.g
@@ -188,7 +210,7 @@ class TestLocalized:
         ex = MeyersExample(2, 0.25, "plain")
         prob = WeakProblem(ex.weight_field(), 2.0)
         u = interpolate(graded_disk, ex.u_with_origin)
-        tri = build_localized(u, prob, Ball((0.4, 0.0), 0.25))
+        tri = localized(u, prob, Ball((0.4, 0.0), 0.25))
         frozen = WeakProblem(prob.weight, prob.p, frozen=tri.frozen_matrix)
         assert energy(frozen, tri.h) <= energy(frozen, tri.z) + 1e-8
 
@@ -197,8 +219,8 @@ class TestComparison:
     def test_zero_for_constant(self, graded_disk):
         prob = WeakProblem(identity_weight(2), 2.0)
         u = DiscreteField(graded_disk, np.zeros(graded_disk.num_vertices))
-        tri = build_localized(u, prob, Ball((0.4, 0.0), 0.25))
-        rep = comparison_check(tri, prob, 0.5)
+        tri = localized(u, prob, Ball((0.4, 0.0), 0.25))
+        rep = compare(tri, prob, 0.5)
         assert rep.lhs == 0.0
 
     def test_identity_weight_small_constant(self, graded_disk):
@@ -206,8 +228,8 @@ class TestComparison:
         # the delta terms alone with a modest empirical constant
         prob = WeakProblem(identity_weight(2), 2.0)
         u = interpolate(graded_disk, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
-        tri = build_localized(u, prob, Ball((0.4, 0.0), 0.25))
-        rep = comparison_check(tri, prob, 0.2)
+        tri = localized(u, prob, Ball((0.4, 0.0), 0.25))
+        rep = compare(tri, prob, 0.2)
         assert rep.bmo_log <= 1e-12
         assert rep.lhs <= rep.rhs_total
 
@@ -217,8 +239,8 @@ class TestComparison:
             ex = MeyersExample(2, eps, "plain")
             prob = WeakProblem(ex.weight_field(), 2.0)
             u = interpolate(graded_disk, ex.u_with_origin)
-            tri = build_localized(u, prob, Ball((0.4, 0.0), 0.25))
-            rep = comparison_check(tri, prob, 0.2)
+            tri = localized(u, prob, Ball((0.4, 0.0), 0.25))
+            rep = compare(tri, prob, 0.2)
             values.append(rep.lhs)
             assert rep.lhs <= rep.rhs_total
         assert values[1] > values[0]
@@ -226,9 +248,9 @@ class TestComparison:
     def test_delta_validation(self, graded_disk):
         prob = WeakProblem(identity_weight(2), 2.0)
         u = DiscreteField(graded_disk, np.zeros(graded_disk.num_vertices))
-        tri = build_localized(u, prob, Ball((0.4, 0.0), 0.25))
+        tri = localized(u, prob, Ball((0.4, 0.0), 0.25))
         with pytest.raises(ValueError):
-            comparison_check(tri, prob, 1.5)
+            compare(tri, prob, 1.5)
 
 
 def reference_maximal(mesh, f, fam):
@@ -389,7 +411,7 @@ def _pinned_outputs(mesh) -> dict[str, str]:
         weight = ex.weight_field()
         omega = weight.omega()
         u = interpolate(mesh, ex.u_with_origin)
-        tri = build_localized(u, WeakProblem(weight, 2.0), Ball((0.1, 0.0), 0.4))
+        tri = localized(u, WeakProblem(weight, 2.0), Ball((0.1, 0.0), 0.4))
         for g in (None, data):
             key = f"{variant}/{'data' if g else 'none'}"
             prob = WeakProblem(weight, 2.0, g)
@@ -398,11 +420,14 @@ def _pinned_outputs(mesh) -> dict[str, str]:
                 record(f"{key}/cz_ratio/{geometry}", rep, "lhs", "rhs", "ratio")
             rep = caccioppoli_check(u, prob, Ball((0.1, 0.1), 0.3))
             record(f"{key}/caccioppoli", rep, "lhs", "rhs", "ratio")
-            record(f"{key}/comparison", comparison_check(tri, prob, 0.3), "lhs",
+            record(f"{key}/comparison", compare(tri, prob, 0.3), "lhs",
                    "oscillation_term", "u_term", "data_term", "bmo_log")
-        rep = poincare_check(u, omega, Ball((0.0, 0.0), 0.45), 3.0, 1.0)
-        record(f"{variant}/poincare", rep, "lhs", "rhs", "ratio", "condition_value",
-               "condition_flagged")
+        ball = Ball((0.0, 0.0), 0.45)
+        record(f"{variant}/poincare", poincare_check(u, omega, ball, 3.0, 1.0),
+               "lhs", "rhs", "ratio")
+        value, flagged = poincare_condition(omega, ball.scaled(2.0), 3.0, 1.0)
+        out[f"{variant}/poincare.condition_value"] = repr(value)
+        out[f"{variant}/poincare.condition_flagged"] = repr(flagged)
         f = np.linalg.norm(u.cell_gradients(), axis=1) * omega.evaluate(mesh.barycenters)
         out[f"{variant}/sharp_maximal"] = _digest(sharp_maximal(mesh, f, 1.5, fam))
         out[f"{variant}/fefferman_stein"] = repr(fefferman_stein_constant(mesh, f, fam, 4.0))

@@ -241,16 +241,6 @@ class TestExplicitKernels:
 
 
 class TestLogMeans:
-    def test_caller_nodes_give_the_same_mean(self):
-        w = weight_from_config({"kind": "power-radial", "eps": 0.25})
-        ball, quad = Ball((0.1, 0.2), 0.5), QuadratureSpec("polar-midpoint", (64, 32))
-        nodes = ball_nodes(ball, quad, singular=np.zeros((1, 2)))
-        assert log_mean(w.omega(), ball, quad, nodes=nodes) == (
-            log_mean(w.omega(), ball, quad)
-        )
-        assert np.array_equal(log_mean(w, ball, quad, nodes=nodes),
-                              log_mean(w, ball, quad))
-
     @pytest.mark.parametrize("closed_form_log", [True, False])
     def test_matches_the_scalar_and_matrix_reductions_bitwise(self, closed_form_log):
         """One log mean keeps the bits of the former scalar and matrix means,
