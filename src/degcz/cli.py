@@ -25,7 +25,6 @@ from .meshing import disk_mesh, unit_square_mesh
 from .reporting import settings_hash, write_csv, write_json, write_jsonl
 from .weight_algebra import (
     Ball,
-    DEFAULT_QUAD,
     QuadratureSpec,
     SCALAR_WEIGHT_KINDS,
     lambda_max_sym,
@@ -88,6 +87,9 @@ def parse_config_file(path: str | Path) -> dict:
     return cfg
 
 
+_ABSENT = object()
+
+
 def _get(cfg: dict, dotted: str, default=None):
     node = cfg
     for part in dotted.split("."):
@@ -95,6 +97,14 @@ def _get(cfg: dict, dotted: str, default=None):
             return default
         node = node[part]
     return node
+
+
+def _settings(cfg: dict, table: dict) -> dict:
+    """Keyword arguments from the keys of ``table``, ``config key ->
+    (parameter, type)``, that the config sets; the rest keep the defaults of
+    the library call they feed."""
+    found = {key: _get(cfg, key, _ABSENT) for key in table}
+    return {table[k][0]: table[k][1](v) for k, v in found.items() if v is not _ABSENT}
 
 
 def _set(cfg: dict, dotted: str, value) -> None:
@@ -125,41 +135,29 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _outdir(cfg: dict) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(cfg: dict, out: Path, command: str) -> dict:
+def _echo_config(cfg: dict, out: Path, command: str) -> str:
+    """Write the resolved config with its settings hash; return the hash."""
     resolved = {"command": command, **cfg}
     # the hash identifies the experiment: output location and worker count
     # do not affect results and stay out of it
     hashed = {k: v for k, v in resolved.items() if k not in ("out", "threads")}
     resolved["settings_hash"] = settings_hash(hashed)
     write_json(out / f"{command.replace('-', '_')}_config.json", resolved)
-    return resolved
+    return resolved["settings_hash"]
 
 
-def _quad_from_cfg(cfg: dict, default: QuadratureSpec = DEFAULT_QUAD) -> QuadratureSpec:
-    q = _get(cfg, "quadrature", None)
-    if not q:
-        return default
+def _quad_from_cfg(cfg: dict) -> QuadratureSpec:
+    q = _get(cfg, "quadrature") or {}
     if not isinstance(q, dict):
         raise UsageError(f"quadrature must be a table of settings, got {q!r}")
-    res = q.get("resolution", list(default.counts()))
-    if isinstance(res, list):
-        res = tuple(int(r) for r in res)
-    return QuadratureSpec(q.get("scheme", "polar-midpoint"), res, q.get("seed"))
+    return QuadratureSpec(**{key: q[key] for key in ("scheme", "resolution", "seed") if key in q})
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze_weight(cfg: dict) -> int:
-    out = _outdir(cfg)
-    resolved = _echo_config(cfg, out, "analyze-weight")
+def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
     wcfg = _get(cfg, "weight")
     if not isinstance(wcfg, dict) or "kind" not in wcfg:
         raise UsageError(
@@ -183,10 +181,9 @@ def cmd_analyze_weight(cfg: dict) -> int:
         if dom.dim != omega.dim:
             raise ValueError(f"domain.center must have {omega.dim} coordinates, got {dom.dim}")
         quad = _quad_from_cfg(cfg)
-        fam = seminorms.standard_family(dom, int(_get(cfg, "family.levels", 3)))
+        fam = seminorms.standard_family(dom, **_settings(cfg, {"family.levels": ("levels", int)}))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    header = {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]}
 
     summary: dict = {"label": omega.label, "calibrated": CALIBRATED.as_dict()}
     rows = []
@@ -269,10 +266,15 @@ def cmd_analyze_weight(cfg: dict) -> int:
         small_rows,
         header,
     )
-    summary["settings_hash"] = resolved["settings_hash"]
+    summary["settings_hash"] = header["settings_hash"]
     write_json(out / "weight_analysis.json", summary)
     print(f"analyze-weight: wrote {out}/weight_analysis.json")
     return 0
+
+
+_EXAMPLE_KEYS = {
+    "example.variant": ("variant", str), "example.theta_override": ("theta_override", float),
+}
 
 
 def _example_from_cfg(cfg: dict, eps=None) -> exact_examples.MeyersExample:
@@ -282,8 +284,7 @@ def _example_from_cfg(cfg: dict, eps=None) -> exact_examples.MeyersExample:
         return exact_examples.MeyersExample(
             n=int(_get(cfg, "example.n", 2)),
             eps=float(_get(cfg, "example.eps", 0.25) if eps is None else eps),
-            variant=str(_get(cfg, "example.variant", "plain")),
-            theta_override=_get(cfg, "example.theta_override"),
+            **_settings(cfg, _EXAMPLE_KEYS),
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"example settings: {exc}") from exc
@@ -318,9 +319,7 @@ def _local_row(level: int, u, prob, sandwich, condition, bmo_log: float) -> tupl
     )
 
 
-def cmd_verify_example(cfg: dict) -> int:
-    out = _outdir(cfg)
-    resolved = _echo_config(cfg, out, "verify-example")
+def cmd_verify_example(cfg: dict, out: Path, header: dict) -> int:
     ex = _example_from_cfg(cfg)
     rng = np.random.default_rng(int(cfg["seed"]))
     checks: list[tuple[str, bool, float]] = []
@@ -379,7 +378,6 @@ def cmd_verify_example(cfg: dict) -> int:
         checks.append(("residual_refinement", vanishing, residuals[-1] / residuals[0]))
 
     rows = [(name, int(ok), val) for name, ok, val in checks]
-    header = {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]}
     write_csv(out / "verify_example.csv", ("check", "passed", "value"), rows, header)
     if local_rows:
         write_csv(out / "verify_local.csv", LOCAL_COLUMNS, local_rows, header)
@@ -390,22 +388,23 @@ def cmd_verify_example(cfg: dict) -> int:
     return 0
 
 
+_DISK_KEYS = {
+    "mesh.radius": ("radius", float), "mesh.angular": ("angular", int),
+    "mesh.layers": ("layers", int), "mesh.grading": ("grading", float),
+}
+
+
 def _mesh_from_cfg(cfg: dict):
     kind = _get(cfg, "mesh.kind", "disk")
     if kind == "disk":
-        return disk_mesh(
-            radius=float(_get(cfg, "mesh.radius", 1.0)),
-            angular=int(_get(cfg, "mesh.angular", 24)),
-            layers=int(_get(cfg, "mesh.layers", 20)),
-            grading=float(_get(cfg, "mesh.grading", 0.7)),
-        )
+        return disk_mesh(**_settings(cfg, _DISK_KEYS))
     if kind == "square":
         return unit_square_mesh(int(_get(cfg, "mesh.divisions", 32)))
     raise SetupError(f"unknown mesh kind {kind!r}")
 
 
 def _data_from_cfg(cfg: dict):
-    spec = _get(cfg, "problem.data", "zero")
+    spec = _get(cfg, "problem.data")
     if spec == "zero" or spec is None:
         return None
     if isinstance(spec, list):
@@ -426,9 +425,12 @@ def _dirichlet_from_cfg(cfg: dict, ex) -> object:
     raise SetupError(f"unknown dirichlet spec {spec!r}")
 
 
-def cmd_solve(cfg: dict) -> int:
-    out = _outdir(cfg)
-    resolved = _echo_config(cfg, out, "solve")
+_SOLVER_KEYS = {
+    "solver.tolerance": ("tolerance", float), "solver.max_iterations": ("max_iterations", int),
+}
+
+
+def cmd_solve(cfg: dict, out: Path, header: dict) -> int:
     ex = _example_from_cfg(cfg)
     wcfg = _get(cfg, "weight")
     try:
@@ -441,19 +443,13 @@ def cmd_solve(cfg: dict) -> int:
         raise SetupError(str(exc)) from exc
     try:
         prob = pde_solver.WeakProblem(
-            wfield,
-            float(_get(cfg, "problem.p", 2.0)),
-            _data_from_cfg(cfg),
-            _dirichlet_from_cfg(cfg, ex),
+            wfield, data=_data_from_cfg(cfg), dirichlet=_dirichlet_from_cfg(cfg, ex),
+            **_settings(cfg, {"problem.p": ("p", float)}),
         )
+        scfg = pde_solver.SolverConfig(**_settings(cfg, _SOLVER_KEYS))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"problem settings: {exc}") from exc
-    scfg = pde_solver.SolverConfig(
-        tolerance=float(_get(cfg, "solver.tolerance", 1e-10)),
-        max_iterations=int(_get(cfg, "solver.max_iterations", 60)),
-    )
     result = pde_solver.solve(prob, mesh, scfg)
-    header = {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]}
     mesh.to_csv(out / "mesh")
     write_csv(
         out / "solution.csv",
@@ -472,33 +468,35 @@ def cmd_solve(cfg: dict) -> int:
     return 0
 
 
-def cmd_cz_sweep(cfg: dict) -> int:
-    out = _outdir(cfg)
-    resolved = _echo_config(cfg, out, "cz-sweep")
-    # checks example.n and example.variant too, before they are read below
-    eps_list = tuple(_example_from_cfg(cfg, eps).eps
-                     for eps in np.atleast_1d(_get(cfg, "example.eps", [0.5])).tolist())
+_SWEEP_KEYS = {
+    "example.variant": ("variant", str),
+    "example.n": ("n", int),
+    "example.eps": ("eps_list", lambda v: tuple(float(e) for e in np.atleast_1d(v).tolist())),
+    "sweep.rho": ("rho_list", tuple),
+    "sweep.levels": ("levels", tuple),
+    "ball.center": ("ball_center", tuple),
+    "ball.radius": ("ball_radius", float),
+    "problem.p": ("p", float),
+    "sweep.geometry": ("geometry", str),
+    "mesh.angular": ("angular", int),
+    "mesh.base_layers": ("base_layers", int),
+    "mesh.layers_per_level": ("layers_per_level", int),
+    "mesh.grading": ("grading", float),
+    "sweep.use_fem": ("use_fem", bool),
+    "experiment_id": ("experiment_id", str),
+}
+
+
+def cmd_cz_sweep(cfg: dict, out: Path, header: dict) -> int:
     try:
         spec = cz_harness.SweepSpec(
-            variant=str(_get(cfg, "example.variant", "plain")),
-            n=int(_get(cfg, "example.n", 2)),
-            eps_list=eps_list,
-            rho_list=tuple(_get(cfg, "sweep.rho", [2.0, 3.0, 5.0])),
-            levels=tuple(_get(cfg, "sweep.levels", [1, 2, 3])),
-            ball_center=tuple(_get(cfg, "ball.center", (0.0, 0.0))),
-            ball_radius=float(_get(cfg, "ball.radius", 0.2)),
-            p=float(_get(cfg, "problem.p", 2.0)),
-            geometry=str(_get(cfg, "sweep.geometry", "nonlinear")),
-            angular=int(_get(cfg, "mesh.angular", 16)),
-            base_layers=int(_get(cfg, "mesh.base_layers", 20)),
-            layers_per_level=int(_get(cfg, "mesh.layers_per_level", 100)),
-            grading=float(_get(cfg, "mesh.grading", 0.7)),
-            use_fem=bool(_get(cfg, "sweep.use_fem", False)),
-            experiment_id=str(_get(cfg, "experiment_id", resolved["settings_hash"])),
+            **{"experiment_id": header["settings_hash"], **_settings(cfg, _SWEEP_KEYS)}
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"sweep settings: {exc}") from exc
-    threads = int(cfg.get("threads", 1))
+    for eps in spec.eps_list:  # checks example.n and example.variant too
+        _example_from_cfg(cfg, eps)
+    threads = cfg["threads"]
     if threads > 1 and len(spec.eps_list) > 1:
         parts = [dataclasses.replace(spec, eps_list=(eps,)) for eps in spec.eps_list]
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -506,7 +504,6 @@ def cmd_cz_sweep(cfg: dict) -> int:
         report = cz_harness.CzReport.merged(reports)
     else:
         report = cz_harness.run_sweep(spec)
-    header = {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]}
     write_csv(
         out / "cz_report.csv",
         cz_harness.CzRow.CSV_COLUMNS,
@@ -518,25 +515,23 @@ def cmd_cz_sweep(cfg: dict) -> int:
     return 0
 
 
-def cmd_nfun_props(cfg: dict) -> int:
-    out = _outdir(cfg)
-    resolved = _echo_config(cfg, out, "nfun-props")
+def cmd_nfun_props(cfg: dict, out: Path, header: dict) -> int:
     p_list = _get(cfg, "nfun.p_list", [1.5, 2.0, 3.0, 4.5])
     if not isinstance(p_list, list):
         raise UsageError(f"nfun.p_list must be a list, got {p_list!r}")
     try:
         p_list = [float(p) for p in p_list]
-        samples = int(_get(cfg, "nfun.samples", 100_000))
+        sweep = _settings(cfg, {"nfun.samples": ("samples", int)})
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"nfun.p_list and nfun.samples must be numbers: {exc}") from exc
-    if samples < 1:
-        raise UsageError(f"nfun.samples must be at least 1, got {samples}")
+    if sweep.get("samples", 1) < 1:
+        raise UsageError(f"nfun.samples must be at least 1, got {sweep['samples']}")
     if not all(math.isfinite(p) and p > 1.0 for p in p_list):
         raise UsageError(f"nfun.p_list entries must be finite and exceed 1, got {p_list}")
     rows = []
     violations = 0
     for p in p_list:
-        for case in nfunctions.run_property_sweep(p, samples, int(cfg["seed"])):
+        for case in nfunctions.run_property_sweep(p, seed=int(cfg["seed"]), **sweep):
             rows.append(
                 (case.p, case.case, case.min_ratio, case.max_ratio, case.violations)
             )
@@ -545,7 +540,7 @@ def cmd_nfun_props(cfg: dict) -> int:
         out / "nfun_props.csv",
         ("p", "case", "min_ratio", "max_ratio", "violations"),
         rows,
-        {"settings_hash": resolved["settings_hash"], "seed": cfg["seed"]},
+        header,
     )
     print(f"nfun-props: {len(rows)} cases, {violations} violations")
     if violations:
@@ -553,9 +548,7 @@ def cmd_nfun_props(cfg: dict) -> int:
     return 0
 
 
-def cmd_report(cfg: dict) -> int:
-    out = _outdir(cfg)
-    resolved = _echo_config(cfg, out, "report")
+def cmd_report(cfg: dict, out: Path, header: dict) -> int:
     merged: dict = {"files": {}}
     for csv_path in sorted(out.glob("*.csv")):
         with open(csv_path) as fh:
@@ -564,7 +557,7 @@ def cmd_report(cfg: dict) -> int:
     for json_path in sorted(out.glob("*_summary.json")) + sorted(out.glob("*analysis.json")):
         with open(json_path) as fh:
             merged[json_path.stem] = json.load(fh)
-    merged["settings_hash"] = resolved["settings_hash"]
+    merged["settings_hash"] = header["settings_hash"]
     write_json(out / "summary.json", merged)
     print(f"report: merged {len(merged['files'])} CSV files into {out}/summary.json")
     return 0
@@ -613,7 +606,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else 0
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command][0](cfg)
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        header = {"settings_hash": _echo_config(cfg, out, args.command), "seed": cfg["seed"]}
+        return _COMMANDS[args.command][0](cfg, out, header)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -53,7 +53,8 @@ GEOMETRIES = ("nonlinear", "linear")
 
 
 class GeometryError(ValueError):
-    """Raised when an enlarged ball does not fit inside the mesh domain."""
+    """Raised when an enlarged ball does not fit inside the mesh domain, or
+    when the disk mesh of a sweep level cannot be built."""
 
 
 def _require_ball(mesh: Mesh, ball: Ball, label: str) -> None:
@@ -192,7 +193,6 @@ class LocalizedTriple:
     z: DiscreteField
     g: np.ndarray                  # per-cell vector field
     h: DiscreteField
-    zeta: DiscreteField
     ball: Ball                     # localization ball B0
     comparison_ball: Ball          # ball of the frozen solve
     frozen_matrix: np.ndarray
@@ -226,7 +226,7 @@ def build_localized(
     fixed = ~comparison_ball.contains(mesh.vertices)
     result = solve(frozen, mesh, fixed_mask=fixed, fixed_values=z.values)
     return LocalizedTriple(
-        z, g, result.field, DiscreteField(mesh, zeta_v), b0, comparison_ball,
+        z, g, result.field, b0, comparison_ball,
         m_b, prob.p, u, u_mean,
     )
 
@@ -240,8 +240,6 @@ class ComparisonReport:
     u_term: float                  # delta^(1-p) * outer scaled-oscillation mean
     data_term: float               # delta^(1-p) * outer cutoff data mean
     bmo_log: float
-    delta: float
-    s: float
 
     @property
     def rhs_total(self) -> float:
@@ -253,12 +251,13 @@ def comparison_check(
     prob: WeakProblem,
     delta: float,
     bmo_log: float,
-    s: float = 1.25,
 ) -> ComparisonReport:
     """Both sides of the frozen-replacement estimate on the comparison ball B,
-    at the cost ``bmo_log`` = |log M|_BMO(B), estimated by the caller."""
+    at the cost ``bmo_log`` = |log M|_BMO(B), estimated by the caller, with
+    the higher-integrability exponent s = 1.25 on the right-hand means."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
+    s = 1.25
     mesh = triple.z.mesh
     b = triple.comparison_ball
     p = triple.p
@@ -275,7 +274,7 @@ def comparison_check(
     if c.data is not None:
         g = cutoff_values(mesh.barycenters, triple.ball) * c.data
         data_term = delta ** (1.0 - p) * c.mean((g * c.w) ** (p * s), outer) ** (1.0 / s)
-    return ComparisonReport(lhs, osc, u_term, data_term, bmo_log, delta, s)
+    return ComparisonReport(lhs, osc, u_term, data_term, bmo_log)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +407,17 @@ class SweepSpec:
             raise ValueError("rho must be at least 1")
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
+        Ball(self.ball_center, self.ball_radius)  # raises on a bad ball
 
     def mesh_for(self, level: int) -> Mesh:
-        return disk_mesh(
-            radius=1.0,
-            angular=self.angular,
-            layers=self.base_layers + level * self.layers_per_level,
-            grading=self.grading,
-        )
+        try:
+            return disk_mesh(
+                angular=self.angular,
+                layers=self.base_layers + level * self.layers_per_level,
+                grading=self.grading,
+            )
+        except ValueError as exc:
+            raise GeometryError(f"sweep mesh at level {level}: {exc}") from exc
 
 
 def _classify(ratios: list[float]) -> str:

@@ -108,11 +108,11 @@ class MeyersExample:
         r = _radii(pts)
         return pts[:, 0] * r ** (-self.grad_exponent)
 
-    def u_with_origin(self, points: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    def u_with_origin(self, points: np.ndarray) -> np.ndarray:
         """Continuous extension of u for nodal interpolation (u -> 0 at the origin)."""
         pts = _as_points(points, self.n)
         r = euclidean_norm(pts)
-        out = np.full(r.shape, fill)
+        out = np.zeros(r.shape)
         ok = r >= _MIN_RADIUS
         out[ok] = pts[ok, 0] * r[ok] ** (-self.grad_exponent)
         return out

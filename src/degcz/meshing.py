@@ -104,12 +104,12 @@ class Mesh:
 
     # -- geometry ------------------------------------------------------------
 
-    def contains_ball(self, center, radius: float, tol: float = 1e-9) -> bool:
+    def contains_ball(self, center, radius: float) -> bool:
         kind = self.geometry.get("kind")
         c = np.asarray(center, dtype=float)
+        tol = 1e-9
         if kind == "disk":
-            mid = np.asarray(self.geometry.get("center", (0.0, 0.0)))
-            return np.linalg.norm(c - mid) + radius <= self.geometry["radius"] + tol
+            return np.linalg.norm(c) + radius <= self.geometry["radius"] + tol
         if kind == "unit-square":
             return bool(
                 np.all(c - radius >= -tol) and np.all(c + radius <= 1.0 + tol)
@@ -127,18 +127,14 @@ class Mesh:
         edges, counts = self.edges, self.edge_counts
         mids = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
         if self.geometry.get("kind") == "disk":
-            center = np.asarray(self.geometry.get("center", (0.0, 0.0)))
             rad = self.geometry["radius"]
-            vr = np.linalg.norm(self.vertices - center, axis=1)
+            vr = np.linalg.norm(self.vertices, axis=1)
             both = (np.abs(vr[edges[:, 0]] - rad) < 1e-9 * max(rad, 1.0)) & (
                 np.abs(vr[edges[:, 1]] - rad) < 1e-9 * max(rad, 1.0)
             )
             project = both & (counts == 1)
             if project.any():
-                vec = mids[project] - center
-                mids[project] = center + vec * (
-                    rad / np.linalg.norm(vec, axis=1)
-                )[:, None]
+                mids[project] *= (rad / np.linalg.norm(mids[project], axis=1))[:, None]
         nv = len(self.vertices)
         new_vertices = np.vstack([self.vertices, mids])
         a, b, c = self.cells.T
@@ -208,16 +204,15 @@ def disk_mesh(
     angular: int = 24,
     layers: int = 20,
     grading: float = 0.7,
-    center: tuple[float, float] = (0.0, 0.0),
 ) -> Mesh:
-    """Disk triangulated by concentric rings with geometric radial grading."""
+    """Disk about the origin, in concentric rings with geometric radial grading."""
     if angular < 6:
         raise ValueError("need at least 6 angular subdivisions")
     radii = _ring_radii(radius, layers, grading)
     theta = np.arange(angular) * (2.0 * math.pi / angular)
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     verts = (radii[:, None, None] * ring[None, :, :]).reshape(-1, 2)
-    verts = np.vstack([verts, [[0.0, 0.0]]]) + np.asarray(center)
+    verts = np.vstack([verts, [[0.0, 0.0]]])
     center_idx = len(verts) - 1
     j = np.arange(angular)
     innermost = (len(radii) - 1) * angular
@@ -227,7 +222,7 @@ def disk_mesh(
     return Mesh(
         verts,
         np.vstack([_ring_cells(len(radii) - 1, angular), fan]),
-        {"kind": "disk", "radius": radius, "center": tuple(center)},
+        {"kind": "disk", "radius": radius},
     )
 
 

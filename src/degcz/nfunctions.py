@@ -167,7 +167,7 @@ def equivalence_constant(x: np.ndarray, y: np.ndarray) -> float:
 # conjugation oracle and shift lemma checks
 # ---------------------------------------------------------------------------
 
-def conjugate_by_maximization(p: float, a: float | np.ndarray, t, iters: int = 130) -> np.ndarray:
+def conjugate_by_maximization(p: float, a: float | np.ndarray, t) -> np.ndarray:
     """sup_s (t s - phi_a(s)) by bracketed ternary search on the concave objective.
 
     The shift ``a`` broadcasts against ``t``: a ``(k, 1)`` column of shifts
@@ -195,7 +195,7 @@ def conjugate_by_maximization(p: float, a: float | np.ndarray, t, iters: int = 1
             break
         hi = np.where(grow, 2.0 * hi, hi)
     lo = np.zeros(t.shape)
-    for _ in range(iters):
+    for _ in range(130):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         takes_hi = obj(m1) < obj(m2)

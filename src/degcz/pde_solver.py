@@ -34,7 +34,9 @@ the predicted decrease lambda^2 / 2, and the full step is taken.
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -155,12 +157,6 @@ class WeakProblem:
 class SolverConfig:
     tolerance: float = 1e-10
     max_iterations: int = 60
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    eps_start: float = 1e-1
-    eps_end: float = 1e-8
-    eps_factor: float = 0.1
 
 
 @dataclass
@@ -345,17 +341,11 @@ def solve(
 _ENERGY_ROUNDOFF = 1e3 * np.finfo(float).eps
 
 
-def _eps_schedule(cfg: SolverConfig) -> list[float]:
-    """Continuation stages eps_start, eps_start * eps_factor, ..., eps_end;
-    a product within half a factor (in log scale) of eps_end is eps_end
-    itself, so round-off in the repeated product never adds a stage."""
-    stages: list[float] = []
-    e = cfg.eps_start
-    while e * math.sqrt(cfg.eps_factor) > cfg.eps_end:
-        stages.append(e)
-        e *= cfg.eps_factor
-    stages.append(cfg.eps_end)
-    return stages
+#: continuation stages 0.1, 0.1 * 0.1, ... by repeated product, ending at
+#: 1e-8 itself rather than at the product's round-off of it
+_EPS_STAGES = tuple(itertools.accumulate([0.1] * 7, operator.mul)) + (1e-8,)
+#: Armijo sufficient-decrease constant, step shrink factor and shrink budget
+_ARMIJO_C, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 40
 
 
 def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
@@ -373,10 +363,9 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
     on the last row of a stage that used up ``max_iterations`` steps).
     """
     interior = kernel.free
-    stages = _eps_schedule(cfg)
     trace: list[dict] = []
-    for stage, eps in enumerate(stages):
-        last_stage = stage == len(stages) - 1
+    for eps in _EPS_STAGES:
+        last_stage = eps == _EPS_STAGES[-1]
         stage_tol = max(cfg.tolerance, eps * 1e-2)
         e0 = None
         for it in range(cfg.max_iterations):
@@ -402,13 +391,13 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
             if e0 is None:
                 e0 = kernel.energy(kernel.q(values), eps)
             t = 1.0
-            for _bt in range(cfg.max_backtracks):
+            for _bt in range(_MAX_BACKTRACKS):
                 cand = values + t * step
                 e1 = kernel.energy(kernel.q(cand), eps)
                 # below the energy's round-off the Armijo test compares noise
-                if lam2 <= _ENERGY_ROUNDOFF * abs(e0) or e1 <= e0 - cfg.armijo_c * t * lam2:
+                if lam2 <= _ENERGY_ROUNDOFF * abs(e0) or e1 <= e0 - _ARMIJO_C * t * lam2:
                     break
-                t *= cfg.backtrack
+                t *= _BACKTRACK
             else:
                 raise NonconvergenceError(
                     f"line search failed at eps={eps:g}", trace

@@ -94,23 +94,20 @@ class BallFamily:
         return BallFamily(tuple(balls), "dyadic-grid", domain, (("levels", float(levels)),))
 
     @staticmethod
-    def origin_ladder(
-        domain: Ball, levels: int, scale: float = 1e-4, offsets: bool = True
-    ) -> "BallFamily":
-        """Balls shrinking geometrically toward the domain center.
+    def origin_ladder(domain: Ball, levels: int) -> "BallFamily":
+        """Balls shrinking geometrically toward the domain center, each in 2-d
+        with four copies shifted by half its radius.
 
         Power-type blow-up is logarithmically slow in the radius, so each
-        ladder level divides the radius by 1/scale (default 1e4) to make
-        growth visible within a couple of levels.
+        ladder level divides the radius by 1e4 to make growth visible within
+        a couple of levels.
         """
-        if not (0 < scale < 1):
-            raise ValueError("scale must lie in (0, 1)")
         center = np.asarray(domain.center)
         balls = []
         for lev in range(levels + 1):
-            r = domain.radius * scale ** lev
+            r = domain.radius * 1e-4 ** lev
             balls.append(Ball(tuple(center), r))
-            if offsets and domain.dim == 2:
+            if domain.dim == 2:
                 for dx, dy in ((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)):
                     balls.append(Ball(tuple(center + r * np.array([dx, dy])), r))
         return BallFamily(tuple(balls), "origin-ladder", domain)
@@ -138,8 +135,6 @@ class BmoEstimate:
 
     value: float
     attaining_ball: Ball
-    ball_count: int
-    quadrature: QuadratureSpec
     rows: list[tuple[int, float, float, float, float, float]] = field(default_factory=list)
     # rows: (index, cx, cy, radius, per-ball value, running max)
 
@@ -172,7 +167,7 @@ def bmo_views(
             ball = fam.balls[start + k]
             for out, v in zip(per_ball, seen):
                 out.append(0.0 if a == b else _mean_oscillation(w[a:b], v[a:b], ball))
-    return [_bmo_estimate(fam, quad, values) for values in per_ball]
+    return [_bmo_estimate(fam, values) for values in per_ball]
 
 
 def _mean_oscillation(w: np.ndarray, vals: np.ndarray, ball: Ball) -> float:
@@ -182,7 +177,7 @@ def _mean_oscillation(w: np.ndarray, vals: np.ndarray, ball: Ball) -> float:
     return float(np.sum(w * osc) / ball.volume)
 
 
-def _bmo_estimate(fam: BallFamily, quad: QuadratureSpec, values: list[float]) -> BmoEstimate:
+def _bmo_estimate(fam: BallFamily, values: list[float]) -> BmoEstimate:
     rows = []
     best_val, best_ball, running = -1.0, fam.balls[0], 0.0
     for idx, (ball, val) in enumerate(zip(fam.balls, values)):
@@ -191,7 +186,7 @@ def _bmo_estimate(fam: BallFamily, quad: QuadratureSpec, values: list[float]) ->
             best_val, best_ball = val, ball
         c = ball.center
         rows.append((idx, c[0], c[1] if len(c) > 1 else 0.0, ball.radius, val, running))
-    return BmoEstimate(best_val, best_ball, fam.count, quad, rows)
+    return BmoEstimate(best_val, best_ball, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +201,6 @@ class ApEstimate:
     divergent: bool
     p: float
     witness_ball: Ball | None
-    ball_count: int
     rows: list[tuple[int, float, float, float, float]] = field(default_factory=list)
 
 
@@ -220,7 +214,7 @@ def _family_power_means(field, balls, quad, expos) -> list[list[list[float]]]:
     batch: the per-ball lists for the rule ``quad`` and for its 4x radial
     refinement."""
     out = []
-    for rule in (quad, quad.refined(4)):
+    for rule in (quad, quad.refined()):
         means = []
         for _, pts, w, cuts in node_batches(balls, rule, singular=field.singular_points):
             vals = field.evaluate(pts)
@@ -272,8 +266,8 @@ def muckenhoupt_ap(
         if val_f > best:
             best, witness = val_f, ball
     if divergent:
-        return ApEstimate(None, True, p, div_ball, fam.count, rows)
-    return ApEstimate(best, False, p, witness, fam.count, rows)
+        return ApEstimate(None, True, p, div_ball, rows)
+    return ApEstimate(best, False, p, witness, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,6 @@ class PropSmallReport:
     bmo: float
     q: float
     ratio: float
-    ball: Ball
 
 
 def prop_small_check(
@@ -315,24 +308,21 @@ def prop_small_check(
         rel = np.abs(vals - center) / center
     lhs = float((np.sum(w * rel ** q) / w.sum()) ** (1.0 / q))
     ratio = lhs / (q * bmo_log) if bmo_log > 0 else (0.0 if lhs == 0.0 else math.inf)
-    return PropSmallReport(lhs, bmo_log, q, ratio, ball)
+    return PropSmallReport(lhs, bmo_log, q, ratio)
 
 
 @dataclass
 class SmallScalarReport:
-    """Two-sided power-mean bounds around the logarithmic mean."""
+    """Two-sided power-mean bounds around the logarithmic mean w_B."""
 
-    s: float
     bmo_log: float
-    condition_met: bool          # bmo_log <= gamma / s for the calibrated gamma
-    log_mean: float
+    condition_met: bool          # bmo_log <= CALIBRATED.gamma_small / s
     mean_pos: float              # (mean w^s)^(1/s)
     mean_neg: float              # (mean w^-s)^(1/s)
     divergent: bool
-    margin_pos: float            # 2 log_mean - mean_pos
-    margin_neg: float            # 2 / log_mean - mean_neg
+    margin_pos: float            # 2 w_B - mean_pos
+    margin_neg: float            # 2 / w_B - mean_neg
     margin_product: float        # 4 - mean_pos * mean_neg
-    gamma: float
 
     @property
     def holds(self) -> bool:
@@ -350,7 +340,6 @@ def small_scalar_checks(
     s: float,
     bmo_log: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    gamma: float = CALIBRATED.gamma_small,
 ) -> SmallScalarReport:
     """Check the factor-2 power-mean bounds that smallness of log w buys.
 
@@ -363,15 +352,12 @@ def small_scalar_checks(
     (coarse,), (fine,) = _family_power_means(omega, (ball,), quad, (s, -s))
     mean_pos, mean_neg, mean_pos_f, mean_neg_f = (m ** (1.0 / s) for m in coarse + fine)
     return SmallScalarReport(
-        s=s,
         bmo_log=bmo_log,
-        condition_met=bmo_log <= gamma / s,
-        log_mean=lm,
+        condition_met=bmo_log <= CALIBRATED.gamma_small / s,
         mean_pos=mean_pos_f,
         mean_neg=mean_neg_f,
         divergent=_unstable(mean_pos, mean_pos_f) or _unstable(mean_neg, mean_neg_f),
         margin_pos=2.0 * lm - mean_pos_f,
         margin_neg=2.0 / lm - mean_neg_f,
         margin_product=4.0 - mean_pos_f * mean_neg_f,
-        gamma=gamma,
     )

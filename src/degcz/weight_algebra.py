@@ -250,9 +250,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in ("polar-midpoint", "monte-carlo"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if isinstance(self.resolution, tuple):
-            total = self.resolution[0] * self.resolution[1]
+        if isinstance(self.resolution, (tuple, list)):
             object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
+            total = self.resolution[0] * self.resolution[1]
         else:
             total = int(self.resolution)
             object.__setattr__(self, "resolution", total)
@@ -267,11 +267,12 @@ class QuadratureSpec:
         n_ang = 32
         return max(2, int(self.resolution) // n_ang), n_ang
 
-    def refined(self, factor: int = 4) -> "QuadratureSpec":
+    def refined(self) -> "QuadratureSpec":
+        """The rule with four times the radial resolution (or node count)."""
         if isinstance(self.resolution, tuple):
-            res = (self.resolution[0] * factor, self.resolution[1])
+            res = (self.resolution[0] * 4, self.resolution[1])
         else:
-            res = int(self.resolution) * factor
+            res = int(self.resolution) * 4
         return replace(self, resolution=res)
 
 
@@ -552,7 +553,6 @@ class SandwichReport:
     lower_margin: float
     upper_margin: float
     matrix_mean: np.ndarray
-    scalar_mean: float
 
 
 def sandwich_check(
@@ -567,7 +567,7 @@ def sandwich_check(
     lower = float(w.min() - omega_b / M.cond_bound)
     upper = float(omega_b - w.max())
     tol = 1e-10 * omega_b
-    return SandwichReport(lower >= -tol and upper >= -tol, lower, upper, m_b, omega_b)
+    return SandwichReport(lower >= -tol and upper >= -tol, lower, upper, m_b)
 
 
 # ---------------------------------------------------------------------------

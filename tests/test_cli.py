@@ -182,9 +182,29 @@ class TestExitCodes:
             assert f"usage error: sweep settings: {message}" in capsys.readouterr().err
         assert not (out / "cz_report.csv").exists()
 
+    def test_usage_error_bad_sweep_ball(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "b.cfg", "ball.radius = -0.2\n")
+        assert main(["cz-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: sweep settings: ball radius must be positive" in err
+
+    def test_usage_error_bad_solver_settings(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg", 'solver.tolerance = "abc"\n')
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert "usage error: problem settings: could not convert" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
     def test_setup_error_bad_mesh(self, tmp_path):
         cfg = write_cfg(tmp_path / "m.cfg", 'mesh.kind = "torus"\n')
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_setup_error_too_few_angular_subdivisions(self, tmp_path, capsys):
+        # the sweep builds its meshes while it runs, solve up front
+        cfg = write_cfg(tmp_path / "m.cfg", "mesh.angular = 2\n")
+        for command in ("solve", "cz-sweep"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "need at least 6 angular subdivisions" in capsys.readouterr().err
 
     def test_nonconvergence_exit(self, tmp_path):
         # curved boundary data needs Newton steps; forbidding them leaves the
@@ -234,6 +254,42 @@ class TestExitCodes:
             """,
         )
         assert main(["verify-example", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+class TestDefaults:
+    def test_empty_config_builds_the_library_defaults(self, tmp_path, monkeypatch):
+        # each library default is written once, in the library: a command
+        # passes only the settings its config holds
+        from degcz import cli, cz_harness, meshing, nfunctions, pde_solver
+        from degcz.weight_algebra import QuadratureSpec
+
+        seen = collections.defaultdict(list)
+        orig_solve = pde_solver.solve
+
+        def solve(prob, mesh, cfg):
+            seen["solve"].append((prob, mesh, cfg))
+            return orig_solve(prob, mesh, cfg)
+
+        monkeypatch.setattr(pde_solver, "solve", solve)
+        monkeypatch.setattr(cz_harness, "run_sweep",
+                            lambda spec: seen["sweep"].append(spec) or cz_harness.CzReport())
+        monkeypatch.setattr(nfunctions, "run_property_sweep",
+                            lambda *args, **kwargs: seen["nfun"].append(kwargs) or [])
+        for command in ("solve", "cz-sweep", "nfun-props"):
+            assert main([command, "--out", str(tmp_path / command)]) == 0
+
+        ((prob, mesh, cfg),) = seen["solve"]
+        assert cfg == pde_solver.SolverConfig()
+        assert prob.p == pde_solver.WeakProblem(prob.weight).p
+        default_mesh = meshing.disk_mesh()
+        assert np.array_equal(mesh.vertices, default_mesh.vertices)
+        assert mesh.geometry == default_mesh.geometry
+        (spec,) = seen["sweep"]
+        echo = json.loads((tmp_path / "cz-sweep" / "cz_sweep_config.json").read_text())
+        assert spec.experiment_id == echo["settings_hash"]
+        assert spec == cz_harness.SweepSpec(experiment_id=spec.experiment_id)
+        assert seen["nfun"] and all(kwargs == {"seed": 0} for kwargs in seen["nfun"])
+        assert cli._quad_from_cfg({}) == QuadratureSpec()
 
 
 class TestVerifyExample:

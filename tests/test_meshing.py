@@ -22,16 +22,15 @@ def reference_refine(mesh):
     edge_ids = {tuple(e): i for i, e in enumerate(edges)}
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     if mesh.geometry.get("kind") == "disk":
-        center = np.asarray(mesh.geometry.get("center", (0.0, 0.0)))
         rad = mesh.geometry["radius"]
-        vr = np.linalg.norm(mesh.vertices - center, axis=1)
+        vr = np.linalg.norm(mesh.vertices, axis=1)
         both = (np.abs(vr[edges[:, 0]] - rad) < 1e-9 * max(rad, 1.0)) & (
             np.abs(vr[edges[:, 1]] - rad) < 1e-9 * max(rad, 1.0)
         )
         project = both & (counts == 1)
         if project.any():
-            vec = mids[project] - center
-            mids[project] = center + vec * (rad / np.linalg.norm(vec, axis=1))[:, None]
+            vec = mids[project]
+            mids[project] = vec * (rad / np.linalg.norm(vec, axis=1))[:, None]
     nv = len(mesh.vertices)
     cells = []
     for tri in mesh.cells:
@@ -160,10 +159,17 @@ class TestRefine:
         assert fine.areas.sum() > mesh.areas.sum()  # closer to the disk
 
 
+def off_centre_disk() -> Mesh:
+    """A disk mesh moved off the origin, without geometry: refined without
+    boundary projection."""
+    disk = disk_mesh(angular=14, layers=5)
+    return Mesh(disk.vertices + (0.2, -0.1), disk.cells)
+
+
 class TestArrayCodeMatchesLoops:
     MESHES = {
         "graded-disk": lambda: disk_mesh(angular=20, layers=36, grading=0.7),
-        "off-centre-disk": lambda: disk_mesh(angular=14, layers=5, center=(0.2, -0.1)),
+        "off-centre-disk": off_centre_disk,
         "square": lambda: unit_square_mesh(6),
     }
 
@@ -187,7 +193,7 @@ class TestArrayCodeMatchesLoops:
 
     def test_builders(self):
         for angular, layers in ((20, 36), (6, 1), (9, 4)):
-            mesh = disk_mesh(radius=1.5, angular=angular, layers=layers, center=(0.1, 0.3))
+            mesh = disk_mesh(radius=1.5, angular=angular, layers=layers)
             want = Mesh(mesh.vertices, np.asarray(reference_disk_cells(angular, layers)))
             assert np.array_equal(mesh.cells, want.cells)
         for k in (1, 6):

@@ -163,14 +163,15 @@ class TestSolve:
         assert result.converged
 
     def test_nonconvergence_carries_trace(self):
+        # without Newton steps the p = 2 warm start stays above tolerance
         mesh = unit_square_mesh(8)
         prob = WeakProblem(
             identity_weight(2), 4.0, None, lambda p: p[:, 0] ** 3
         )
-        cfg = SolverConfig(max_backtracks=0)
         with pytest.raises(NonconvergenceError) as err:
-            solve(prob, mesh, cfg)
-        assert isinstance(err.value.trace, list)
+            solve(prob, mesh, SolverConfig(max_iterations=0))
+        (final,) = err.value.trace
+        assert final["residual"] > SolverConfig().tolerance
 
     def test_frozen_problem_constant_weight(self):
         # frozen matrix replaces the variable weight entirely
@@ -188,16 +189,25 @@ class TestNewtonStopping:
     FINAL_ROW_KEYS = {"iteration", "eps", "energy", "residual", "step"}
 
     @pytest.mark.parametrize("cfg, stages", [
-        (SolverConfig(), 8),
-        (SolverConfig(eps_start=1.0, eps_end=1e-3, eps_factor=0.3), 7),
-        (SolverConfig(eps_start=1e-9), 1),
+        ((10.0, SolverConfig(tolerance=1e-10, max_iterations=1)), 8),
+        ((10.0, SolverConfig(tolerance=1e-7, max_iterations=1)), 7),
+        ((4.0, SolverConfig(tolerance=1e-2)), 1),
     ])
     def test_eps_schedule_ends_once_at_eps_end(self, cfg, stages):
-        sched = pde_solver._eps_schedule(cfg)
-        assert len(sched) == stages
-        assert sched[-1] == cfg.eps_end
-        assert all(e > cfg.eps_end * 1.5 for e in sched[:-1])
-        assert sched[0] == max(cfg.eps_start, cfg.eps_end)
+        # the repeated product 0.1 * 0.1 * ..., with its round-off, and then
+        # 1e-8 exactly, once
+        assert pde_solver._EPS_STAGES == (
+            0.1, 0.010000000000000002, 0.0010000000000000002, 0.00010000000000000003,
+            1.0000000000000004e-05, 1.0000000000000004e-06, 1.0000000000000005e-07, 1e-08,
+        )
+        # a solve walks the first `stages` of them in order, one block each:
+        # it stops once the residual passes, so a loose tolerance ends it early
+        p, solver_cfg = cfg
+        prob = WeakProblem(identity_weight(2), p, None, lambda q: q[:, 0] ** 5 + q[:, 1])
+        *rows, _ = solve(prob, unit_square_mesh(8), solver_cfg).trace
+        eps = [row["eps"] for row in rows]
+        assert eps == sorted(eps, reverse=True)
+        assert list(dict.fromkeys(eps)) == list(pde_solver._EPS_STAGES[:stages])
 
     @staticmethod
     def p3_problem():
@@ -212,7 +222,7 @@ class TestNewtonStopping:
             assert set(row) == self.FINAL_ROW_KEYS | {"decrement", "stalled"}
             assert row["stalled"] is False
             assert math.isfinite(row["decrement"]) and row["decrement"] > 0
-        assert {row["eps"] for row in rows} <= set(pde_solver._eps_schedule(cfg))
+        assert {row["eps"] for row in rows} <= set(pde_solver._EPS_STAGES)
 
     def test_exhausted_stage_marked_stalled_and_raises(self):
         # a tolerance below round-off cannot be met: every stage's last step
@@ -221,7 +231,7 @@ class TestNewtonStopping:
         with pytest.raises(NonconvergenceError) as err:
             solve(self.p3_problem(), unit_square_mesh(8), cfg)
         *rows, final = err.value.trace
-        last_stage = [row for row in rows if row["eps"] == cfg.eps_end]
+        last_stage = [row for row in rows if row["eps"] == pde_solver._EPS_STAGES[-1]]
         assert len(last_stage) == 3
         assert [row["stalled"] for row in last_stage] == [False, False, True]
         assert final["residual"] > cfg.tolerance

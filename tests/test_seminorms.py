@@ -80,9 +80,13 @@ class TestBallFamily:
         assert bmo(field, deep, quad).rows[: shallow.count] == bmo(field, shallow, quad).rows
 
     def test_origin_ladder_scales(self, unit_ball):
-        fam = BallFamily.origin_ladder(unit_ball, 2, scale=1e-4, offsets=False)
-        radii = sorted(b.radius for b in fam.balls)
-        assert radii == pytest.approx([1e-8, 1e-4, 1.0])
+        # each radius is 1e-4 of the last, at the center and shifted four
+        # ways by half the radius
+        fam = BallFamily.origin_ladder(unit_ball, 2)
+        assert sorted({b.radius for b in fam.balls}) == pytest.approx([1e-8, 1e-4, 1.0])
+        assert fam.count == 3 * 5
+        assert {b.center for b in fam.balls[5:10]} == {
+            (0.0, 0.0), (5e-5, 0.0), (-5e-5, 0.0), (0.0, 5e-5), (0.0, -5e-5)}
 
 
 class TestBmoScalar:
@@ -277,7 +281,7 @@ class TestSmallScalar:
             bmo_om = bmo_log(om, unit_ball, quad)
             for s in (1.0, 2.0, 4.0):
                 rep = small_scalar_checks(om, unit_ball, s, bmo_om, quad)
-                assert rep.gamma == CALIBRATED.gamma_small
+                assert rep.condition_met == (bmo_om <= CALIBRATED.gamma_small / s)
                 if rep.condition_met:
                     implications += 1
                     assert rep.holds, f"eps={eps}, s={s}"
@@ -301,7 +305,7 @@ def _reference_ap(omega, p, e, fam, quad):
     out = []
     for ball in fam.balls:
         pair = []
-        for rule in (quad, quad.refined(4)):
+        for rule in (quad, quad.refined()):
             pos = _single_mean(omega, ball, rule, p, sing) ** (1.0 / p)
             neg = _single_mean(omega, ball, rule, -e, sing) ** (1.0 / e)
             pair.append((pos, neg))
@@ -392,7 +396,7 @@ class TestQuadratureWork:
         monkeypatch.setattr(Field, "evaluate", counting)
         fam = standard_family(unit_ball, 2)
         muckenhoupt_ap(power(0.3), 2.0, fam, quad)
-        fine = quad.refined(4)
+        fine = quad.refined()
         per_ball = [math.prod(rule.counts()) for rule in (quad, fine)]
         assert sum(sizes) == fam.count * sum(per_ball)
         assert max(sizes) <= max(BATCH_NODES, *per_ball)
