@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact_examples import MeyersExample
-from .meshing import Mesh, cells_in_ball, disk_mesh, region_mean
+from .meshing import Mesh, disk_mesh, region_mean
 from .nfunctions import v_map
 from .pde_solver import (
     DiscreteField,
@@ -73,7 +73,7 @@ class _Cells:
         self.data = None if data is None else np.linalg.norm(data(mesh.barycenters), axis=1)
 
     def mean(self, values: np.ndarray, ball: Ball) -> float:
-        return region_mean(self.mesh, values, cells_in_ball(self.mesh, ball.center, ball.radius))
+        return region_mean(self.mesh, values, ball.contains(self.mesh.barycenters))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def build_localized(
     comparison_ball = b0.scaled(0.5)
     pc = prob.p / (prob.p - 1.0)
 
-    mask2 = cells_in_ball(mesh, b0.center, 2.0 * b0.radius)
+    mask2 = b0.scaled(2.0).contains(mesh.barycenters)
     u_mean = region_mean(mesh, u.cell_values(), mask2)
     zeta_v = cutoff_values(mesh.vertices, b0)
     z = DiscreteField(mesh, (u.values - u_mean) * zeta_v ** pc)
@@ -290,7 +290,7 @@ def sharp_maximal(
     vals = np.asarray(cell_values, dtype=float)
     out = np.zeros(mesh.num_cells)
     for ball in fam.balls:
-        mask = cells_in_ball(mesh, ball.center, ball.radius)
+        mask = ball.contains(mesh.barycenters)
         if mask.any():
             dev = np.abs(vals - region_mean(mesh, vals, mask)) ** rho
             osc = region_mean(mesh, dev, mask) ** (1.0 / rho)

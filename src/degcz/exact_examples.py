@@ -74,18 +74,21 @@ class MeyersExample:
     # -- scalars ------------------------------------------------------------
 
     @property
-    def theta(self) -> float:
-        if self.theta_override is not None:
-            return self.theta_override
-        e, n = self.eps, self.n
-        if self.variant == "plain":
-            return math.sqrt(1.0 - e - e * (1.0 - e) / (n - 1))
-        return math.sqrt(1.0 - e / 2.0 - e * (1.0 - e) / (2.0 * (n - 1)))
+    def weight_exponent(self) -> float:
+        """Power b with |M| ~ |x|^-b: 0 (plain) or eps/2 (degenerate)."""
+        return self.eps / 2.0 if self.variant == "degenerate" else 0.0
 
     @property
     def grad_exponent(self) -> float:
-        """Power a with |grad u| ~ |x|^-a."""
-        return self.eps if self.variant == "plain" else self.eps / 2.0
+        """Power a with |grad u| ~ |x|^-a; a + b = eps in both variants."""
+        return self.eps - self.weight_exponent
+
+    @property
+    def theta(self) -> float:
+        if self.theta_override is not None:
+            return self.theta_override
+        e, n, a = self.eps, self.n, self.grad_exponent
+        return math.sqrt(1.0 - a - a * (1.0 - e) / (n - 1))
 
     @property
     def cond_bound(self) -> float:
@@ -96,12 +99,15 @@ class MeyersExample:
 
         Vanishes exactly at the variant's theta, which is how theta is chosen.
         """
-        e, n, th = self.eps, self.n, self.theta
-        if self.variant == "plain":
-            return -e * (1.0 - e) + (1.0 - e - th * th) * (n - 1)
-        return -(e / 2.0) * (1.0 - e) + (1.0 - e / 2.0 - th * th) * (n - 1)
+        e, n, a, th = self.eps, self.n, self.grad_exponent, self.theta
+        return -a * (1.0 - e) + (1.0 - a - th * th) * (n - 1)
 
     # -- fields -------------------------------------------------------------
+
+    def _polar(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pts = _as_points(points, self.n)
+        r = _radii(pts)
+        return r, pts / r[:, None]
 
     def u(self, points: np.ndarray) -> np.ndarray:
         pts = _as_points(points, self.n)
@@ -118,73 +124,54 @@ class MeyersExample:
         return out
 
     def grad_u(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.n)
-        r = _radii(pts)
+        r, xhat = self._polar(points)
         a = self.grad_exponent
-        xhat = pts / r[:, None]
-        e1 = np.zeros(self.n)
-        e1[0] = 1.0
-        return (r ** (-a))[:, None] * (e1[None, :] - a * xhat * xhat[:, :1])
+        return (r ** (-a))[:, None] * (np.eye(self.n)[:1] - a * xhat * xhat[:, :1])
 
     def weight(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.n)
-        r = _radii(pts)
-        xhat = pts / r[:, None]
-        th = self.theta
+        r, xhat = self._polar(points)
+        th, b = self.theta, self.weight_exponent
         m = _identity_plus_outer(xhat, th, 1.0 - th)
-        if self.variant == "degenerate":
-            m = (r ** (-self.eps / 2.0))[:, None, None] * m
+        if b:
+            m = (r ** -b)[:, None, None] * m
         return m
 
     def log_weight(self, points: np.ndarray) -> np.ndarray:
-        """Closed-form matrix logarithm: log(theta) (I - xhat (x) xhat), plus
-        a -eps/2 log|x| multiple of the identity in the degenerate variant."""
-        pts = _as_points(points, self.n)
-        r = _radii(pts)
-        xhat = pts / r[:, None]
-        lt = math.log(self.theta)
+        """Closed-form matrix logarithm: log(theta) (I - xhat (x) xhat) - b log|x| I."""
+        r, xhat = self._polar(points)
+        lt, b = math.log(self.theta), self.weight_exponent
         h = _identity_plus_outer(xhat, lt, -lt)
-        if self.variant == "degenerate":
-            h = h - (self.eps / 2.0 * np.log(r))[:, None, None] * np.eye(self.n)[None, :, :]
+        if b:
+            h = h - (b * np.log(r))[:, None, None] * np.eye(self.n)[None, :, :]
         return h
 
     def omega(self, points: np.ndarray) -> np.ndarray:
-        """Spectral norm of the weight: 1 (plain) or |x|^(-eps/2) (degenerate)."""
+        """Spectral norm of the weight: |x|^-b (identically 1 when b = 0)."""
         pts = _as_points(points, self.n)
         r = _radii(pts)
-        if self.variant == "plain":
-            return np.ones_like(r)
-        return r ** (-self.eps / 2.0)
+        b = self.weight_exponent
+        return r ** -b if b else np.ones_like(r)
 
     def flux(self, points: np.ndarray) -> np.ndarray:
         """Closed form of M^2 grad u (the p = 2 weighted flux)."""
-        pts = _as_points(points, self.n)
-        r = _radii(pts)
-        xhat = pts / r[:, None]
+        r, xhat = self._polar(points)
         th2 = self.theta ** 2
-        e1 = np.zeros(self.n)
-        e1[0] = 1.0
-        if self.variant == "plain":
-            coef = 1.0 - self.eps - th2
-            pref = r ** (-self.eps)
-        else:
-            coef = 1.0 - self.eps / 2.0 - th2
-            pref = r ** (-1.5 * self.eps)
-        return pref[:, None] * (th2 * e1[None, :] + coef * xhat * xhat[:, :1])
+        coef = 1.0 - self.grad_exponent - th2
+        pref = r ** (-(self.eps + self.weight_exponent))
+        return pref[:, None] * (th2 * np.eye(self.n)[:1] + coef * xhat * xhat[:, :1])
 
     # -- integrability ------------------------------------------------------
 
     def integrability(self, rho: float) -> dict[str, str]:
         """Classify finiteness of the rho-integrals of |grad u| and |grad u| omega.
 
+        |grad u| omega ~ |x|^-eps in both variants, hence one threshold rho * eps = n.
         The borderline exponent is classified as infinite.
         """
         if rho < 1:
             raise ValueError("rho must be at least 1")
-        grad_pow = rho * self.grad_exponent
-        weighted_pow = grad_pow if self.variant == "plain" else rho * self.eps
         fin = lambda power: "finite" if power < self.n else "infinite"
-        return {"grad": fin(grad_pow), "weighted_grad": fin(weighted_pow)}
+        return {"grad": fin(rho * self.grad_exponent), "weighted_grad": fin(rho * self.eps)}
 
     # -- field wrappers -----------------------------------------------------
 
@@ -201,11 +188,11 @@ class MeyersExample:
 
     def scalar_weight(self) -> Field:
         origin = (0.0,) * self.n
-        if self.variant == "plain":
-            log_fn = lambda pts: np.zeros(pts.shape[0])
+        b = self.weight_exponent
+        if b:
+            log_fn = lambda pts: -b * np.log(euclidean_norm(pts))
         else:
-            e = self.eps
-            log_fn = lambda pts: -(e / 2.0) * np.log(euclidean_norm(pts))
+            log_fn = lambda pts: np.zeros(pts.shape[0])
         return Field(
             self.n, self.omega, f"|{self.variant}-meyers|", (origin,), log_fn=log_fn
         )

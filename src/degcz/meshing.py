@@ -19,7 +19,6 @@ __all__ = [
     "Mesh",
     "unit_square_mesh",
     "disk_mesh",
-    "cells_in_ball",
     "region_mean",
 ]
 
@@ -227,13 +226,8 @@ def disk_mesh(
 
 
 # ---------------------------------------------------------------------------
-# region helpers (ball regions resolved by barycenter membership)
+# region means (a ball's region is Ball.contains(mesh.barycenters))
 # ---------------------------------------------------------------------------
-
-def cells_in_ball(mesh: Mesh, center, radius: float) -> np.ndarray:
-    c = np.asarray(center, dtype=float)
-    return np.linalg.norm(mesh.barycenters - c, axis=1) < radius
-
 
 def region_mean(mesh: Mesh, cell_values: np.ndarray, mask: np.ndarray) -> float:
     """Area-weighted mean of a cell field over the selected cells."""

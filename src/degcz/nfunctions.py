@@ -33,7 +33,6 @@ __all__ = [
     "change_of_shift_needed_c",
     "phi_a_equivalence_ratio",
     "delta2_ratio",
-    "equivalence_constant",
     "PropertyCase",
     "run_property_sweep",
 ]
@@ -154,15 +153,6 @@ def hammer_check(p: float, P: np.ndarray, Q: np.ndarray) -> HammerReport:
     return HammerReport(monotone, vdist, shifted, conj)
 
 
-def equivalence_constant(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest c with x/y inside [1/c, c] after optimal rescaling of y."""
-    ratio = np.asarray(x, dtype=float) / np.asarray(y, dtype=float)
-    ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
-    if ratio.size == 0:
-        return 1.0
-    return float(math.sqrt(ratio.max() / ratio.min()))
-
-
 # ---------------------------------------------------------------------------
 # conjugation oracle and shift lemma checks
 # ---------------------------------------------------------------------------
@@ -263,7 +253,9 @@ def change_of_shift_needed_c(p: float, P: np.ndarray, Q: np.ndarray, t, delta: f
     """Smallest admissible c in phi_|P|(t) <= c phi_|Q|(t) + delta |V(P)-V(Q)|^2.
 
     Reported per sample; the lemma asserts a finite sup depending only on
-    (p, delta), which the sweep estimates empirically.
+    (p, delta), which the sweep estimates empirically.  This is the only check
+    on the ``CALIBRATED.change_of_shift`` constants that every
+    ``weight_analysis.json`` echoes (``test_change_of_shift_bounded``).
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))

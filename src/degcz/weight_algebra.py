@@ -251,8 +251,12 @@ class QuadratureSpec:
         if self.scheme not in ("polar-midpoint", "monte-carlo"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if isinstance(self.resolution, (tuple, list)):
-            object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
-            total = self.resolution[0] * self.resolution[1]
+            counts = tuple(int(r) for r in self.resolution)
+            if len(counts) != 2 or min(counts) < 1:
+                raise ValueError("quadrature resolution must be one count or two positive "
+                                 f"counts, got {list(self.resolution)}")
+            object.__setattr__(self, "resolution", counts)
+            total = counts[0] * counts[1]
         else:
             total = int(self.resolution)
             object.__setattr__(self, "resolution", total)

@@ -116,6 +116,9 @@ class TestExitCodes:
         'weight.kind = "log-normal"\nweight.seed = "x"',
         'ap.p_list = ["2"]',
         'oscillation.q_list = "24"',
+        "quadrature.resolution = [16]",
+        "quadrature.resolution = [16, 1, 3]",
+        "quadrature.resolution = [-4, -8]",
     ])
     def test_usage_error_bad_weight_settings(self, tmp_path, capsys, line):
         # each is rejected before any estimate runs

@@ -20,7 +20,7 @@ from degcz.cz_harness import (
     sharp_maximal,
 )
 from degcz.exact_examples import MeyersExample
-from degcz.meshing import cells_in_ball, disk_mesh, region_mean, unit_square_mesh
+from degcz.meshing import disk_mesh, region_mean, unit_square_mesh
 from degcz.pde_solver import (
     DiscreteField,
     WeakProblem,
@@ -258,7 +258,7 @@ def reference_maximal(mesh, f, fam):
     the mean of |f| over the family balls holding its barycenter."""
     out = np.zeros(mesh.num_cells)
     for ball in fam.balls:
-        mask = cells_in_ball(mesh, ball.center, ball.radius)
+        mask = ball.contains(mesh.barycenters)
         if mask.any():
             out[mask] = np.maximum(out[mask], region_mean(mesh, np.abs(f), mask))
     return out

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from degcz.exact_examples import MeyersExample, SingularPointError
+from degcz.exact_examples import MeyersExample, SingularPointError, _identity_plus_outer
 from degcz.nfunctions import weighted_maps
-from degcz.weight_algebra import spd_log
+from degcz.weight_algebra import euclidean_norm, spd_log
 
 
 class TestTheta:
@@ -143,6 +145,85 @@ class TestWeightEntries:
         for got, ref in ((ex.weight(pts), m), (ex.log_weight(pts), h)):
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def per_variant_reference(ex, pts):
+    """Every quantity as it was written once per variant, before one weight
+    exponent b decided the variant."""
+    e, n, plain = ex.eps, ex.n, ex.variant == "plain"
+    if ex.theta_override is not None:
+        th = ex.theta_override
+    elif plain:
+        th = math.sqrt(1.0 - e - e * (1.0 - e) / (n - 1))
+    else:
+        th = math.sqrt(1.0 - e / 2.0 - e * (1.0 - e) / (2.0 * (n - 1)))
+    if plain:
+        div = -e * (1.0 - e) + (1.0 - e - th * th) * (n - 1)
+    else:
+        div = -(e / 2.0) * (1.0 - e) + (1.0 - e / 2.0 - th * th) * (n - 1)
+    a = e if plain else e / 2.0
+    r = euclidean_norm(pts)
+    xhat = pts / r[:, None]
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    grad = (r ** (-a))[:, None] * (e1[None, :] - a * xhat * xhat[:, :1])
+    m = _identity_plus_outer(xhat, th, 1.0 - th)
+    lt = math.log(th)
+    h = _identity_plus_outer(xhat, lt, -lt)
+    th2 = th ** 2
+    if plain:
+        omega, log_omega = np.ones_like(r), np.zeros(r.shape[0])
+        coef, pref = 1.0 - e - th2, r ** (-e)
+    else:
+        m = (r ** (-e / 2.0))[:, None, None] * m
+        h = h - (e / 2.0 * np.log(r))[:, None, None] * np.eye(n)[None, :, :]
+        omega, log_omega = r ** (-e / 2.0), -(e / 2.0) * np.log(r)
+        coef, pref = 1.0 - e / 2.0 - th2, r ** (-1.5 * e)
+    flux = pref[:, None] * (th2 * e1[None, :] + coef * xhat * xhat[:, :1])
+    return {"theta": th, "divergence": div, "grad_exponent": a, "grad_u": grad,
+            "weight": m, "log_weight": h, "omega": omega, "log_omega": log_omega,
+            "flux": flux}
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestOneWeightExponent:
+    # below 2**-1021 halving eps rounds, and eps - eps/2 may then differ from
+    # eps/2 by one subnormal ulp; above it every quantity keeps its bits
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        eps=st.floats(min_value=2.0 ** -1021, max_value=0.5),
+        variant=st.sampled_from(["plain", "degenerate"]),
+        theta_override=st.none() | st.floats(min_value=0.05, max_value=1.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(n=2, eps=0.1, variant="degenerate", theta_override=None, seed=0)
+    @example(n=3, eps=0.3, variant="degenerate", theta_override=None, seed=1)
+    @example(n=4, eps=0.3, variant="plain", theta_override=0.7, seed=2)
+    def test_matches_the_per_variant_expressions(self, n, eps, variant, theta_override, seed):
+        ex = MeyersExample(n, eps, variant, theta_override)
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((64, n)) * np.exp(rng.uniform(-7.0, 7.0, (64, 1)))
+        pts[:8, 0] = 0.0  # on the axes: zero products, signs of zero
+        pts[8:16, 1] = -0.0
+        ref = per_variant_reference(ex, pts)
+        assert_same_bits(ex.theta, ref["theta"])
+        assert_same_bits(ex.divergence_coefficient(), ref["divergence"])
+        assert_same_bits(ex.grad_exponent, ref["grad_exponent"])
+        for name in ("grad_u", "weight", "log_weight", "omega", "flux"):
+            assert_same_bits(getattr(ex, name)(pts), ref[name])
+        assert_same_bits(ex.scalar_weight().log().evaluate(pts), ref["log_omega"])
+        fin = lambda power: "finite" if power < n else "infinite"
+        for rho in (1.0, 7.5, n / eps, 2.0 * n / eps):
+            grad_pow = rho * ref["grad_exponent"]
+            weighted_pow = grad_pow if variant == "plain" else rho * eps
+            expected = {"grad": fin(grad_pow), "weighted_grad": fin(weighted_pow)}
+            assert ex.integrability(rho) == expected
 
 
 class TestFlux:

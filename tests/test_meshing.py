@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from degcz.meshing import Mesh, cells_in_ball, disk_mesh, region_mean, unit_square_mesh
+from degcz.meshing import Mesh, disk_mesh, region_mean, unit_square_mesh
+from degcz.weight_algebra import Ball
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +214,14 @@ class TestRegions:
 
     def test_region_mean_constant(self):
         mesh = unit_square_mesh(16)
-        mask = cells_in_ball(mesh, (0.5, 0.5), 0.25)
+        mask = Ball((0.5, 0.5), 0.25).contains(mesh.barycenters)
         vals = np.full(mesh.num_cells, 7.0)
         assert region_mean(mesh, vals, mask) == pytest.approx(7.0)
 
     def test_region_mean_moment(self):
         # quadrature oracle: mean of x1^2 over a centered disk of radius r is r^2/4
         mesh = unit_square_mesh(96)
-        mask = cells_in_ball(mesh, (0.5, 0.5), 0.25)
+        mask = Ball((0.5, 0.5), 0.25).contains(mesh.barycenters)
         vals = (mesh.barycenters[:, 0] - 0.5) ** 2
         assert region_mean(mesh, vals, mask) == pytest.approx(0.25 ** 2 / 4.0, rel=2e-2)
 
