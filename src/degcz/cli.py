@@ -28,6 +28,7 @@ from .weight_algebra import (
     QuadratureSpec,
     SCALAR_WEIGHT_KINDS,
     lambda_max_sym,
+    log_mean,
     sandwich_check,
     scalar_weight_from_config,
     weight_from_config,
@@ -235,14 +236,15 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
         key = f"ap_p={p:g}"
         summary[key] = "divergent" if est.divergent else est.value
         rows.append((key, math.nan if est.divergent else est.value, 0.0))
-    # oscillation and power-mean check tables
+    # oscillation and power-mean check tables, around one log mean omega_B
+    omega_b = log_mean(omega, dom, quad)
     prop_rows = []
     for q_exp in q_list:
-        rep = seminorms.prop_small_check(omega, dom, float(q_exp), est_w.value, quad)
+        rep = seminorms.prop_small_check(omega, dom, float(q_exp), est_w.value, omega_b, quad)
         prop_rows.append((q_exp, rep.lhs, rep.bmo, rep.ratio))
     small_rows = []
     for s in s_list:
-        rep = seminorms.small_scalar_checks(omega, dom, float(s), est_w.value, quad)
+        rep = seminorms.small_scalar_checks(omega, dom, float(s), est_w.value, omega_b, quad)
         small_rows.append(
             (s, rep.bmo_log, int(rep.condition_met), int(rep.divergent),
              rep.mean_pos, rep.mean_neg, rep.margin_pos, rep.margin_neg,

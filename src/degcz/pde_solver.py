@@ -10,10 +10,14 @@ regularized energy with a geometric continuation of the regularization
 parameter, warm-started from the p = 2 solve.
 
 One kernel per solve (``_Kernel``) holds the weight at the barycenters, the
-M-applied hat gradients and the stiffness matrix K, assembled once.  Newton
-writes each Hessian straight into the free block of K's sparsity pattern
-through index maps built once, and factors it with the minimum-degree
-ordering of H + H^T, which fills less than the default COLAMD.  A solve
+M-applied hat gradients and the stiffness matrix K, assembled once.  Each
+Newton iteration assembles the gradient first and tests the stage's stopping
+rule on it; only when a step is taken does it assemble the Hessian, which it
+writes straight into the free block of K's sparsity pattern through index
+maps built once, from the kappa-free cell blocks cached per kernel.  It
+factors H with the minimum-degree ordering of H + H^T, which fills less than
+the default COLAMD.  The q = M grad u of the accepted line-search candidate
+serves the next iteration's residual, gradient and energy.  A solve
 factors K once: that factor gives the p = 2 solution (the Newton warm start
 for other p) and every dual-norm residual of the solve.
 
@@ -209,7 +213,10 @@ class _Kernel:
 
     def scatter(self, flux: np.ndarray) -> np.ndarray:
         """Nodal vector sum over cells of area * flux . (M grad lambda)."""
-        r_cells = np.einsum("cla,ca,c->cl", self.Mgrads, flux, self.mesh.areas)
+        mg, area = self.Mgrads, self.mesh.areas[:, None]
+        # the products and the sum in einsum("cla,ca,c->cl")'s order, without
+        # its slow three-operand loop
+        r_cells = (mg[..., 0] * flux[:, None, 0]) * area + (mg[..., 1] * flux[:, None, 1]) * area
         return np.bincount(self.mesh.cells.reshape(-1), r_cells.reshape(-1), self.mesh.num_vertices)
 
     def factor(self):
@@ -240,25 +247,33 @@ class _Kernel:
         block = numbered[self.free][:, self.free].tocsc()
         return slot, block.data.astype(np.int64) - 1, block.indices, block.indptr
 
-    def gradient_hessian(self, values: np.ndarray, eps: float):
-        """Nodal gradient of the regularized energy and the free block of its
-        Hessian in CSC, from the cell blocks
-        kappa area (gx gx^T + gy gy^T) + kappa' area g g^T, g = (M grad lambda) . q."""
-        p = self.p
-        q = self.q(values)
-        q2 = (q * q).sum(axis=1) + eps * eps
-        kappa = q2 ** ((p - 2.0) / 2.0)
-        r = self.scatter(kappa[:, None] * q - self.aG)
-        kprime = (p - 2.0) * q2 ** ((p - 4.0) / 2.0)
+    @cached_property
+    def _gram(self):
+        """The kappa-free cell blocks gx gx^T + gy gy^T of every Hessian."""
         gx, gy = self.Mgrads[..., 0], self.Mgrads[..., 1]
-        g = gx * q[:, :1] + gy * q[:, 1:]
+        return gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+
+    def gradient(self, q: np.ndarray, eps: float):
+        """Nodal gradient r of the regularized energy at q = M grad u, with the
+        q^2 = |q|^2 + eps^2 and kappa = (q^2)^((p - 2) / 2) it computed."""
+        q2 = (q * q).sum(axis=1) + eps * eps
+        kappa = q2 ** ((self.p - 2.0) / 2.0)
+        return self.scatter(kappa[:, None] * q - self.aG), q2, kappa
+
+    def hessian(self, q: np.ndarray, q2: np.ndarray, kappa: np.ndarray):
+        """Free block of the Hessian at q in CSC, from ``gradient``'s q^2 and
+        kappa and the cell blocks
+        kappa area (gx gx^T + gy gy^T) + kappa' area g g^T, g = (M grad lambda) . q."""
+        kprime = (self.p - 2.0) * q2 ** ((self.p - 4.0) / 2.0)
+        g = self.Mgrads[..., 0] * q[:, :1] + self.Mgrads[..., 1] * q[:, 1:]
         areas = self.mesh.areas
-        blocks = (kappa * areas)[:, None, None] * (gx[:, :, None] * gx[:, None, :]
-                                                   + gy[:, :, None] * gy[:, None, :])
-        blocks += (kprime * areas)[:, None, None] * (g[:, :, None] * g[:, None, :])
+        blocks = (kappa * areas)[:, None, None] * self._gram
+        gg = g[:, :, None] * g[:, None, :]
+        gg *= (kprime * areas)[:, None, None]
+        blocks += gg
         slot, gather, indices, indptr = self._refill
         data = np.bincount(slot, blocks.reshape(-1), self.K.nnz)[gather]
-        return r, _scipy("sp").csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
+        return _scipy("sp").csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
 
 
 def energy(prob: WeakProblem, u: DiscreteField, eps: float = 0.0) -> float:
@@ -320,10 +335,10 @@ def solve(
     if lu is not None:
         rhs = kernel.scatter(kernel.aG if prob.p == 2.0 else a_map(2.0, kernel.MG))
         values[free] = lu.solve(rhs[free] - kernel.K[free][:, fixed] @ values[fixed])
+    q = kernel.q(values)
     trace: list[dict] = []
     if prob.p != 2.0:
-        values, trace = _newton(kernel, cfg, values, lu)
-    q = kernel.q(values)
+        values, q, trace = _newton(kernel, cfg, values, q, lu)
     res, _ = kernel.dual_residual(q, lu)
     trace.append({"iteration": len(trace), "eps": 0.0, "energy": kernel.energy(q, 0.0),
                   "residual": res, "step": 1.0 if prob.p == 2.0 else 0.0})
@@ -348,19 +363,26 @@ _EPS_STAGES = tuple(itertools.accumulate([0.1] * 7, operator.mul)) + (1e-8,)
 _ARMIJO_C, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 40
 
 
-def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
-    """Damped Newton with Armijo backtracking through the continuation in eps.
+def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarray, lu):
+    """Damped Newton with Armijo backtracking through the continuation in eps,
+    from ``values`` and its q = M grad u; returns the last iterate, its q and
+    the trace.
 
-    An intermediate stage stops when the Euclidean norm of its regularized
-    residual is at most max(tolerance, eps / 100) * (1 + max|u|); the last
-    stage stops when the dual-norm residual, measured through ``lu``, the
-    factor of K, passes the test ``solve`` applies.  Each Hessian is factored
-    with partial pivoting and the minimum-degree ordering of H + H^T; a
-    factor that meets an exactly zero pivot raises NonconvergenceError with
-    the trace so far.  The line search accepts the full step once lambda^2 is
-    below the energy's round-off.  Each accepted step adds a trace row that
-    also records ``decrement`` (lambda^2 = -r . step) and ``stalled`` (true
-    on the last row of a stage that used up ``max_iterations`` steps).
+    An iteration does only the work its stopping test and its step need: the
+    dual-norm residual on the last stage, then the gradient and the stage's
+    stopping test, and only for a step taken the Hessian, its factor and the
+    line search.  The q of the accepted line-search candidate is the next
+    iterate's q.  An intermediate stage stops when the Euclidean norm of its
+    regularized residual is at most max(tolerance, eps / 100) * (1 + max|u|);
+    the last stage stops when the dual-norm residual, measured through
+    ``lu``, the factor of K, passes the test ``solve`` applies.  Each Hessian
+    is factored with partial pivoting and the minimum-degree ordering of
+    H + H^T; a factor that meets an exactly zero pivot raises
+    NonconvergenceError with the trace so far.  The line search accepts the
+    full step once lambda^2 is below the energy's round-off.  Each accepted
+    step adds a trace row that also records ``decrement`` (lambda^2 =
+    -r . step) and ``stalled`` (true on the last row of a stage that used up
+    ``max_iterations`` steps).
     """
     interior = kernel.free
     trace: list[dict] = []
@@ -371,15 +393,16 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
         for it in range(cfg.max_iterations):
             scale = 1.0 + float(np.abs(values).max())
             if last_stage:
-                res, _ = kernel.dual_residual(kernel.q(values), lu)
+                res, _ = kernel.dual_residual(q, lu)
                 if res <= cfg.tolerance * scale:
-                    return values, trace
-            r, H = kernel.gradient_hessian(values, eps)
+                    return values, q, trace
+            r, q2, kappa = kernel.gradient(q, eps)
             rn = float(np.linalg.norm(r[interior]))
             if not last_stage and rn <= stage_tol * scale:
                 break
             try:
-                hlu = _scipy("spla").splu(H, permc_spec="MMD_AT_PLUS_A")
+                hlu = _scipy("spla").splu(kernel.hessian(q, q2, kappa),
+                                          permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise NonconvergenceError(f"singular Hessian: {exc}", trace) from exc
             step = np.zeros_like(values)
@@ -389,11 +412,12 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
                 raise NonconvergenceError("Newton step is not finite", trace)
             lam2 = -float(r[interior] @ step[interior])
             if e0 is None:
-                e0 = kernel.energy(kernel.q(values), eps)
+                e0 = kernel.energy(q, eps)
             t = 1.0
             for _bt in range(_MAX_BACKTRACKS):
                 cand = values + t * step
-                e1 = kernel.energy(kernel.q(cand), eps)
+                q_cand = kernel.q(cand)
+                e1 = kernel.energy(q_cand, eps)
                 # below the energy's round-off the Armijo test compares noise
                 if lam2 <= _ENERGY_ROUNDOFF * abs(e0) or e1 <= e0 - _ARMIJO_C * t * lam2:
                     break
@@ -402,13 +426,13 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, lu):
                 raise NonconvergenceError(
                     f"line search failed at eps={eps:g}", trace
                 )
-            values, e0 = cand, e1
+            values, q, e0 = cand, q_cand, e1
             trace.append(
                 {"iteration": len(trace) + 1, "eps": eps, "energy": e1,
                  "residual": rn, "step": t, "decrement": lam2,
                  "stalled": it == cfg.max_iterations - 1}
             )
-    return values, trace
+    return values, q, trace
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .weight_algebra import (
     Field,
     QuadratureSpec,
     ball_nodes,
-    log_mean,
     node_batches,
     spectral_norm_sym,
 )
@@ -289,23 +288,24 @@ def prop_small_check(
     ball: Ball,
     q: float,
     bmo_log: float,
+    log_mean_b: np.ndarray | float,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> PropSmallReport:
     """lhs = (mean (|W - W_B| / |W_B|)^q)^(1/q) against q * ``bmo_log``.
 
-    ``bmo_log`` is |log W|_BMO of the ball, estimated by the caller.  The
-    reported ratio lhs / (q bmo) tracks the oscillation constant empirically;
-    nothing is asserted about its value here.
+    ``bmo_log`` is |log W|_BMO of the ball and ``log_mean_b`` its logarithmic
+    mean W_B, both estimated by the caller.  The reported ratio lhs / (q bmo)
+    tracks the oscillation constant empirically; nothing is asserted about
+    its value here.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     pts, w = ball_nodes(ball, quad, singular=field.singular_points)
     vals = field.evaluate(pts)
-    center = log_mean(field, ball, quad)
     if vals.ndim == 3:
-        rel = spectral_norm_sym(vals - center) / spectral_norm_sym(center[None])[0]
+        rel = spectral_norm_sym(vals - log_mean_b) / spectral_norm_sym(log_mean_b[None])[0]
     else:
-        rel = np.abs(vals - center) / center
+        rel = np.abs(vals - log_mean_b) / log_mean_b
     lhs = float((np.sum(w * rel ** q) / w.sum()) ** (1.0 / q))
     ratio = lhs / (q * bmo_log) if bmo_log > 0 else (0.0 if lhs == 0.0 else math.inf)
     return PropSmallReport(lhs, bmo_log, q, ratio)
@@ -339,16 +339,17 @@ def small_scalar_checks(
     ball: Ball,
     s: float,
     bmo_log: float,
+    log_mean_b: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> SmallScalarReport:
     """Check the factor-2 power-mean bounds that smallness of log w buys.
 
-    ``bmo_log`` is |log w|_BMO of the ball, estimated by the caller.  The s
-    and -s means share one node set per rule, as in :func:`muckenhoupt_ap`.
+    ``bmo_log`` is |log w|_BMO of the ball and ``log_mean_b`` its
+    logarithmic mean w_B, both estimated by the caller.  The s and -s means
+    share one node set per rule, as in :func:`muckenhoupt_ap`.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    lm = log_mean(omega, ball, quad)
     (coarse,), (fine,) = _family_power_means(omega, (ball,), quad, (s, -s))
     mean_pos, mean_neg, mean_pos_f, mean_neg_f = (m ** (1.0 / s) for m in coarse + fine)
     return SmallScalarReport(
@@ -357,7 +358,7 @@ def small_scalar_checks(
         mean_pos=mean_pos_f,
         mean_neg=mean_neg_f,
         divergent=_unstable(mean_pos, mean_pos_f) or _unstable(mean_neg, mean_neg_f),
-        margin_pos=2.0 * lm - mean_pos_f,
-        margin_neg=2.0 / lm - mean_neg_f,
+        margin_pos=2.0 * log_mean_b - mean_pos_f,
+        margin_neg=2.0 / log_mean_b - mean_neg_f,
         margin_product=4.0 - mean_pos_f * mean_neg_f,
     )

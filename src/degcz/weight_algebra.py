@@ -295,11 +295,13 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-#: nodes per field evaluation in batched ball quadrature; a ball with more
-#: nodes is evaluated alone.  4,096 2x2 matrices take 128 KiB: on a 2-core
-#: Xeon the ``weights`` benchmark ran slower with 8,192 and 16,384, and used
-#: more memory.  Each ball's nodes and sums are the same for any batch size.
-BATCH_NODES = 4096
+#: nodes per field evaluation: batched ball quadrature puts at most this many
+#: in one batch unless one ball alone has more, and :meth:`Field.evaluate`
+#: evaluates more points in chunks of this many.  2,048 2x2 matrices take
+#: 64 KiB, below glibc's 128 KiB mmap threshold, so the temporaries of a
+#: chunk reuse heap memory instead of faulting in fresh pages.  Each ball's
+#: nodes and sums, and each point's value, are the same for any batch size.
+BATCH_NODES = 2048
 
 
 def _polar_template(dim: int, radius: float, nr: int, na: int):
@@ -452,7 +454,17 @@ class Field:
     log_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(points, dtype=float))), dtype=float)
+        """Values at ``points``, :data:`BATCH_NODES` points at a time into one
+        output array."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(pts) <= BATCH_NODES:
+            return np.asarray(self.fn(pts), dtype=float)
+        first = np.asarray(self.fn(pts[:BATCH_NODES]), dtype=float)
+        out = np.empty((len(pts),) + first.shape[1:])
+        out[:BATCH_NODES] = first
+        for start in range(BATCH_NODES, len(pts), BATCH_NODES):
+            out[start:start + BATCH_NODES] = self.fn(pts[start:start + BATCH_NODES])
+        return out
 
     def log(self) -> "Field":
         """The pointwise logarithm: ``log_fn`` when given, else the log of the

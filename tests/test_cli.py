@@ -504,6 +504,25 @@ class TestAnalyzeWeight:
         assert summary["bmo_log_M"] <= 0.375
         assert "unbounded" in summary["bmo_M_flag"]
 
+    def test_domain_log_mean_runs_once(self, tmp_path, monkeypatch):
+        # omega_B of the domain ball serves both q rows of the oscillation
+        # table and all three s rows of the power-mean table
+        from degcz import cli, seminorms, weight_algebra
+
+        balls = []
+        orig = weight_algebra.log_mean
+
+        def counting(field, ball, *args):
+            balls.append(ball)
+            return orig(field, ball, *args)
+
+        for module in (weight_algebra, seminorms, cli):
+            if hasattr(module, "log_mean"):
+                monkeypatch.setattr(module, "log_mean", counting)
+        cfg = write_cfg(tmp_path / "w.cfg", 'weight.kind = "power"\nweight.exponent = 0.25\n')
+        assert main(["analyze-weight", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert balls == [cli.Ball((0.0, 0.0), 1.0)]
+
 
 class TestReport:
     def test_merges_outputs(self, tmp_path):

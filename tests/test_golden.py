@@ -52,10 +52,27 @@ def test_analyze_weight_bodies_are_byte_identical(case, tmp_path):
     _check_bodies(case, "analyze-weight", tmp_path)
 
 
-@pytest.mark.parametrize("case, command", _cases("solve", "cz-sweep"))
+def _p(case, command):
+    """The ``problem.p`` a case's config echo records (2 when unset)."""
+    echo = json.loads((GOLDEN / case / ECHOES[command]).read_text())
+    return echo.get("problem", {}).get("p", 2.0)
+
+
+SOLVER_CASES = _cases("solve", "cz-sweep")
+
+
+@pytest.mark.parametrize("case, command", [c for c in SOLVER_CASES if _p(*c) == 2.0])
 def test_p2_solver_bodies_are_byte_identical(case, command, tmp_path):
     """p = 2 ``solve`` (solution, mesh, trace) and ``cz-sweep`` with and
     without ``use_fem``."""
+    _check_bodies(case, command, tmp_path)
+
+
+@pytest.mark.parametrize("case, command", [c for c in SOLVER_CASES if _p(*c) != 2.0])
+def test_newton_solver_bodies_are_byte_identical(case, command, tmp_path):
+    """p = 3 ``solve`` on the graded disk: damped Newton through every
+    continuation stage, each step's energy, residual and decrement in the
+    trace at full precision."""
     _check_bodies(case, command, tmp_path)
 
 

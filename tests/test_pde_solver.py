@@ -343,7 +343,9 @@ class TestKernel:
         mesh, weight, fn = self.CASES[name]()
         kernel = pde_solver._Kernel(WeakProblem(weight, p, None, fn), mesh)
         values = fn(mesh.vertices)
-        r, H = kernel.gradient_hessian(values, eps)
+        q = kernel.q(values)
+        r, q2, kappa = kernel.gradient(q, eps)
+        H = kernel.hessian(q, q2, kappa)
         r_ref, H_ref = reference_gradient_hessian(kernel, values, eps)
         assert np.array_equal(r, r_ref)
         assert H.format == "csc" and H.shape == H_ref.shape
@@ -360,6 +362,33 @@ class TestKernel:
         ref = np.zeros(mesh.num_vertices)
         np.add.at(ref, mesh.cells, r_cells)
         assert np.array_equal(kernel.scatter(flux), ref)
+
+
+class TestNewtonWork:
+    def test_one_hessian_assembly_per_hessian_factor(self, monkeypatch):
+        """A stage exit needs only the gradient, so every assembled Hessian
+        is factored: on the level-1 sweep mesh, 12 steps over 8 stages."""
+        orig_splu, orig_hessian = pde_solver.spla.splu, pde_solver._Kernel.hessian
+        calls = {"hessian": 0, "splu": 0}
+
+        def splu(A, permc_spec=None, **kwargs):
+            if permc_spec is None:  # the stiffness matrix K
+                return orig_splu(A, **kwargs)
+            calls["splu"] += 1
+            return orig_splu(A, permc_spec=permc_spec, **kwargs)
+
+        def hessian(self, *args):
+            calls["hessian"] += 1
+            return orig_hessian(self, *args)
+
+        monkeypatch.setattr(pde_solver.spla, "splu", splu)
+        monkeypatch.setattr(pde_solver._Kernel, "hessian", hessian)
+        spec = SweepSpec(p=3, use_fem=True)
+        ex = MeyersExample(spec.n, spec.eps_list[0], spec.variant)
+        result = solve(WeakProblem(ex.weight_field(), spec.p, None, ex.u_with_origin),
+                       spec.mesh_for(1))
+        assert len(result.trace) - 1 == 12
+        assert calls == {"hessian": 12, "splu": 12}
 
 
 class TestHessianFactorFailure:

@@ -21,6 +21,7 @@ from degcz.weight_algebra import (
     QuadratureSpec,
     ball_nodes,
     constant_weight,
+    log_mean,
     scalar_weight_from_config,
 )
 
@@ -202,7 +203,6 @@ class TestMuckenhoupt:
         # per ball: the p-mean dominates the log-mean, the dual mean dominates
         # its reciprocal (discrete Jensen under shared nodes)
         from degcz.seminorms import _family_power_means
-        from degcz.weight_algebra import log_mean
 
         om = power(0.5)
         for ball in standard_family(unit_ball, 2).balls[:25]:
@@ -221,13 +221,15 @@ class TestMuckenhoupt:
 class TestPropSmall:
     def test_constant_field_zero(self, unit_ball, quad):
         c = constant_weight(np.diag([2.0, 1.0]))
-        rep = prop_small_check(c, unit_ball, 2.0, bmo_log(c, unit_ball, quad), quad)
+        rep = prop_small_check(c, unit_ball, 2.0, bmo_log(c, unit_ball, quad),
+                               log_mean(c, unit_ball, quad), quad)
         assert rep.lhs <= 1e-12
 
     def test_small_power_stable_under_quadrature(self, unit_ball):
         om = power(0.05)
         reps = [
-            prop_small_check(om, unit_ball, 2.0, bmo_log(om, unit_ball, rule), rule)
+            prop_small_check(om, unit_ball, 2.0, bmo_log(om, unit_ball, rule),
+                             log_mean(om, unit_ball, rule), rule)
             for rule in (QuadratureSpec("polar-midpoint", (64, 32)),
                          QuadratureSpec("polar-midpoint", (256, 64)))
         ]
@@ -239,7 +241,8 @@ class TestPropSmall:
 
         ex = MeyersExample(2, 0.1, "plain")
         w = ex.weight_field()
-        rep = prop_small_check(w, unit_ball, 4.0, bmo_log(w, unit_ball, quad), quad)
+        rep = prop_small_check(w, unit_ball, 4.0, bmo_log(w, unit_ball, quad),
+                               log_mean(w, unit_ball, quad), quad)
         assert rep.lhs <= CALIBRATED.c3_oscillation * rep.q * rep.bmo
 
 
@@ -251,14 +254,16 @@ class TestSmallScalar:
 
     def test_constant_weight(self, unit_ball, quad):
         one = scalar_weight_from_config({"kind": "constant", "value": 3.0})
-        rep = small_scalar_checks(one, unit_ball, 4.0, bmo_log(one, unit_ball, quad), quad)
+        rep = small_scalar_checks(one, unit_ball, 4.0, bmo_log(one, unit_ball, quad),
+                                  log_mean(one, unit_ball, quad), quad)
         assert rep.holds and rep.condition_met
         assert rep.mean_pos == pytest.approx(3.0, rel=1e-10)
         assert rep.mean_neg == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_small_power(self, unit_ball, quad):
         om = power(0.02)
-        rep = small_scalar_checks(om, unit_ball, 4.0, bmo_log(om, unit_ball, quad), quad)
+        rep = small_scalar_checks(om, unit_ball, 4.0, bmo_log(om, unit_ball, quad),
+                                  log_mean(om, unit_ball, quad), quad)
         assert rep.condition_met and rep.holds and not rep.divergent
         oracle = self.radial_mean_oracle(0.02 * 4.0) ** 0.25
         assert rep.mean_pos == pytest.approx(oracle, rel=1e-3)
@@ -266,7 +271,8 @@ class TestSmallScalar:
     def test_large_power_diverges(self, unit_ball, quad):
         # eps * s = 2.4 >= n: the negative power mean blows up
         om = power(0.6)
-        rep = small_scalar_checks(om, unit_ball, 4.0, bmo_log(om, unit_ball, quad), quad)
+        rep = small_scalar_checks(om, unit_ball, 4.0, bmo_log(om, unit_ball, quad),
+                                  log_mean(om, unit_ball, quad), quad)
         assert rep.divergent
         assert not rep.holds
 
@@ -279,8 +285,9 @@ class TestSmallScalar:
         for eps in (0.01, 0.05, 0.1, 0.2, 0.4):
             om = power(eps)
             bmo_om = bmo_log(om, unit_ball, quad)
+            lm_om = log_mean(om, unit_ball, quad)
             for s in (1.0, 2.0, 4.0):
-                rep = small_scalar_checks(om, unit_ball, s, bmo_om, quad)
+                rep = small_scalar_checks(om, unit_ball, s, bmo_om, lm_om, quad)
                 assert rep.condition_met == (bmo_om <= CALIBRATED.gamma_small / s)
                 if rep.condition_met:
                     implications += 1
@@ -403,10 +410,11 @@ class TestQuadratureWork:
 
     def test_analyze_weight_evaluates_log_m_once_per_node(self, tmp_path, monkeypatch):
         # log omega = lambda_max(log M) and log M share one evaluation on the
-        # dyadic family; the other log_weight calls are the log means on the
-        # domain ball
+        # dyadic family; the only other log_weight evaluation is the log mean
+        # omega_B on the domain ball, which every oscillation and power-mean
+        # row shares.  Field.evaluate takes at most BATCH_NODES points a call
         from degcz.cli import main
-        from degcz.weight_algebra import DEFAULT_QUAD
+        from degcz.weight_algebra import BATCH_NODES, DEFAULT_QUAD
 
         calls = []
         orig = MeyersExample.log_weight
@@ -421,10 +429,9 @@ class TestQuadratureWork:
         assert main(["analyze-weight", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         dom, origin = Ball((0.0, 0.0), 1.0), np.zeros((1, 2))
         dom_nodes, _ = ball_nodes(dom, DEFAULT_QUAD, singular=origin)
-        dyadic = [p for p in calls if not np.array_equal(p, dom_nodes)]
         expected = [
             ball_nodes(b, DEFAULT_QUAD, clip=dom, singular=origin)[0]
             for b in standard_family(dom, 2).balls
         ]
-        assert np.array_equal(np.concatenate(dyadic), np.concatenate(expected))
-        assert len(calls) - len(dyadic) == 5  # two oscillation q, three power-mean s
+        assert np.array_equal(np.concatenate(calls), np.concatenate(expected + [dom_nodes]))
+        assert max(len(p) for p in calls) <= BATCH_NODES
