@@ -151,7 +151,10 @@ def _quad_from_cfg(cfg: dict) -> QuadratureSpec:
     q = _get(cfg, "quadrature") or {}
     if not isinstance(q, dict):
         raise UsageError(f"quadrature must be a table of settings, got {q!r}")
-    return QuadratureSpec(**{key: q[key] for key in ("scheme", "resolution", "seed") if key in q})
+    unknown = sorted(set(q) - {"resolution"})
+    if unknown:
+        raise UsageError(f"unknown quadrature settings {unknown}; the one setting is resolution")
+    return QuadratureSpec(**q)
 
 
 # ---------------------------------------------------------------------------
@@ -550,21 +553,6 @@ def cmd_nfun_props(cfg: dict, out: Path, header: dict) -> int:
     return 0
 
 
-def cmd_report(cfg: dict, out: Path, header: dict) -> int:
-    merged: dict = {"files": {}}
-    for csv_path in sorted(out.glob("*.csv")):
-        with open(csv_path) as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        merged["files"][csv_path.name] = max(len(lines) - 1, 0)
-    for json_path in sorted(out.glob("*_summary.json")) + sorted(out.glob("*analysis.json")):
-        with open(json_path) as fh:
-            merged[json_path.stem] = json.load(fh)
-    merged["settings_hash"] = header["settings_hash"]
-    write_json(out / "summary.json", merged)
-    print(f"report: merged {len(merged['files'])} CSV files into {out}/summary.json")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -596,7 +584,6 @@ _COMMANDS = {
     "solve": (cmd_solve, ("eps", "p")),
     "cz-sweep": (cmd_cz_sweep, ("eps", "p", "grid", "rho")),
     "nfun-props": (cmd_nfun_props, ()),
-    "report": (cmd_report, ()),
 }
 
 

@@ -337,9 +337,11 @@ def solve(
         values[free] = lu.solve(rhs[free] - kernel.K[free][:, fixed] @ values[fixed])
     q = kernel.q(values)
     trace: list[dict] = []
+    res = None
     if prob.p != 2.0:
-        values, q, trace = _newton(kernel, cfg, values, q, lu)
-    res, _ = kernel.dual_residual(q, lu)
+        values, q, res, trace = _newton(kernel, cfg, values, q, lu)
+    if res is None:
+        res, _ = kernel.dual_residual(q, lu)
     trace.append({"iteration": len(trace), "eps": 0.0, "energy": kernel.energy(q, 0.0),
                   "residual": res, "step": 1.0 if prob.p == 2.0 else 0.0})
     u = DiscreteField(mesh, values)
@@ -365,8 +367,9 @@ _ARMIJO_C, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 40
 
 def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarray, lu):
     """Damped Newton with Armijo backtracking through the continuation in eps,
-    from ``values`` and its q = M grad u; returns the last iterate, its q and
-    the trace.
+    from ``values`` and its q = M grad u; returns the last iterate, its q, its
+    dual-norm residual (None when the steps run out before the last stage's
+    test passes) and the trace.
 
     An iteration does only the work its stopping test and its step need: the
     dual-norm residual on the last stage, then the gradient and the stage's
@@ -395,7 +398,7 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
             if last_stage:
                 res, _ = kernel.dual_residual(q, lu)
                 if res <= cfg.tolerance * scale:
-                    return values, q, trace
+                    return values, q, res, trace
             r, q2, kappa = kernel.gradient(q, eps)
             rn = float(np.linalg.norm(r[interior]))
             if not last_stage and rn <= stage_tol * scale:
@@ -432,7 +435,7 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
                  "residual": rn, "step": t, "decrement": lam2,
                  "stalled": it == cfg.max_iterations - 1}
             )
-    return values, q, trace
+    return values, q, None, trace
 
 
 # ---------------------------------------------------------------------------

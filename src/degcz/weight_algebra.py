@@ -2,10 +2,11 @@
 
 Batched matrix functions of 2x2 symmetric matrices use the closed-form
 eigenvalues and spectral projection; other sizes, and the single-matrix
-functions, use symmetric eigendecomposition.  All field evaluators are
-batched: they map an ``(m, n)`` array of points to ``(m,)`` scalars or
-``(m, n, n)`` matrices, and they must be stateless and act row by row, since
-ball quadrature evaluates the nodes of several balls in one call.
+functions, use symmetric eigendecomposition.  Balls are integrated by one
+rule, polar-midpoint quadrature (:class:`QuadratureSpec`).  All field
+evaluators are batched: they map an ``(m, n)`` array of points to ``(m,)``
+scalars or ``(m, n, n)`` matrices, and they must be stateless and act row by
+row, since ball quadrature evaluates the nodes of several balls in one call.
 :func:`log_mean` gives the logarithmic mean of a scalar or a matrix field from
 the logs that :meth:`Field.log` returns.
 """
@@ -20,7 +21,6 @@ import numpy as np
 __all__ = [
     "NotSymmetricError",
     "NotPositiveDefiniteError",
-    "QuadratureFailureError",
     "SYMMETRY_RTOL",
     "spd_exp",
     "spd_log",
@@ -56,10 +56,6 @@ class NotSymmetricError(ValueError):
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix argument has a non-positive eigenvalue."""
-
-
-class QuadratureFailureError(RuntimeError):
-    """Raised when a quadrature rule cannot avoid the singular points."""
 
 
 # ---------------------------------------------------------------------------
@@ -236,55 +232,32 @@ class Ball:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature rule on a ball.
+    """Polar-midpoint quadrature rule on a ball.
 
-    ``polar-midpoint`` uses midpoint nodes in radius and angle (never placing
-    a node at the ball center), ``monte-carlo`` uses seeded uniform sampling.
-    ``resolution`` is either a total point count or a (radial, angular) pair.
+    Midpoint nodes in radius and angle, never placing a node at the ball
+    center; ``resolution`` is the (radial, angular) pair of node counts.
     """
 
-    scheme: str = "polar-midpoint"
-    resolution: int | tuple[int, int] = (64, 32)
-    seed: int | None = None
+    resolution: tuple[int, int] = (64, 32)
 
     def __post_init__(self):
-        if self.scheme not in ("polar-midpoint", "monte-carlo"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if isinstance(self.resolution, (tuple, list)):
-            counts = tuple(int(r) for r in self.resolution)
-            if len(counts) != 2 or min(counts) < 1:
-                raise ValueError("quadrature resolution must be one count or two positive "
-                                 f"counts, got {list(self.resolution)}")
-            object.__setattr__(self, "resolution", counts)
-            total = counts[0] * counts[1]
-        else:
-            total = int(self.resolution)
-            object.__setattr__(self, "resolution", total)
-        if total < 16:
-            raise ValueError("quadrature resolution must be at least 16 nodes")
-        if self.scheme == "monte-carlo" and self.seed is None:
-            raise ValueError("monte-carlo quadrature requires a seed")
-
-    def counts(self) -> tuple[int, int]:
-        if isinstance(self.resolution, tuple):
-            return self.resolution
-        n_ang = 32
-        return max(2, int(self.resolution) // n_ang), n_ang
+        counts = tuple(int(r) for r in self.resolution)
+        if len(counts) != 2 or min(counts) < 1 or counts[0] * counts[1] < 16:
+            raise ValueError("quadrature resolution must be two positive counts with at "
+                             f"least 16 nodes in all, got {list(self.resolution)}")
+        object.__setattr__(self, "resolution", counts)
 
     def refined(self) -> "QuadratureSpec":
-        """The rule with four times the radial resolution (or node count)."""
-        if isinstance(self.resolution, tuple):
-            res = (self.resolution[0] * 4, self.resolution[1])
-        else:
-            res = int(self.resolution) * 4
-        return replace(self, resolution=res)
+        """The rule with four times the radial resolution."""
+        nr, na = self.resolution
+        return QuadratureSpec((4 * nr, na))
 
 
 #: default rule for BMO / Muckenhoupt sampling
-DEFAULT_QUAD = QuadratureSpec("polar-midpoint", (64, 32))
+DEFAULT_QUAD = QuadratureSpec((64, 32))
 #: high radial resolution default for logarithmic means (log-singular radial
 #: integrands need ~500 radial cells for 1e-6 accuracy)
-MEAN_QUAD = QuadratureSpec("polar-midpoint", (512, 32))
+MEAN_QUAD = QuadratureSpec((512, 32))
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -328,33 +301,6 @@ def _min_distance(pts: np.ndarray, sing: np.ndarray) -> np.ndarray:
     return d
 
 
-def _monte_carlo_nodes(ball: Ball, quad: QuadratureSpec, sing):
-    """Seeded uniform nodes; those falling onto a singular point are resampled."""
-    rng = np.random.default_rng(quad.seed)
-    count = quad.resolution if isinstance(quad.resolution, int) else (
-        quad.resolution[0] * quad.resolution[1]
-    )
-    n = ball.dim
-    pts = np.empty((count, n))
-    filled = 0
-    for _ in range(100):
-        need = count - filled
-        if need == 0:
-            break
-        g = rng.standard_normal((need, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        rad = ball.radius * rng.random(need) ** (1.0 / n)
-        cand = np.asarray(ball.center) + g * rad[:, None]
-        if sing is not None:
-            cand = cand[_min_distance(cand, sing) > 1e-13 * ball.radius]
-        take = min(len(cand), need)
-        pts[filled:filled + take] = cand[:take]
-        filled += take
-    if filled < count:
-        raise QuadratureFailureError("monte-carlo sampler kept hitting singular points")
-    return pts, np.full(count, ball.volume / count)
-
-
 def node_batches(
     balls,
     quad: QuadratureSpec = DEFAULT_QUAD,
@@ -365,37 +311,30 @@ def node_batches(
 
     Yields ``(start, pts, w, cuts)``: ball ``start + k`` has the nodes
     ``pts[cuts[k]:cuts[k + 1]]`` with absolute weights ``w[cuts[k]:cuts[k + 1]]``,
-    exactly those :func:`ball_nodes` gives it.  A polar-midpoint batch holds
-    consecutive balls of one radius, which share a node template, and at most
-    :data:`BATCH_NODES` nodes unless one ball alone has more; a monte-carlo
-    batch holds one ball.
+    exactly those :func:`ball_nodes` gives it.  A batch holds consecutive balls
+    of one radius, which share a node template, and at most
+    :data:`BATCH_NODES` nodes unless one ball alone has more.
     """
     sing = None
     if singular is not None and len(singular):
         sing = np.atleast_2d(np.asarray(singular, dtype=float))
-    polar = quad.scheme == "polar-midpoint"
-    if polar:
-        nr, na = quad.counts()
-        per_batch = max(1, BATCH_NODES // (nr * na))
+    nr, na = quad.resolution
+    per_batch = max(1, BATCH_NODES // (nr * na))
     tmpl_radius = None
     start = 0
     while start < len(balls):
         radius = balls[start].radius
         stop = start + 1
-        if polar:
-            while (stop < len(balls) and stop - start < per_batch
-                   and balls[stop].radius == radius):
-                stop += 1
-            if radius != tmpl_radius:
-                tmpl, w_tmpl = _polar_template(balls[start].dim, radius, nr, na)
-                tmpl_radius = radius
-            centers = np.array([b.center for b in balls[start:stop]])
-            pts = tmpl[None, :, :] + centers[:, None, :]
-            w = np.tile(w_tmpl, (stop - start, 1))
-            keep = None if sing is None else _min_distance(pts, sing) > 1e-13 * radius
-        else:
-            pts, w = _monte_carlo_nodes(balls[start], quad, sing)
-            pts, w, keep = pts[None], w[None], None
+        while (stop < len(balls) and stop - start < per_batch
+               and balls[stop].radius == radius):
+            stop += 1
+        if radius != tmpl_radius:
+            tmpl, w_tmpl = _polar_template(balls[start].dim, radius, nr, na)
+            tmpl_radius = radius
+        centers = np.array([b.center for b in balls[start:stop]])
+        pts = tmpl[None, :, :] + centers[:, None, :]
+        w = np.tile(w_tmpl, (stop - start, 1))
+        keep = None if sing is None else _min_distance(pts, sing) > 1e-13 * radius
         if clip is not None:
             inside = clip.contains(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:2])
             keep = inside if keep is None else keep & inside
@@ -419,9 +358,8 @@ def ball_nodes(
     """Quadrature nodes and absolute weights for integration over a ball.
 
     Weights sum to (approximately) the ball volume.  Nodes outside ``clip``
-    are dropped, which turns the rule into one for the intersection.  Nodes
-    falling onto a singular point are dropped (polar) or resampled
-    (monte-carlo).
+    are dropped, which turns the rule into one for the intersection, and so
+    are nodes falling onto a singular point.
     """
     _, pts, w, _ = next(node_batches((ball,), quad, clip, singular))
     return pts, w

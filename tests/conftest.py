@@ -16,7 +16,7 @@ def rng():
 
 @pytest.fixture
 def quad():
-    return QuadratureSpec("polar-midpoint", (64, 32))
+    return QuadratureSpec((64, 32))
 
 
 def random_spd(rng, count, n, max_cond=1e6):

@@ -61,7 +61,6 @@ class TestConfigParsing:
         ("solve", ("eps", "p")),
         ("cz-sweep", ("eps", "p", "grid", "rho")),
         ("nfun-props", ()),
-        ("report", ()),
     ])
     def test_each_command_accepts_only_the_flags_it_reads(self, command, reads):
         parser = build_parser()
@@ -119,6 +118,9 @@ class TestExitCodes:
         "quadrature.resolution = [16]",
         "quadrature.resolution = [16, 1, 3]",
         "quadrature.resolution = [-4, -8]",
+        'quadrature.scheme = "monte-carlo"',
+        "quadrature.seed = 3",
+        "quadrature.resolution = 100",
     ])
     def test_usage_error_bad_weight_settings(self, tmp_path, capsys, line):
         # each is rejected before any estimate runs
@@ -523,11 +525,3 @@ class TestAnalyzeWeight:
         assert main(["analyze-weight", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert balls == [cli.Ball((0.0, 0.0), 1.0)]
 
-
-class TestReport:
-    def test_merges_outputs(self, tmp_path):
-        out = tmp_path / "o"
-        assert main(["nfun-props", "--out", str(out), "--seed", "2"]) in (0, 4)
-        assert main(["report", "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert "nfun_props.csv" in summary["files"]

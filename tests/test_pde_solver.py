@@ -390,6 +390,30 @@ class TestNewtonWork:
         assert len(result.trace) - 1 == 12
         assert calls == {"hessian": 12, "splu": 12}
 
+    @pytest.mark.parametrize("cfg", [SolverConfig(tolerance=1e-9),
+                                     SolverConfig(tolerance=1e-18, max_iterations=3)])
+    def test_one_dual_residual_per_last_stage_test(self, monkeypatch, cfg):
+        """The last stage measures the dual residual once before each of its
+        steps and once for the iterate that passes; ``solve`` reports that
+        value and measures again only when the steps run out."""
+        orig = pde_solver._Kernel.dual_residual
+        values = []
+
+        def dual_residual(self, q, lu):
+            res = orig(self, q, lu)
+            values.append(res[0])
+            return res
+
+        monkeypatch.setattr(pde_solver._Kernel, "dual_residual", dual_residual)
+        try:
+            trace = solve(TestNewtonStopping.p3_problem(), unit_square_mesh(8), cfg).trace
+        except NonconvergenceError as exc:
+            trace = exc.trace
+        *rows, final = trace
+        last_steps = sum(row["eps"] == pde_solver._EPS_STAGES[-1] for row in rows)
+        assert len(values) == last_steps + 1
+        assert final["residual"] == values[-1]
+
 
 class TestHessianFactorFailure:
     """An exactly singular Hessian factor raises NonconvergenceError with

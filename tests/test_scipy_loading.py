@@ -35,7 +35,6 @@ COMMANDS = {
         """,
     "nfun-props": "nfun.samples = 1000\n",
     "cz-sweep": SWEEP,
-    "report": "",
 }
 
 
@@ -74,9 +73,6 @@ def test_import_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_commands_without_a_solve_load_no_scipy(tmp_path, command):
-    if command == "report":
-        cfg = write_config(tmp_path / "nfun.cfg", COMMANDS["nfun-props"])
-        assert main(["nfun-props", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert run_command(tmp_path, command, COMMANDS[command], "--seed", "1")[-1] == "0 False"
 
 

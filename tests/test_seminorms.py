@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from degcz.exact_examples import MeyersExample
@@ -218,6 +220,41 @@ class TestMuckenhoupt:
             muckenhoupt_ap(power(0.3), 1.0, standard_family(unit_ball, 2), quad)
 
 
+def origin_ball_family(n, radius):
+    """The one ball B(0, radius), as its own domain."""
+    ball = Ball((0.0,) * n, radius)
+    return BallFamily((ball,), "origin", ball)
+
+
+class TestPowerWeightClosedForms:
+    """On B(0, r) the estimators of |x|^a meet closed forms that do not
+    depend on r."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3]), log_r=st.floats(-6.0, 0.0),
+           size=st.floats(1e-3, 3.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_bmo_of_log_power(self, n, log_r, size, sign):
+        # the mean oscillation of a log|x| on B(0, r) is 2|a| / (n e)
+        a = sign * size
+        w = scalar_weight_from_config({"kind": "power", "exponent": a, "n": n})
+        est = bmo(w.log(), origin_ball_family(n, 10.0 ** log_r))
+        assert est.value == pytest.approx(2.0 * size / (n * math.e), rel=1e-3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3]), log_r=st.floats(-6.0, 0.0),
+           p=st.floats(1.2, 6.0), t=st.floats(-0.5, 0.5))
+    def test_ap_of_power(self, n, log_r, p, t):
+        # |x|^a is in A_p for -n/p < a < n/p'; its constant on B(0, r) is
+        # (n / (n + a p))^(1/p) (n / (n - a p'))^(1/p'); a spans the inner half
+        pc = p / (p - 1.0)
+        a = t * n / pc if t > 0 else t * n / p
+        w = scalar_weight_from_config({"kind": "power", "exponent": a, "n": n})
+        est = muckenhoupt_ap(w, p, origin_ball_family(n, 10.0 ** log_r))
+        exact = (n / (n + a * p)) ** (1.0 / p) * (n / (n - a * pc)) ** (1.0 / pc)
+        assert not est.divergent
+        assert est.value == pytest.approx(exact, rel=2e-4)
+
+
 class TestPropSmall:
     def test_constant_field_zero(self, unit_ball, quad):
         c = constant_weight(np.diag([2.0, 1.0]))
@@ -230,8 +267,8 @@ class TestPropSmall:
         reps = [
             prop_small_check(om, unit_ball, 2.0, bmo_log(om, unit_ball, rule),
                              log_mean(om, unit_ball, rule), rule)
-            for rule in (QuadratureSpec("polar-midpoint", (64, 32)),
-                         QuadratureSpec("polar-midpoint", (256, 64)))
+            for rule in (QuadratureSpec((64, 32)),
+                         QuadratureSpec((256, 64)))
         ]
         assert reps[0].ratio == pytest.approx(reps[1].ratio, rel=0.2)
         assert all(np.isfinite(r.ratio) for r in reps)
@@ -404,7 +441,7 @@ class TestQuadratureWork:
         fam = standard_family(unit_ball, 2)
         muckenhoupt_ap(power(0.3), 2.0, fam, quad)
         fine = quad.refined()
-        per_ball = [math.prod(rule.counts()) for rule in (quad, fine)]
+        per_ball = [math.prod(rule.resolution) for rule in (quad, fine)]
         assert sum(sizes) == fam.count * sum(per_ball)
         assert max(sizes) <= max(BATCH_NODES, *per_ball)
 
