@@ -70,6 +70,8 @@ class MeyersExample:
             raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
         if self.variant not in ("plain", "degenerate"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.theta_override is not None and not (0.0 < self.theta_override <= 1.0):
+            raise ValueError(f"theta_override must lie in (0, 1], got {self.theta_override}")
 
     # -- scalars ------------------------------------------------------------
 
@@ -146,7 +148,11 @@ class MeyersExample:
         return h
 
     def omega(self, points: np.ndarray) -> np.ndarray:
-        """Spectral norm of the weight: |x|^-b (identically 1 when b = 0)."""
+        """Spectral norm of the weight: |x|^-b (identically 1 when b = 0).
+
+        The weight field's ``omega_fn``: theta <= 1, so the largest
+        eigenvalue of theta*I + (1 - theta) xhat (x) xhat is 1.
+        """
         pts = _as_points(points, self.n)
         r = _radii(pts)
         b = self.weight_exponent
@@ -184,6 +190,7 @@ class MeyersExample:
             (origin,),
             self.cond_bound,
             self.log_weight,
+            self.omega,
         )
 
     def scalar_weight(self) -> Field:

@@ -8,7 +8,11 @@ evaluators are batched: they map an ``(m, n)`` array of points to ``(m,)``
 scalars or ``(m, n, n)`` matrices, and they must be stateless and act row by
 row, since ball quadrature evaluates the nodes of several balls in one call.
 :func:`log_mean` gives the logarithmic mean of a scalar or a matrix field from
-the logs that :meth:`Field.log` returns.
+the logs that :meth:`Field.log` returns.  Every matrix weight of the registry
+carries the closed form of its spectral norm omega = |M| (``Field.omega_fn``),
+so :meth:`Field.omega` never forms M: a Meyers weight gives |x|^-b, the
+log-normal weight exp(lambda_max(log M)) from its closed-form log, a constant
+its one norm.
 """
 from __future__ import annotations
 
@@ -376,12 +380,15 @@ def _is_matrix(values: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """Scalar or symmetric-matrix field on points, with an optional closed-form log.
+    """Scalar or symmetric-matrix field on points, with optional closed forms
+    of its log and its norm.
 
     Whether the field is scalar or matrix valued is read from the rank of what
     ``fn`` returns: ``(m,)`` scalars or ``(m, n, n)`` matrices.  A weight is a
     positive (definite) field; ``cond_bound`` bounds a matrix weight's
-    condition number, and ``log_fn``, when given, is its exact logarithm.
+    condition number, ``log_fn``, when given, is its exact logarithm, and
+    ``omega_fn``, when given, is the exact spectral norm |M|, which
+    :meth:`omega` then evaluates without forming M.
     """
 
     dim: int
@@ -390,6 +397,7 @@ class Field:
     singular_points: tuple[tuple[float, ...], ...] = ()
     cond_bound: float | None = None
     log_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    omega_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at ``points``, :data:`BATCH_NODES` points at a time into one
@@ -418,11 +426,13 @@ class Field:
             return np.log(v)
 
         return replace(
-            self, fn=self.log_fn or fn, label=f"log({self.label})", cond_bound=None, log_fn=None
+            self, fn=self.log_fn or fn, label=f"log({self.label})", cond_bound=None,
+            log_fn=None, omega_fn=None,
         )
 
     def omega(self) -> "Field":
-        """Derived scalar weight: the spectral norm of a matrix, |w| of a scalar."""
+        """Derived scalar weight: the spectral norm of a matrix, |w| of a scalar;
+        ``omega_fn`` when given."""
         base, logf = self.fn, self.log_fn
 
         def fn(pts):
@@ -435,8 +445,8 @@ class Field:
             return lambda_max_sym(h) if _is_matrix(h) else h
 
         return replace(
-            self, fn=fn, label=f"|{self.label}|", cond_bound=None,
-            log_fn=log_fn if logf is not None else None,
+            self, fn=self.omega_fn or fn, label=f"|{self.label}|", cond_bound=None,
+            log_fn=log_fn if logf is not None else None, omega_fn=None,
         )
 
     def inverse(self) -> "Field":
@@ -448,13 +458,13 @@ class Field:
 
         return replace(
             self, fn=fn, label=f"({self.label})^-1",
-            log_fn=(lambda pts: -logf(pts)) if logf is not None else None,
+            log_fn=(lambda pts: -logf(pts)) if logf is not None else None, omega_fn=None,
         )
 
     def scaled(self, t: float) -> "Field":
         if t <= 0:
             raise ValueError("scale factor must be positive")
-        base, logf, dim = self.fn, self.log_fn, self.dim
+        base, logf, omegaf, dim = self.fn, self.log_fn, self.omega_fn, self.dim
 
         def log_fn(pts):
             h = logf(pts)
@@ -463,6 +473,7 @@ class Field:
         return replace(
             self, fn=lambda pts: t * base(pts), label=f"{t:g}*({self.label})",
             log_fn=log_fn if logf is not None else None,
+            omega_fn=(lambda pts: t * omegaf(pts)) if omegaf is not None else None,
         )
 
     def measured_condition(self, points: np.ndarray) -> float:
@@ -533,7 +544,7 @@ def constant_weight(matrix: np.ndarray, label: str = "constant") -> Field:
     w = np.linalg.eigvalsh(m)
     if w.min() <= 0:
         raise NotPositiveDefiniteError("constant weight must be positive definite")
-    logm = spd_log(m)
+    logm, norm = spd_log(m), float(w.max())
     return Field(
         m.shape[0],
         lambda pts: np.broadcast_to(m, pts.shape[:1] + m.shape).copy(),
@@ -541,6 +552,7 @@ def constant_weight(matrix: np.ndarray, label: str = "constant") -> Field:
         (),
         float(w.max() / w.min()),
         lambda pts: np.broadcast_to(logm, pts.shape[:1] + logm.shape).copy(),
+        lambda pts: np.full(pts.shape[0], norm),
     )
 
 
@@ -567,6 +579,8 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
         (),
         math.exp(2.0 * norm_sum),
         log_fn,
+        # |exp(H)| = exp(lambda_max(H))
+        lambda pts: np.exp(lambda_max_sym(log_fn(pts))),
     )
 
 

@@ -156,7 +156,8 @@ class TestExitCodes:
         out = str(tmp_path / "o")
         assert main([command, "--eps", "0.75", "--out", out]) == 1
         assert "usage error: example settings: eps must lie in (0, 1/2]" in capsys.readouterr().err
-        for text in ('example.variant = "wavy"\n', 'example.n = "x"\n', "example.n = 1\n"):
+        for text in ('example.variant = "wavy"\n', 'example.n = "x"\n', "example.n = 1\n",
+                     "example.theta_override = 2.0\n"):
             assert main([command, "--config", write_cfg(tmp_path / "e.cfg", text),
                          "--out", out]) == 1
 

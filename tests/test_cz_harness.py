@@ -466,7 +466,7 @@ PINNED = {
     "plain/poincare.lhs": "0.6755354326416274",
     "plain/poincare.rhs": "1.2892584002620073",
     "plain/poincare.ratio": "0.5239721009413961",
-    "plain/poincare.condition_value": "1.0000000000000002",
+    "plain/poincare.condition_value": "1.0",
     "plain/poincare.condition_flagged": "False",
     "plain/sharp_maximal": "453328e510ebaa53349fba50dc5ed4bb93bfef0481cf36520178f4eb8289c6d1",
     "plain/fefferman_stein": "1.4459583885205523",
@@ -477,8 +477,8 @@ PINNED = {
     "degenerate/none/cz_ratio/linear.rhs": "1.351702185282201",
     "degenerate/none/cz_ratio/linear.ratio": "1.2118584047060785",
     "degenerate/none/caccioppoli.lhs": "2.0567537840395107",
-    "degenerate/none/caccioppoli.rhs": "1.4724801848223839",
-    "degenerate/none/caccioppoli.ratio": "1.3967955597905748",
+    "degenerate/none/caccioppoli.rhs": "1.4724801848223834",
+    "degenerate/none/caccioppoli.ratio": "1.3967955597905752",
     "degenerate/none/comparison.lhs": "0.09972999927831253",
     "degenerate/none/comparison.oscillation_term": "0.7565506768474023",
     "degenerate/none/comparison.u_term": "1.2214770066890388",
@@ -491,19 +491,19 @@ PINNED = {
     "degenerate/data/cz_ratio/linear.rhs": "2.5544216909609636",
     "degenerate/data/cz_ratio/linear.ratio": "0.6412690824268612",
     "degenerate/data/caccioppoli.lhs": "2.0567537840395107",
-    "degenerate/data/caccioppoli.rhs": "2.5283276161234807",
-    "degenerate/data/caccioppoli.ratio": "0.8134838898738118",
+    "degenerate/data/caccioppoli.rhs": "2.5283276161234802",
+    "degenerate/data/caccioppoli.ratio": "0.8134838898738119",
     "degenerate/data/comparison.lhs": "0.09972999927831253",
     "degenerate/data/comparison.oscillation_term": "0.7565506768474023",
     "degenerate/data/comparison.u_term": "1.2214770066890388",
-    "degenerate/data/comparison.data_term": "1.0157823387991565",
+    "degenerate/data/comparison.data_term": "1.0157823387991567",
     "degenerate/data/comparison.bmo_log": "0.1198135904069287",
     "degenerate/poincare.lhs": "0.6762457308115171",
     "degenerate/poincare.rhs": "1.364802369752501",
     "degenerate/poincare.ratio": "0.49548985684583063",
     "degenerate/poincare.condition_value": "1.0147766744012603",
     "degenerate/poincare.condition_flagged": "False",
-    "degenerate/sharp_maximal": "a723e91829668c3d240836974cd58bebdf0c895b2e308276acf69814f280ac10",
+    "degenerate/sharp_maximal": "00a03d6e1ae8e3c09330a0e79bbe80388f3c71efa1a47f92e5fbc7c9fff0249f",
     "degenerate/fefferman_stein": "1.6813723614743232",
 }
 
@@ -550,14 +550,14 @@ COARSE_PINNED = {
     "plain/poincare.lhs": "0.7226307744407892",
     "plain/poincare.rhs": "1.232340277108264",
     "plain/poincare.ratio": "0.5863889932547456",
-    "plain/poincare.condition_value": "1.0000000000000002",
+    "plain/poincare.condition_value": "1.0",
     "plain/poincare.condition_flagged": "False",
     "plain/sharp_maximal": "fe034af7b533b4c676447a9e52376a326004e2001e2f046867cd4d1ebafbad15",
     "plain/fefferman_stein": "1.5320224852852244",
     "degenerate/none/cz_ratio/nonlinear.lhs": "1.6533434023432352",
     "degenerate/none/cz_ratio/nonlinear.rhs": "1.141345502493621",
     "degenerate/none/cz_ratio/nonlinear.ratio": "1.4485915077695553",
-    "degenerate/none/cz_ratio/linear.lhs": "1.5810282105959295",
+    "degenerate/none/cz_ratio/linear.lhs": "1.5810282105959292",
     "degenerate/none/cz_ratio/linear.rhs": "1.326922767585279",
     "degenerate/none/cz_ratio/linear.ratio": "1.1914997987961793",
     "degenerate/none/caccioppoli.lhs": "1.9931578162061288",
@@ -565,21 +565,21 @@ COARSE_PINNED = {
     "degenerate/none/caccioppoli.ratio": "1.4198420010652384",
     "degenerate/none/comparison.lhs": "0.17890302348806703",
     "degenerate/none/comparison.oscillation_term": "0.5474363318073149",
-    "degenerate/none/comparison.u_term": "1.1837061140405274",
+    "degenerate/none/comparison.u_term": "1.1837061140405276",
     "degenerate/none/comparison.data_term": "0.0",
     "degenerate/none/comparison.bmo_log": "0.1198135904069287",
     "degenerate/data/cz_ratio/nonlinear.lhs": "1.6533434023432352",
     "degenerate/data/cz_ratio/nonlinear.rhs": "2.126238743067873",
     "degenerate/data/cz_ratio/nonlinear.ratio": "0.7775906669623026",
-    "degenerate/data/cz_ratio/linear.lhs": "1.5810282105959295",
+    "degenerate/data/cz_ratio/linear.lhs": "1.5810282105959292",
     "degenerate/data/cz_ratio/linear.rhs": "2.5184961457739345",
-    "degenerate/data/cz_ratio/linear.ratio": "0.6277667779039142",
+    "degenerate/data/cz_ratio/linear.ratio": "0.6277667779039141",
     "degenerate/data/caccioppoli.lhs": "1.9931578162061288",
     "degenerate/data/caccioppoli.rhs": "2.4387823698275466",
     "degenerate/data/caccioppoli.ratio": "0.817275801590722",
     "degenerate/data/comparison.lhs": "0.17890302348806703",
     "degenerate/data/comparison.oscillation_term": "0.5474363318073149",
-    "degenerate/data/comparison.u_term": "1.1837061140405274",
+    "degenerate/data/comparison.u_term": "1.1837061140405276",
     "degenerate/data/comparison.data_term": "0.9781476750223067",
     "degenerate/data/comparison.bmo_log": "0.1198135904069287",
     "degenerate/poincare.lhs": "0.7277244142898973",
@@ -587,8 +587,8 @@ COARSE_PINNED = {
     "degenerate/poincare.ratio": "0.5565769265456885",
     "degenerate/poincare.condition_value": "1.0147766744012603",
     "degenerate/poincare.condition_flagged": "False",
-    "degenerate/sharp_maximal": "dabf9e00937b14e80fcd6e1826a5cdceda3bde5c2a89794ca41f47777e398d7f",
-    "degenerate/fefferman_stein": "1.8393908537226267",
+    "degenerate/sharp_maximal": "0b7d30c69d39a864d738d20d93863dd5d0d34851dc0607269c53b6a65722f680",
+    "degenerate/fefferman_stein": "1.839390853722627",
 }
 
 

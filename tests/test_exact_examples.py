@@ -42,6 +42,12 @@ class TestTheta:
         with pytest.raises(ValueError):
             MeyersExample(1, 0.25, "plain")
 
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
+    def test_theta_override_validation(self, theta):
+        # above 1 the largest eigenvalue would be theta |x|^-b, not omega
+        with pytest.raises(ValueError):
+            MeyersExample(2, 0.25, "degenerate", theta_override=theta)
+
 
 class TestDivergenceIdentity:
     def test_zero_at_construction_theta(self):
