@@ -234,8 +234,9 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
         )
         summary["condition_sampled"] = sampled
         summary["condition_bound"] = matrix.cond_bound
-    for p in p_list:
-        est = seminorms.muckenhoupt_ap(omega, float(p), fam, quad)
+    # one pass over the family serves every p
+    estimates = seminorms.muckenhoupt_ap_list(omega, [float(p) for p in p_list], fam, quad)
+    for p, est in zip(p_list, estimates):
         key = f"ap_p={p:g}"
         summary[key] = "divergent" if est.divergent else est.value
         rows.append((key, math.nan if est.divergent else est.value, 0.0))

@@ -10,6 +10,15 @@ the defining integral is kept only as a test oracle.  ``shifted_phi`` and
 ``shifted_dphi`` give phi_a and its derivative as functions of (p, a, t);
 a = 0 recovers phi.  Conjugation maps a shift a to the shift a^(p-1) on the
 conjugate exponent: (phi_a)* is ``shifted_phi(p / (p - 1), a^(p - 1), t)``.
+
+Each closed form is written once, as a private kernel that takes the powers
+it needs (``_phi`` takes a^p, a^(p-2) and t^p).  The public functions take
+their own powers; ``run_property_sweep`` takes each power of its samples
+once per p (a^p, a^(p-1), a^(p-2), t^p, (a^(p-1))^p' and (a^(p-1))^(p'-2),
+and phi_a(t) itself) and shares it between the inequalities that read it.
+Its peak memory is a rule of the sweep: each case is recorded as soon as
+both its sides exist, and each shared array is deleted after its last use,
+which keeps a sweep below 20 sample-sized arrays at its peak.
 """
 from __future__ import annotations
 
@@ -27,12 +36,8 @@ __all__ = [
     "HammerReport",
     "hammer_check",
     "conjugate_by_maximization",
-    "removal_shift_margins",
     "removal_shift_constant",
-    "young_margins",
     "change_of_shift_needed_c",
-    "phi_a_equivalence_ratio",
-    "delta2_ratio",
     "PropertyCase",
     "run_property_sweep",
 ]
@@ -50,6 +55,12 @@ def _pow(base: np.ndarray, expo: float) -> np.ndarray:
     return np.where(base > 0.0, safe ** expo, 0.0)
 
 
+def _phi(p: float, a, t, a_p, a_pm2, t_p) -> np.ndarray:
+    """phi_a(t) from the powers a^p, a^(p-2) and t^p: the closed two-branch form."""
+    above = (t_p - a_p) / p + a_p / 2.0
+    return np.where(t <= a, a_pm2 * t * t / 2.0, above)
+
+
 def shifted_phi(p: float, a, t) -> np.ndarray:
     """Closed form of the shifted N-function, vectorized in both a and t."""
     a = np.asarray(a, dtype=float)
@@ -57,12 +68,12 @@ def shifted_phi(p: float, a, t) -> np.ndarray:
     if np.any(t < 0) or np.any(a < 0):
         raise ValueError("shift and argument must be nonnegative")
     a, t = np.broadcast_arrays(a, t)
-    # one a^p, released before the other branch is built (peak memory)
-    a_p = _pow(a, p)
-    above = (_pow(t, p) - a_p) / p + a_p / 2.0
-    del a_p
-    below = _pow(a, p - 2.0) * t * t / 2.0
-    return np.where(t <= a, below, above)
+    return _phi(p, a, t, _pow(a, p), _pow(a, p - 2.0), _pow(t, p))
+
+
+def _dphi(a, t, a_pm2, t_pm1) -> np.ndarray:
+    """phi'_a(t) from the powers a^(p-2) and t^(p-1)."""
+    return np.where(t <= a, a_pm2 * t, t_pm1)
 
 
 def shifted_dphi(p: float, a, t) -> np.ndarray:
@@ -70,7 +81,7 @@ def shifted_dphi(p: float, a, t) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     t = np.asarray(t, dtype=float)
     a, t = np.broadcast_arrays(a, t)
-    return np.where(t <= a, _pow(a, p - 2.0) * t, _pow(t, p - 1.0))
+    return _dphi(a, t, _pow(a, p - 2.0), _pow(t, p - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +183,9 @@ def conjugate_by_maximization(p: float, a: float | np.ndarray, t) -> np.ndarray:
     a_pm2, a_p = _pow(a, p - 2.0), _pow(a, p)
 
     def obj(s):
-        # t s - shifted_phi(p, a, s) in its exact operation order, with the
-        # shift's powers computed once; the search points s are nonnegative
-        below = a_pm2 * s * s / 2.0
-        above = a_p / 2.0 + (_pow(s, p) - a_p) / p
-        return t * s - np.where(s <= a, below, above)
+        # t s - shifted_phi(p, a, s), with the shift's powers computed once;
+        # s^p needs no zero guard, as p > 1
+        return t * s - _phi(p, a, s, a_p, a_pm2, s ** p)
 
     hi = np.ones(t.shape)
     for _ in range(120):
@@ -186,8 +195,8 @@ def conjugate_by_maximization(p: float, a: float | np.ndarray, t) -> np.ndarray:
         hi = np.where(grow, 2.0 * hi, hi)
     lo = np.zeros(t.shape)
     for _ in range(130):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
         takes_hi = obj(m1) < obj(m2)
         lo = np.where(takes_hi, m1, lo)
         hi = np.where(takes_hi, hi, m2)
@@ -206,49 +215,6 @@ def removal_shift_constant(p: float) -> float:
     return c
 
 
-def removal_shift_margins(p: float, a, t, delta):
-    """(lhs, rhs) triples for the three shift-removal inequalities.
-
-    1. phi'_a(t) <= phi'(t/delta) v (delta phi'(a))
-    2. phi_a(t)  <= delta phi(a) + c(p) delta phi(t/delta)
-    3. (phi_a)*(t) <= (p/p') delta phi(a) + c(p') delta phi*(t/delta)
-    """
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta <= 0) or np.any(delta > 1):
-        raise ValueError("delta must lie in (0, 1]")
-    q = _conj(p)
-
-    lhs1 = shifted_dphi(p, a, t)
-    rhs1 = np.maximum(_pow(t / delta, p - 1.0), delta * _pow(a, p - 1.0))
-
-    c_p = removal_shift_constant(p)
-    lhs2 = shifted_phi(p, a, t)
-    rhs2 = delta * (_pow(a, p) / p) + c_p * delta * (_pow(t / delta, p) / p)
-
-    c_q = removal_shift_constant(q)
-    lhs3 = shifted_phi(q, _pow(a, p - 1.0), t)
-    rhs3 = (p / q) * delta * (_pow(a, p) / p) + c_q * delta * (_pow(t / delta, q) / q)
-    return (lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)
-
-
-def young_margins(p: float, a, s, t, delta):
-    """Scaled Young inequality s t <= delta phi_a(t) + delta (phi_a)*(s/delta).
-
-    Exact for every delta > 0 because x -> delta phi_a(x) has conjugate
-    delta (phi_a)*(. / delta).
-    """
-    a = np.asarray(a, dtype=float)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    lhs = s * t
-    rhs = delta * shifted_phi(p, a, t) + delta * shifted_phi(
-        _conj(p), _pow(a, p - 1.0), s / delta
-    )
-    return lhs, rhs
-
-
 def change_of_shift_needed_c(p: float, P: np.ndarray, Q: np.ndarray, t, delta: float):
     """Smallest admissible c in phi_|P|(t) <= c phi_|Q|(t) + delta |V(P)-V(Q)|^2.
 
@@ -265,22 +231,6 @@ def change_of_shift_needed_c(p: float, P: np.ndarray, Q: np.ndarray, t, delta: f
     denom = shifted_phi(p, np.linalg.norm(Q, axis=-1), t)
     num = np.maximum(lhs - delta * vdist, 0.0)
     return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
-
-
-def phi_a_equivalence_ratio(p: float, a, t) -> np.ndarray:
-    """phi_a(t) / ((a v t)^(p-2) t^2), the two-branch comparability ratio."""
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    comp = _pow(np.maximum(a, t), p - 2.0) * t * t
-    vals = shifted_phi(p, a, t)
-    return np.where(comp > 0, vals / np.where(comp > 0, comp, 1.0), np.nan)
-
-
-def delta2_ratio(p: float, a, t) -> np.ndarray:
-    """Doubling ratio phi_a(2t) / phi_a(t); uniformly below 2^max(2, p)."""
-    num = shifted_phi(p, a, 2.0 * np.asarray(t, dtype=float))
-    den = shifted_phi(p, a, t)
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +253,96 @@ def _log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
+def _finite_ratio(lhs, rhs) -> np.ndarray:
+    ratio = lhs / rhs
+    finite = np.isfinite(ratio)
+    return ratio if finite.all() else ratio[finite]
+
+
+def _cases(p: float, a, t, s, delta, rng):
+    """Yield ``(case, ratio, bound)`` for each case of the sweep before the
+    monotonicity one, in row order; a ratio is lhs / rhs, and a violation is
+    a ratio above ``bound``.
+
+    ``a``, ``t``, ``s`` and ``delta`` are 1-d sample arrays of one length, and
+    ``rng`` draws the lambda factors of the shift scaling.  Only the shifts
+    ``a`` may be zero, so only their powers go through the zero guard
+    ``_pow``.  Every power of a sample array is taken once and deleted after
+    its last use, and each ratio is yielded as soon as its two sides exist,
+    so that few sample-sized arrays are alive at once (the sweep's peak
+    memory).
+    """
+    q = _conj(p)
+    slack = 1.0 + 1e-12
+    a_pm1, a_pm2 = _pow(a, p - 1.0), _pow(a, p - 2.0)
+    td = t / delta
+    # shift removal: phi'_a(t) <= phi'(t/delta) v (delta phi'(a)),
+    # phi_a(t) <= delta phi(a) + c(p) delta phi(t/delta), and
+    # (phi_a)*(t) <= (p/p') delta phi(a) + c(p') delta phi*(t/delta)
+    yield "removal-shift-1", _finite_ratio(
+        _dphi(a, t, a_pm2, t ** (p - 1.0)), np.maximum(td ** (p - 1.0), delta * a_pm1)
+    ), slack
+    a_p = _pow(a, p)
+    phi_at = _phi(p, a, t, a_p, a_pm2, t ** p)
+    yield "removal-shift-2", _finite_ratio(
+        phi_at, delta * (a_p / p) + removal_shift_constant(p) * delta * (td ** p / p)
+    ), slack
+    # (phi_a)* is phi* shifted by b = a^(p-1), on the conjugate exponent q
+    b_q, b_qm2 = _pow(a_pm1, q), _pow(a_pm1, q - 2.0)
+    yield "removal-shift-3", _finite_ratio(
+        _phi(q, a_pm1, t, b_q, b_qm2, t ** q),
+        (p / q) * delta * (a_p / p) + removal_shift_constant(q) * delta * (td ** q / q),
+    ), slack
+    del td
+    # scaled Young, s t <= delta phi_a(t) + delta (phi_a)*(s/delta): exact for
+    # every delta > 0 because delta phi_a(.) has conjugate delta (phi_a)*(./delta)
+    sd = s / delta
+    yield "young-scaled", _finite_ratio(
+        s * t, delta * phi_at + delta * _phi(q, a_pm1, sd, b_q, b_qm2, sd ** q)
+    ), slack
+    del sd, a_pm1, b_q, b_qm2
+
+    # conjugate duality against the maximization oracle, on a log grid; one
+    # oracle call searches a column of all the shifts against the grid
+    tg = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
+    shifts = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
+    column = np.array(shifts)[:, None]
+    closed = shifted_phi(q, _pow(column, p - 1.0), tg)
+    numeric = conjugate_by_maximization(p, column, tg)
+    scale = np.maximum(np.abs(closed), 1e-300)
+    rel_all = np.abs(closed - numeric) / np.maximum(scale, np.abs(numeric))
+    for shift, rel in zip(shifts, rel_all):
+        yield f"conjugate-duality(a={shift:g})", rel, 1e-8
+
+    # two-branch comparability: phi_a(t) against (a v t)^(p-2) t^2
+    yield "phi-a-comparability", _finite_ratio(
+        phi_at, np.maximum(a, t) ** (p - 2.0) * t * t
+    ), math.inf
+
+    # the lambda-shift scaling: phi_a(lambda a) against lambda^2 phi(a)
+    # below lambda = 1 and against phi(lambda a) above it
+    pos = a > 0
+    a_pos, a_pos_p, a_pos_pm2 = a[pos], a_p[pos], a_pm2[pos]
+    lam = np.exp(rng.uniform(math.log(1e-3), 0.0, a_pos.size))
+    x = lam * a_pos
+    below = _phi(p, a_pos, x, a_pos_p, a_pos_pm2, x ** p) / (lam ** 2 * a_pos_p / p)
+    lam = np.exp(rng.uniform(0.0, math.log(1e3), a_pos.size))
+    x = lam * a_pos
+    del lam
+    x_p = x ** p
+    above = _phi(p, a_pos, x, a_pos_p, a_pos_pm2, x_p) / (x_p / p)
+    del a_pos, a_pos_p, a_pos_pm2, x, x_p
+    # (empty when every sampled shift is zero, as for a handful of samples)
+    yield "shift-scaling", np.concatenate([below, above]), math.inf
+    del below, above
+
+    # doubling: phi_a(2t) / phi_a(t) stays below 2^max(2, p)
+    t2 = 2.0 * t
+    yield "doubling", _finite_ratio(
+        _phi(p, a, t2, a_p, a_pm2, t2 ** p), phi_at
+    ), 2.0 ** max(2.0, p) * slack
+
+
 def run_property_sweep(p: float, samples: int = 100_000, seed: int = 0) -> list[PropertyCase]:
     """Randomized verification sweep of the shift-calculus inequalities.
 
@@ -310,58 +350,20 @@ def run_property_sweep(p: float, samples: int = 100_000, seed: int = 0) -> list[
     """
     rng = np.random.default_rng(seed)
     rows: list[PropertyCase] = []
-    slack = 1.0 + 1e-12
 
-    a = _log_uniform(rng, 1e-4, 1e4, samples) * (rng.random(samples) > 0.1)
-    t = _log_uniform(rng, 1e-4, 1e4, samples)
-    s = _log_uniform(rng, 1e-4, 1e4, samples)
-    delta = np.exp(rng.uniform(math.log(1e-3), 0.0, samples))
-
-    def record(case: str, ratio, bound=math.inf, empty=math.nan):
+    def record(case: str, ratio, bound, empty=math.nan):
         lo, hi = (float(ratio.min()), float(ratio.max())) if ratio.size else (empty, empty)
         rows.append(
             PropertyCase(p, case, lo, hi, int(np.count_nonzero(ratio > bound)), int(ratio.size))
         )
 
-    def add(case: str, lhs, rhs):
-        ratio = np.asarray(lhs) / np.asarray(rhs)
-        record(case, ratio[np.isfinite(ratio)], slack)
-
-    (l1, r1), (l2, r2), (l3, r3) = removal_shift_margins(p, a, t, delta)
-    add("removal-shift-1", l1, r1)
-    add("removal-shift-2", l2, r2)
-    add("removal-shift-3", l3, r3)
-
-    ly, ry = young_margins(p, a, s, t, delta)
-    add("young-scaled", ly, ry)
-
-    # conjugate duality against the maximization oracle, on a log grid; one
-    # oracle call searches a column of all the shifts against the grid
-    tg = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
-    shifts = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
-    column = np.array(shifts)[:, None]
-    closed = shifted_phi(_conj(p), _pow(column, p - 1.0), tg)
-    numeric = conjugate_by_maximization(p, column, tg)
-    scale = np.maximum(np.abs(closed), 1e-300)
-    rel_all = np.abs(closed - numeric) / np.maximum(scale, np.abs(numeric))
-    for shift, rel in zip(shifts, rel_all):
-        record(f"conjugate-duality(a={shift:g})", rel, 1e-8)
-
-    # two-branch comparability and doubling
-    eq = phi_a_equivalence_ratio(p, a, t)
-    record("phi-a-comparability", eq[np.isfinite(eq)])
-
-    # the lambda-shift scaling: phi_a(lambda a) against lambda^2 phi(a)
-    # below lambda = 1 and against phi(lambda a) above it
-    a_pos = a[a > 0]
-    lam_lo = np.exp(rng.uniform(math.log(1e-3), 0.0, a_pos.size))
-    lam_hi = np.exp(rng.uniform(0.0, math.log(1e3), a_pos.size))
-    below = shifted_phi(p, a_pos, lam_lo * a_pos) / (lam_lo ** 2 * _pow(a_pos, p) / p)
-    above = shifted_phi(p, a_pos, lam_hi * a_pos) / (_pow(lam_hi * a_pos, p) / p)
-    # (empty when every sampled shift is zero, as for a handful of samples)
-    record("shift-scaling", np.concatenate([below, above]))
-    d2 = delta2_ratio(p, a, t)
-    record("doubling", d2[np.isfinite(d2)], 2.0 ** max(2.0, p) * slack)
+    a = _log_uniform(rng, 1e-4, 1e4, samples) * (rng.random(samples) > 0.1)
+    t = _log_uniform(rng, 1e-4, 1e4, samples)
+    s = _log_uniform(rng, 1e-4, 1e4, samples)
+    delta = np.exp(rng.uniform(math.log(1e-3), 0.0, samples))
+    for case, ratio, bound in _cases(p, a, t, s, delta, rng):
+        record(case, ratio, bound)
+        del ratio  # before the generator builds the next one
 
     # monotonicity quantities on random vector pairs
     dim = 2
@@ -374,5 +376,5 @@ def run_property_sweep(p: float, samples: int = 100_000, seed: int = 0) -> list[
     rep = hammer_check(p, P, Q)
     qs = rep.quantities()
     pos = np.all(qs > 0, axis=0)
-    record("hammer-equivalence", qs[2][pos] / qs[0][pos], empty=1.0)
+    record("hammer-equivalence", qs[2][pos] / qs[0][pos], math.inf, empty=1.0)
     return rows

@@ -31,6 +31,7 @@ __all__ = [
     "bmo",
     "bmo_views",
     "muckenhoupt_ap",
+    "muckenhoupt_ap_list",
     "PropSmallReport",
     "prop_small_check",
     "SmallScalarReport",
@@ -205,7 +206,8 @@ class ApEstimate:
 
 def _power_means(w: np.ndarray, vals: np.ndarray, expos) -> list[float]:
     """Weighted means of ``vals ** e`` over one node set, one per exponent."""
-    return [float(np.sum(w * vals ** e) / w.sum()) for e in expos]
+    total = w.sum()
+    return [float(np.sum(w * vals ** e) / total) for e in expos]
 
 
 def _family_power_means(field, balls, quad, expos) -> list[list[list[float]]]:
@@ -228,6 +230,12 @@ def _unstable(coarse: float, fine: float) -> bool:
     return fine > OVERFLOW_GUARD or fine > coarse * STABILITY_GUARD
 
 
+def _dual(p: float) -> float:
+    if not (1.0 < p < math.inf):
+        raise ValueError("p must lie in (1, inf)")
+    return p / (p - 1.0)
+
+
 def muckenhoupt_ap(
     omega: Field,
     p: float,
@@ -245,12 +253,31 @@ def muckenhoupt_ap(
     negative power announces itself.  ``neg_exponent`` replaces the dual
     exponent p' (as for the duality-weight condition of the Poincare check).
     """
-    pc = neg_exponent
-    if pc is None:
-        if not (1.0 < p < math.inf):
-            raise ValueError("p must lie in (1, inf)")
-        pc = p / (p - 1.0)
+    pc = _dual(p) if neg_exponent is None else neg_exponent
     coarse, fine = _family_power_means(omega, fam.balls, quad, (p, -pc))
+    return _ap_estimate(p, pc, fam, coarse, fine)
+
+
+def muckenhoupt_ap_list(
+    omega: Field, p_list, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD
+) -> list[ApEstimate]:
+    """:func:`muckenhoupt_ap` at each p of ``p_list``, from one pass over the
+    family: each node set is built, and ``omega`` evaluated on it, once for
+    the exponents of every p."""
+    pairs = [(p, _dual(p)) for p in p_list]
+    if not pairs:
+        return []
+    expos = [e for p, pc in pairs for e in (p, -pc)]
+    coarse, fine = _family_power_means(omega, fam.balls, quad, expos)
+    return [
+        _ap_estimate(p, pc, fam, [m[2 * k:2 * k + 2] for m in coarse],
+                     [m[2 * k:2 * k + 2] for m in fine])
+        for k, (p, pc) in enumerate(pairs)
+    ]
+
+
+def _ap_estimate(p: float, pc: float, fam: BallFamily, coarse, fine) -> ApEstimate:
+    """The estimate from each ball's (mean w^p, mean w^-pc) on both rules."""
     best, witness, rows = 0.0, None, []
     divergent, div_ball = False, None
     for idx, (ball, (m_pos, m_neg), (m_pos_f, m_neg_f)) in enumerate(

@@ -1,24 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from degcz.nfunctions import (
+    _cases,
     _pow,
     a_map,
     change_of_shift_needed_c,
     conjugate_by_maximization,
-    delta2_ratio,
     hammer_check,
-    phi_a_equivalence_ratio,
-    removal_shift_margins,
+    removal_shift_constant,
     run_property_sweep,
     shifted_dphi,
     shifted_phi,
     v_map,
     weighted_maps,
-    young_margins,
 )
 
 
@@ -33,6 +32,14 @@ def phi_a_oracle(p, a, t):
         epsrel=1e-12,
     )
     return val
+
+
+def sweep_ratios(p, a, t, s=1.0, delta=1.0):
+    """The sweep's finite lhs / rhs ratios on the given samples, by case."""
+    a, t, s, delta = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                           for x in (a, t, s, delta)))
+    return {case: ratio
+            for case, ratio, _ in _cases(p, a, t, s, delta, np.random.default_rng(0))}
 
 
 class TestShiftedPhi:
@@ -177,22 +184,30 @@ class TestHammer:
 
 
 class TestShiftLemmas:
+    REMOVAL = ("removal-shift-1", "removal-shift-2", "removal-shift-3")
+
     def test_removal_shift_zero_shift(self):
-        (l1, r1), _, _ = removal_shift_margins(3.0, 0.0, 2.0, 1.0)
-        assert l1 == pytest.approx(r1)  # reduces to phi'(t) <= phi'(t)
+        ratio = sweep_ratios(3.0, 0.0, 2.0)["removal-shift-1"]
+        assert ratio == pytest.approx([1.0])  # reduces to phi'(t) <= phi'(t)
 
     def test_removal_shift_worked_example(self):
-        (l1, r1), _, _ = removal_shift_margins(3.0, 2.0, 1.0, 0.5)
-        assert l1 == pytest.approx(2.0)
-        assert r1 == pytest.approx(4.0)
+        # p = 3, a = 2, t = 1, delta = 1/2: phi'_a(t) = 2 against
+        # max((t/delta)^2, delta a^2) = 4, and phi_a(t) = 1 against
+        # delta a^3/3 + c(3) delta (t/delta)^3/3 = 4/3 + 10/3
+        assert removal_shift_constant(3.0) == 2.5
+        ratios = sweep_ratios(3.0, 2.0, 1.0, delta=0.5)
+        assert ratios["removal-shift-1"] == pytest.approx([0.5])
+        assert ratios["removal-shift-2"] == pytest.approx([3.0 / 14.0])
 
     def test_removal_shift_sweep(self, rng):
         for p in (1.5, 2.0, 3.0, 4.5):
             a = np.exp(rng.uniform(-6, 6, 100_000))
             t = np.exp(rng.uniform(-6, 6, 100_000))
             d = np.exp(rng.uniform(math.log(1e-3), 0.0, 100_000))
-            for lhs, rhs in removal_shift_margins(p, a, t, d):
-                assert np.all(lhs <= rhs * (1 + 1e-12))
+            ratios = sweep_ratios(p, a, t, delta=d)
+            for case in self.REMOVAL:
+                assert ratios[case].size == a.size
+                assert ratios[case].max() <= 1 + 1e-12
 
     def test_young_exact(self, rng):
         for p in (1.5, 2.0, 3.0, 4.5):
@@ -200,8 +215,9 @@ class TestShiftLemmas:
             s = np.exp(rng.uniform(-6, 6, 100_000))
             t = np.exp(rng.uniform(-6, 6, 100_000))
             d = np.exp(rng.uniform(math.log(1e-3), 0.0, 100_000))
-            lhs, rhs = young_margins(p, a, s, t, d)
-            assert np.all(lhs <= rhs * (1 + 1e-12))
+            ratio = sweep_ratios(p, a, t, s, d)["young-scaled"]
+            assert ratio.size == a.size
+            assert ratio.max() <= 1 + 1e-12
 
     def test_change_of_shift_bounded(self, rng):
         from degcz.calibration import CALIBRATED
@@ -273,16 +289,17 @@ class TestEquivalences:
         for p in (1.5, 2.0, 3.0, 4.5):
             a = np.exp(rng.uniform(-5, 5, 30_000))
             t = np.exp(rng.uniform(-5, 5, 30_000))
-            ratio = delta2_ratio(p, a, t)
-            assert np.nanmax(ratio) <= 2.0 ** max(2.0, p) * (1 + 1e-12)
+            ratio = sweep_ratios(p, a, t)["doubling"]
+            assert ratio.size == a.size
+            assert ratio.max() <= 2.0 ** max(2.0, p) * (1 + 1e-12)
 
     def test_phi_a_comparability_constant(self, rng):
         # symmetric (optimally centered) equivalence constant stays below 2
         for p in (1.5, 2.0, 3.0, 4.5):
             a = np.exp(rng.uniform(-5, 5, 30_000))
             t = np.exp(rng.uniform(-5, 5, 30_000))
-            ratio = phi_a_equivalence_ratio(p, a, t)
-            ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
+            ratio = sweep_ratios(p, a, t)["phi-a-comparability"]
+            ratio = ratio[ratio > 0]
             c = math.sqrt(ratio.max() / ratio.min())
             assert c <= 2.0, f"p={p}: c={c}"
 
@@ -298,9 +315,102 @@ class TestEquivalences:
             assert min(1.0, p / 2.0) - 1e-12 <= ratio <= max(1.0, p / 2.0) + 1e-12
 
 
+def parent_sweep(p, samples, seed):
+    """The sweep as it was before its powers were shared: every margin took
+    its own powers through the public closed forms of that time."""
+    def phi(p, a, t):
+        a, t = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
+        a_p = _pow(a, p)
+        above = (_pow(t, p) - a_p) / p + a_p / 2.0
+        return np.where(t <= a, _pow(a, p - 2.0) * t * t / 2.0, above)
+
+    def log_uniform(rng, lo, hi, size):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    slack = 1.0 + 1e-12
+    q = p / (p - 1.0)
+
+    def record(case, ratio, bound=math.inf, empty=math.nan):
+        lo, hi = (float(ratio.min()), float(ratio.max())) if ratio.size else (empty, empty)
+        rows.append((p, case, lo, hi, int(np.count_nonzero(ratio > bound)), int(ratio.size)))
+
+    def add(case, lhs, rhs):
+        ratio = lhs / rhs
+        record(case, ratio[np.isfinite(ratio)], slack)
+
+    a = log_uniform(rng, 1e-4, 1e4, samples) * (rng.random(samples) > 0.1)
+    t = log_uniform(rng, 1e-4, 1e4, samples)
+    s = log_uniform(rng, 1e-4, 1e4, samples)
+    delta = np.exp(rng.uniform(math.log(1e-3), 0.0, samples))
+    add("removal-shift-1", np.where(t <= a, _pow(a, p - 2.0) * t, _pow(t, p - 1.0)),
+        np.maximum(_pow(t / delta, p - 1.0), delta * _pow(a, p - 1.0)))
+    add("removal-shift-2", phi(p, a, t),
+        delta * (_pow(a, p) / p)
+        + removal_shift_constant(p) * delta * (_pow(t / delta, p) / p))
+    add("removal-shift-3", phi(q, _pow(a, p - 1.0), t),
+        (p / q) * delta * (_pow(a, p) / p)
+        + removal_shift_constant(q) * delta * (_pow(t / delta, q) / q))
+    add("young-scaled", s * t,
+        delta * phi(p, a, t) + delta * phi(q, _pow(a, p - 1.0), s / delta))
+    tg = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
+    for shift in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0):
+        closed = phi(q, _pow(np.array(shift), p - 1.0), tg)
+        numeric = TestConjugateDuality.per_shift_oracle(p, shift, tg)
+        scale = np.maximum(np.abs(closed), 1e-300)
+        record(f"conjugate-duality(a={shift:g})",
+               np.abs(closed - numeric) / np.maximum(scale, np.abs(numeric)), 1e-8)
+    comp = _pow(np.maximum(a, t), p - 2.0) * t * t
+    eq = np.where(comp > 0, phi(p, a, t) / np.where(comp > 0, comp, 1.0), np.nan)
+    record("phi-a-comparability", eq[np.isfinite(eq)])
+    a_pos = a[a > 0]
+    lam_lo = np.exp(rng.uniform(math.log(1e-3), 0.0, a_pos.size))
+    lam_hi = np.exp(rng.uniform(0.0, math.log(1e3), a_pos.size))
+    below = phi(p, a_pos, lam_lo * a_pos) / (lam_lo ** 2 * _pow(a_pos, p) / p)
+    above = phi(p, a_pos, lam_hi * a_pos) / (_pow(lam_hi * a_pos, p) / p)
+    record("shift-scaling", np.concatenate([below, above]))
+    num, den = phi(p, a, 2.0 * t), phi(p, a, t)
+    d2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
+    record("doubling", d2[np.isfinite(d2)], 2.0 ** max(2.0, p) * slack)
+    P = rng.standard_normal((samples // 10, 2)) * log_uniform(rng, 1e-3, 1e3, samples // 10)[:, None]
+    Q = rng.standard_normal((samples // 10, 2)) * log_uniform(rng, 1e-3, 1e3, samples // 10)[:, None]
+    qs = hammer_check(p, P, Q).quantities()
+    pos = np.all(qs > 0, axis=0)
+    record("hammer-equivalence", qs[2][pos] / qs[0][pos], empty=1.0)
+    return rows
+
+
 class TestPropertySweep:
     def test_zero_violations_all_p(self):
         for p in (1.5, 2.0, 3.0, 4.5):
             rows = run_property_sweep(p, samples=20_000, seed=2)
             for row in rows:
                 assert row.violations == 0, f"p={p} case {row.case}"
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 2.5, 3.0, 4.5, 7.0])
+    def test_rows_match_parent_sweep_bitwise(self, p):
+        """Shared powers keep every bit of every row, in the same order; two
+        samples at seed 0 draw no nonzero shift, so shift-scaling is empty."""
+        as_bits = lambda row: [np.float64(v).tobytes() if isinstance(v, float) else v
+                               for v in row]
+        for samples in (2, 20_000):
+            for seed in (0, 1):
+                rows = [as_bits((r.p, r.case, r.min_ratio, r.max_ratio, r.violations, r.samples))
+                        for r in run_property_sweep(p, samples=samples, seed=seed)]
+                assert rows == [as_bits(r) for r in parent_sweep(p, samples, seed)]
+        scaling = [r for r in run_property_sweep(p, samples=2, seed=0)
+                   if r.case == "shift-scaling"]
+        assert scaling[0].samples == 0
+
+    def test_peak_memory(self):
+        """Each power is dropped after its last use: the traced peak of a
+        100k-sample sweep stays below 20 sample-sized float arrays."""
+        samples = 100_000
+        tracemalloc.start()
+        try:
+            run_property_sweep(3.0, samples=samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * samples, peak / (8 * samples)

@@ -13,6 +13,7 @@ from degcz.seminorms import (
     BallFamily,
     bmo,
     muckenhoupt_ap,
+    muckenhoupt_ap_list,
     prop_small_check,
     small_scalar_checks,
     standard_family,
@@ -444,6 +445,46 @@ class TestQuadratureWork:
         per_ball = [math.prod(rule.resolution) for rule in (quad, fine)]
         assert sum(sizes) == fam.count * sum(per_ball)
         assert max(sizes) <= max(BATCH_NODES, *per_ball)
+
+    @pytest.mark.parametrize("make", SHARED_WEIGHTS)
+    def test_ap_list_evaluates_each_node_set_once(self, make, unit_ball, quad, monkeypatch):
+        # p = 2 and 3 from one pass: the nodes of one muckenhoupt_ap call, and
+        # each estimate equal, bit for bit, to that of its own call
+        omega = make()
+        fam = standard_family(unit_ball, 2)
+        singles = [muckenhoupt_ap(omega, p, fam, quad) for p in (2.0, 3.0)]
+        sizes = []
+        orig = Field.evaluate
+
+        def counting(self, points):
+            sizes.append(len(points))
+            return orig(self, points)
+
+        monkeypatch.setattr(Field, "evaluate", counting)
+        both = muckenhoupt_ap_list(omega, [2.0, 3.0], fam, quad)
+        per_ball = [math.prod(rule.resolution) for rule in (quad, quad.refined())]
+        assert sum(sizes) == fam.count * sum(per_ball)
+        assert both == singles
+        assert muckenhoupt_ap_list(omega, [], fam, quad) == []
+
+    def test_analyze_weight_takes_every_ap_from_one_pass(self, tmp_path, monkeypatch):
+        from degcz import seminorms
+        from degcz.cli import main
+
+        passes = []
+        orig = seminorms._family_power_means
+
+        def recording(field, balls, quad, expos):
+            passes.append((len(balls), tuple(expos)))
+            return orig(field, balls, quad, expos)
+
+        monkeypatch.setattr(seminorms, "_family_power_means", recording)
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text('weight.kind = "power-radial"\nweight.eps = 0.25\n'
+                       'family.levels = 2\nap.p_list = [2, 3]\n')
+        assert main(["analyze-weight", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        count = standard_family(Ball((0.0, 0.0), 1.0), 2).count
+        assert [expos for n, expos in passes if n == count] == [(2.0, -2.0, 3.0, -1.5)]
 
     def test_analyze_weight_evaluates_log_m_once_per_node(self, tmp_path, monkeypatch):
         # log omega = lambda_max(log M) and log M share one evaluation on the
