@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .weight_algebra import euclidean_norm
+
 __all__ = [
     "shifted_phi",
     "shifted_dphi",
@@ -91,14 +93,14 @@ def shifted_dphi(p: float, a, t) -> np.ndarray:
 def a_map(p: float, xi: np.ndarray) -> np.ndarray:
     """Nonlinear flux map |xi|^(p-2) xi, with the continuous value 0 at 0."""
     xi = np.asarray(xi, dtype=float)
-    r = np.linalg.norm(xi, axis=-1, keepdims=True)
+    r = euclidean_norm(xi)[..., None]
     return _pow(r, p - 2.0) * xi
 
 
 def v_map(p: float, xi: np.ndarray) -> np.ndarray:
     """Natural-distance map |xi|^((p-2)/2) xi; |V(xi)|^2 = |xi|^p."""
     xi = np.asarray(xi, dtype=float)
-    r = np.linalg.norm(xi, axis=-1, keepdims=True)
+    r = euclidean_norm(xi)[..., None]
     return _pow(r, (p - 2.0) / 2.0) * xi
 
 
@@ -155,11 +157,11 @@ def hammer_check(p: float, P: np.ndarray, Q: np.ndarray) -> HammerReport:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     ap, aq = a_map(p, P), a_map(p, Q)
     monotone = np.einsum("...i,...i->...", ap - aq, P - Q)
-    vdist = np.linalg.norm(v_map(p, P) - v_map(p, Q), axis=-1) ** 2
-    qnorm = np.linalg.norm(Q, axis=-1)
-    shifted = 2.0 * shifted_phi(p, qnorm, np.linalg.norm(P - Q, axis=-1))
+    vdist = euclidean_norm(v_map(p, P) - v_map(p, Q)) ** 2
+    qnorm = euclidean_norm(Q)
+    shifted = 2.0 * shifted_phi(p, qnorm, euclidean_norm(P - Q))
     conj = 2.0 * shifted_phi(
-        _conj(p), _pow(qnorm, p - 1.0), np.linalg.norm(ap - aq, axis=-1)
+        _conj(p), _pow(qnorm, p - 1.0), euclidean_norm(ap - aq)
     )
     return HammerReport(monotone, vdist, shifted, conj)
 
@@ -226,9 +228,9 @@ def change_of_shift_needed_c(p: float, P: np.ndarray, Q: np.ndarray, t, delta: f
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     t = np.asarray(t, dtype=float)
-    lhs = shifted_phi(p, np.linalg.norm(P, axis=-1), t)
-    vdist = np.linalg.norm(v_map(p, P) - v_map(p, Q), axis=-1) ** 2
-    denom = shifted_phi(p, np.linalg.norm(Q, axis=-1), t)
+    lhs = shifted_phi(p, euclidean_norm(P), t)
+    vdist = euclidean_norm(v_map(p, P) - v_map(p, Q)) ** 2
+    denom = shifted_phi(p, euclidean_norm(Q), t)
     num = np.maximum(lhs - delta * vdist, 0.0)
     return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
 

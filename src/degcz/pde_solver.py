@@ -50,7 +50,7 @@ import numpy as np
 
 from .meshing import Mesh
 from .nfunctions import a_map
-from .weight_algebra import Field
+from .weight_algebra import Field, _min_distance, euclidean_norm
 
 __all__ = [
     "NonconvergenceError",
@@ -142,7 +142,7 @@ class WeakProblem:
         pts = np.asarray(points, dtype=float)
         sing = np.asarray(self.weight.singular_points or ()).reshape(-1, pts.shape[-1])
         if len(sing):
-            d = np.linalg.norm(pts[:, None, :] - sing[None, :, :], axis=-1).min(axis=1)
+            d = _min_distance(pts, sing)
             hit = d < 1e-250
             if hit.any():
                 warnings.warn("weight evaluated at a singular barycenter; shifting the point")
@@ -450,7 +450,7 @@ def weighted_h1_error(
     """Weighted H1 seminorm distance (mean of (|grad(u - u_exact)| omega)^2)^(1/2)."""
     mesh = u.mesh
     diff = u.cell_gradients() - np.asarray(exact_grad(mesh.barycenters), dtype=float)
-    mag = np.linalg.norm(diff, axis=1)
+    mag = euclidean_norm(diff)
     if omega is not None:
         mag = mag * omega.evaluate(mesh.barycenters)
     return float(math.sqrt(np.sum(mag ** 2 * mesh.areas) / mesh.areas.sum()))

@@ -20,7 +20,6 @@ from .weight_algebra import (
     Field,
     QuadratureSpec,
     ball_nodes,
-    node_batches,
     spectral_norm_sym,
 )
 
@@ -158,15 +157,11 @@ def bmo_views(
     instance.  One estimate is returned per view.
     """
     per_ball = [[] for _ in views]
-    for start, pts, w, cuts in node_batches(fam.balls, quad, fam.domain, f.singular_points):
-        seen = [None] * len(views)
-        if len(w):
-            vals = f.evaluate(pts)
-            seen = [view(vals) for view in views]
-        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            ball = fam.balls[start + k]
-            for out, v in zip(per_ball, seen):
-                out.append(0.0 if a == b else _mean_oscillation(w[a:b], v[a:b], ball))
+    for ball in fam.balls:
+        pts, w = ball_nodes(ball, quad, fam.domain, f.singular_points)
+        vals = f.evaluate(pts) if len(w) else None
+        for out, view in zip(per_ball, views):
+            out.append(_mean_oscillation(w, view(vals), ball) if len(w) else 0.0)
     return [_bmo_estimate(fam, values) for values in per_ball]
 
 
@@ -212,14 +207,14 @@ def _power_means(w: np.ndarray, vals: np.ndarray, expos) -> list[float]:
 
 def _family_power_means(field, balls, quad, expos) -> list[list[list[float]]]:
     """:func:`_power_means` on each ball's node set, one field evaluation per
-    batch: the per-ball lists for the rule ``quad`` and for its 4x radial
+    node set: the per-ball lists for the rule ``quad`` and for its 4x radial
     refinement."""
     out = []
     for rule in (quad, quad.refined()):
         means = []
-        for _, pts, w, cuts in node_batches(balls, rule, singular=field.singular_points):
-            vals = field.evaluate(pts)
-            means.extend(_power_means(w[a:b], vals[a:b], expos) for a, b in zip(cuts, cuts[1:]))
+        for ball in balls:
+            pts, w = ball_nodes(ball, rule, singular=field.singular_points)
+            means.append(_power_means(w, field.evaluate(pts), expos))
         out.append(means)
     return out
 
@@ -246,8 +241,7 @@ def muckenhoupt_ap(
     """Max over the family of (mean w^p)^(1/p) (mean w^-e)^(1/e), e = p' by default.
 
     Each ball gets two node sets, the rule ``quad`` and its 4x radial
-    refinement; both power means come from one field evaluation on each,
-    made for a batch of balls at a time (see ``node_batches``).  A
+    refinement; both power means come from one field evaluation on each.  A
     per-ball value is declared divergent when it fails to stabilize under the
     refinement or exceeds the overflow guard, which is how a non-integrable
     negative power announces itself.  ``neg_exponent`` replaces the dual

@@ -6,7 +6,8 @@ functions, use symmetric eigendecomposition.  Balls are integrated by one
 rule, polar-midpoint quadrature (:class:`QuadratureSpec`).  All field
 evaluators are batched: they map an ``(m, n)`` array of points to ``(m,)``
 scalars or ``(m, n, n)`` matrices, and they must be stateless and act row by
-row, since ball quadrature evaluates the nodes of several balls in one call.
+row, since :meth:`Field.evaluate` splits large point sets into chunks.  Ball
+quadrature builds one node set per ball from a cached template per radius.
 :func:`log_mean` gives the logarithmic mean of a scalar or a matrix field from
 the logs that :meth:`Field.log` returns.  Every matrix weight of the registry
 carries the closed form of its spectral norm omega = |M| (``Field.omega_fn``),
@@ -16,6 +17,7 @@ its one norm.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -38,7 +40,6 @@ __all__ = [
     "DEFAULT_QUAD",
     "MEAN_QUAD",
     "ball_nodes",
-    "node_batches",
     "Field",
     "log_mean",
     "SandwichReport",
@@ -272,17 +273,19 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-#: nodes per field evaluation: batched ball quadrature puts at most this many
-#: in one batch unless one ball alone has more, and :meth:`Field.evaluate`
-#: evaluates more points in chunks of this many.  2,048 2x2 matrices take
+#: points per field evaluation: :meth:`Field.evaluate` evaluates more points
+#: in chunks of this many into one output array.  2,048 2x2 matrices take
 #: 64 KiB, below glibc's 128 KiB mmap threshold, so the temporaries of a
-#: chunk reuse heap memory instead of faulting in fresh pages.  Each ball's
-#: nodes and sums, and each point's value, are the same for any batch size.
+#: chunk reuse heap memory instead of faulting in fresh pages.  Each point's
+#: value is the same for any chunk size.
 BATCH_NODES = 2048
 
 
+@functools.lru_cache(maxsize=8)
 def _polar_template(dim: int, radius: float, nr: int, na: int):
-    """Polar-midpoint nodes of a ball of ``radius`` centered at the origin."""
+    """Read-only polar-midpoint nodes and weights of a ball of ``radius``
+    centered at the origin; the last few templates are kept, since a ball
+    family repeats each radius many times."""
     rho = (np.arange(nr) + 0.5) * (radius / nr)
     dr = radius / nr
     if dim == 2:
@@ -294,7 +297,9 @@ def _polar_template(dim: int, radius: float, nr: int, na: int):
         w = (rho[:, None] ** 2 * dr * (4.0 * math.pi / na)) * np.ones((1, na))
     else:
         raise ValueError("polar-midpoint quadrature supports dimensions 2 and 3")
-    return (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim), w.reshape(-1)
+    pts, w = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim), w.reshape(-1)
+    pts.flags.writeable = w.flags.writeable = False
+    return pts, w
 
 
 def _min_distance(pts: np.ndarray, sing: np.ndarray) -> np.ndarray:
@@ -303,54 +308,6 @@ def _min_distance(pts: np.ndarray, sing: np.ndarray) -> np.ndarray:
     for s in sing[1:]:
         d = np.minimum(d, euclidean_norm(pts - s))
     return d
-
-
-def node_batches(
-    balls,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    clip: Ball | None = None,
-    singular: np.typing.ArrayLike | None = None,
-):
-    """Quadrature nodes of a sequence of balls, a batch of balls at a time.
-
-    Yields ``(start, pts, w, cuts)``: ball ``start + k`` has the nodes
-    ``pts[cuts[k]:cuts[k + 1]]`` with absolute weights ``w[cuts[k]:cuts[k + 1]]``,
-    exactly those :func:`ball_nodes` gives it.  A batch holds consecutive balls
-    of one radius, which share a node template, and at most
-    :data:`BATCH_NODES` nodes unless one ball alone has more.
-    """
-    sing = None
-    if singular is not None and len(singular):
-        sing = np.atleast_2d(np.asarray(singular, dtype=float))
-    nr, na = quad.resolution
-    per_batch = max(1, BATCH_NODES // (nr * na))
-    tmpl_radius = None
-    start = 0
-    while start < len(balls):
-        radius = balls[start].radius
-        stop = start + 1
-        while (stop < len(balls) and stop - start < per_batch
-               and balls[stop].radius == radius):
-            stop += 1
-        if radius != tmpl_radius:
-            tmpl, w_tmpl = _polar_template(balls[start].dim, radius, nr, na)
-            tmpl_radius = radius
-        centers = np.array([b.center for b in balls[start:stop]])
-        pts = tmpl[None, :, :] + centers[:, None, :]
-        w = np.tile(w_tmpl, (stop - start, 1))
-        keep = None if sing is None else _min_distance(pts, sing) > 1e-13 * radius
-        if clip is not None:
-            inside = clip.contains(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:2])
-            keep = inside if keep is None else keep & inside
-        if keep is None or keep.all():
-            size = pts.shape[1]
-            cuts = list(range(0, size * (stop - start) + 1, size))
-            pts, w = pts.reshape(-1, pts.shape[-1]), w.reshape(-1)
-        else:
-            cuts = [0] + np.cumsum(keep.sum(axis=1)).tolist()
-            pts, w = pts[keep], w[keep]
-        yield start, pts, w, cuts
-        start = stop
 
 
 def ball_nodes(
@@ -363,10 +320,21 @@ def ball_nodes(
 
     Weights sum to (approximately) the ball volume.  Nodes outside ``clip``
     are dropped, which turns the rule into one for the intersection, and so
-    are nodes falling onto a singular point.
+    are nodes falling onto a singular point.  When no node is dropped the
+    weights are the shared read-only template of the ball's radius.
     """
-    _, pts, w, _ = next(node_batches((ball,), quad, clip, singular))
-    return pts, w
+    tmpl, w = _polar_template(ball.dim, ball.radius, *quad.resolution)
+    pts = tmpl + np.asarray(ball.center)
+    keep = None
+    if singular is not None and len(singular):
+        sing = np.atleast_2d(np.asarray(singular, dtype=float))
+        keep = _min_distance(pts, sing) > 1e-13 * ball.radius
+    if clip is not None:
+        inside = clip.contains(pts)
+        keep = inside if keep is None else keep & inside
+    if keep is None or keep.all():
+        return pts, w
+    return pts[keep], w[keep]
 
 
 # ---------------------------------------------------------------------------

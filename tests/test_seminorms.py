@@ -428,7 +428,7 @@ class TestBmoViews:
 class TestQuadratureWork:
     def test_ap_evaluates_two_node_sets_per_ball(self, unit_ball, quad, monkeypatch):
         # every ball's rule and its 4x radial refinement, each node once, in
-        # evaluations of at most BATCH_NODES nodes or one ball's node set
+        # one evaluation per node set, which Field.evaluate chunks itself
         from degcz.weight_algebra import BATCH_NODES
 
         sizes = []

@@ -10,7 +10,6 @@ from scipy import integrate
 from conftest import random_spd
 from degcz.seminorms import BallFamily
 from degcz.weight_algebra import (
-    BATCH_NODES,
     Ball,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -21,7 +20,6 @@ from degcz.weight_algebra import (
     identity_weight,
     lambda_max_sym,
     log_mean,
-    node_batches,
     sandwich_check,
     scalar_weight_from_config,
     spd_exp,
@@ -31,6 +29,7 @@ from degcz.weight_algebra import (
     sym_log_batched,
     weight_from_config,
     WEIGHT_KINDS,
+    _polar_template,
     _sym_eigvals,
 )
 
@@ -149,11 +148,12 @@ def _reference_ball_nodes(ball, quad, clip=None, singular=None):
     return pts, w
 
 
-class TestNodeBatches:
+class TestBallNodes:
     FAMILIES = {
         "dyadic": lambda dom: BallFamily.dyadic(dom, 3),
         "ladder": lambda dom: BallFamily.origin_ladder(dom, 2),
-        "random": lambda dom: TestNodeBatches.random_family(dom, 30, 0.01, 0.6, 5),
+        "random": lambda dom: TestBallNodes.random_family(dom, 30, 0.01, 0.6, 5),
+        "interleaved": lambda dom: TestBallNodes.interleaved_family(dom),
     }
     RULES = [
         QuadratureSpec((64, 32)),
@@ -172,41 +172,61 @@ class TestNodeBatches:
         balls = tuple(Ball(tuple(np.asarray(domain.center) + c), r) for c, r in zip(g, radii))
         return BallFamily(balls, "random", domain)
 
+    @staticmethod
+    def interleaved_family(domain):
+        """Equal radii that are never consecutive, and more distinct radii
+        than the template cache holds, so templates are reused and rebuilt."""
+        order = [k % 3 for k in range(12)] + list(range(10)) + [k % 3 for k in range(6)]
+        balls = tuple(Ball((0.3 * math.cos(j), 0.3 * math.sin(j)), 0.05 * (k + 1))
+                      for j, k in enumerate(order))
+        return BallFamily(balls, "interleaved", domain)
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("quad", RULES, ids=lambda q: f"polar-midpoint-{q.resolution}")
-    def test_batches_equal_per_ball_reference(self, family, quad, unit_ball):
+    def test_ball_nodes_equal_reference(self, family, quad, unit_ball):
         balls = self.FAMILIES[family](unit_ball).balls
-        nodes = math.prod(quad.resolution)
+        # the last singular point sits exactly on a node of the first ball
+        on_node = _reference_ball_nodes(balls[0], quad)[0][5:6]
         for clip, sing in ((None, None), (unit_ball, np.zeros((1, 2))),
-                           (unit_ball, np.array([[0.0, 0.0], [0.5, 0.0]]))):
-            seen = 0
-            for start, pts, w, cuts in node_batches(balls, quad, clip, sing):
-                assert start == seen and cuts[0] == 0 and cuts[-1] == len(pts) == len(w)
-                count = len(cuts) - 1
-                assert count == 1 or count * nodes <= BATCH_NODES
-                assert len({b.radius for b in balls[start:start + count]}) == 1
-                for k in range(count):
-                    ref_pts, ref_w = _reference_ball_nodes(balls[start + k], quad, clip, sing)
-                    assert np.array_equal(pts[cuts[k]:cuts[k + 1]], ref_pts)
-                    assert np.array_equal(w[cuts[k]:cuts[k + 1]], ref_w)
-                seen += count
-            assert seen == len(balls)
+                           (unit_ball, np.array([[0.0, 0.0], [0.5, 0.0]])),
+                           (None, np.concatenate([np.zeros((1, 2)), on_node]))):
+            for ball in balls:
+                pts, w = ball_nodes(ball, quad, clip, sing)
+                ref_pts, ref_w = _reference_ball_nodes(ball, quad, clip, sing)
+                assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+        kept = ball_nodes(balls[0], quad, singular=on_node)[1]
+        assert len(kept) == math.prod(quad.resolution) - 1
 
-    def test_ball_nodes_is_a_one_ball_batch(self, unit_ball):
-        ball = Ball((0.2, -0.1), 0.3)
+    def test_interleaved_radii_hit_and_miss_the_template_cache(self, unit_ball):
         quad = QuadratureSpec((32, 16))
-        ((start, pts, w, cuts),) = node_batches((ball,), quad, unit_ball)
-        got = ball_nodes(ball, quad, clip=unit_ball)
-        assert start == 0 and cuts == [0, len(w)]
-        assert np.array_equal(got[0], pts) and np.array_equal(got[1], w)
+        _polar_template.cache_clear()
+        for ball in self.interleaved_family(unit_ball).balls:
+            assert np.array_equal(ball_nodes(ball, quad)[1], _reference_ball_nodes(ball, quad)[1])
+        info = _polar_template.cache_info()
+        assert info.hits > 0 and info.misses > 10 and info.currsize <= info.maxsize
+
+    def test_templates_are_read_only(self):
+        quad = QuadratureSpec((32, 16))
+        tmpl, tmpl_w = _polar_template(2, 0.3, *quad.resolution)
+        _, w = ball_nodes(Ball((0.2, -0.1), 0.3), quad)
+        for arr in (tmpl, tmpl_w, w):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestExplicitKernels:
     """The component-wise kernels give the bits of the numpy reductions."""
 
     def test_euclidean_norm_matches_linalg_norm(self, rng):
-        for shape in ((1000, 2), (50, 7, 2), (300, 3)):
-            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape[:-1] + (1,))
+        tiny = np.finfo(float).smallest_subnormal
+        cases = [rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape[:-1] + (1,))
+                 for shape in ((1000, 2), (50, 7, 2), (300, 3))]
+        cases += [
+            np.zeros((5, 2)),
+            np.array([[tiny, 0.0], [tiny, tiny], [0.0, -3 * tiny], [1e-308, 1e-310]]),
+            np.array([[1e150, 1e-150], [-1e-150, 1e150], [1e150, 1e150], [1e-150, 1e-150]]),
+        ]
+        for x in cases:
             assert np.array_equal(euclidean_norm(x), np.linalg.norm(x, axis=-1))
 
     def test_spectral_norm_and_lambda_max_match_eigenvalue_reductions(self, rng):
