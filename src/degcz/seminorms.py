@@ -166,7 +166,8 @@ def bmo_views(
 
 
 def _mean_oscillation(w: np.ndarray, vals: np.ndarray, ball: Ball) -> float:
-    mean = np.tensordot(w, vals, axes=(0, 0)) / w.sum()
+    # the BLAS dot that np.tensordot(w, vals, axes=(0, 0)) makes, without its wrapper
+    mean = np.dot(w[None], vals.reshape(len(w), -1)).reshape(vals.shape[1:]) / w.sum()
     dev = vals - mean
     osc = np.abs(dev) if dev.ndim == 1 else spectral_norm_sym(dev)
     return float(np.sum(w * osc) / ball.volume)

@@ -104,17 +104,20 @@ def spd_log(m: np.ndarray) -> np.ndarray:
 # batched symmetric matrix functions (2x2 closed form, eigh otherwise)
 # ---------------------------------------------------------------------------
 
-def _sym_parts(s: np.ndarray):
-    """``a, b, d, mean, disc`` of a stack of symmetric 2x2 matrices ``[[a, b], [b, d]]``.
+def _eig2(a, b, d):
+    """``mean, disc`` of the symmetric 2x2 matrices ``[[a, b], [b, d]]``, whose
+    eigenvalues are ``mean - disc`` and ``mean + disc``."""
+    mean = 0.5 * (a + d)
+    disc = np.sqrt(0.25 * (a - d) ** 2 + b * b)
+    return mean, disc
 
-    The eigenvalues are ``mean - disc`` and ``mean + disc``.
-    """
+
+def _sym_parts(s: np.ndarray):
+    """``a, b, d, mean, disc`` of a stack of symmetric 2x2 matrices (:func:`_eig2`)."""
     a = s[..., 0, 0]
     b = 0.5 * (s[..., 0, 1] + s[..., 1, 0])
     d = s[..., 1, 1]
-    mean = 0.5 * (a + d)
-    disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
-    return a, b, d, mean, disc
+    return (a, b, d) + _eig2(a, b, d)
 
 
 def _sym_apply_2x2(s: np.ndarray, fn) -> np.ndarray:
@@ -170,11 +173,18 @@ def sym_log_batched(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm_sym(s: np.ndarray) -> np.ndarray:
-    """Spectral norm of a stack of symmetric matrices."""
+    """Spectral norm of a stack of symmetric matrices.
+
+    At n = 2 it is ``|mean| + disc``, the bits of ``max(|mean - disc|,
+    |mean + disc|)`` wherever that maximum is not nan.  Where ``mean`` and
+    ``disc`` are both infinite (an infinite entry, or finite entries so large
+    that both overflow) it reads inf where the maximum reads nan; a nan entry
+    gives nan.
+    """
     s = np.asarray(s, dtype=float)
     if s.shape[-1] == 2:
         *_, mean, disc = _sym_parts(s)
-        return np.maximum(np.abs(mean - disc), np.abs(mean + disc))
+        return np.abs(mean) + disc
     return np.abs(np.linalg.eigvalsh(s)).max(axis=-1)
 
 
@@ -320,18 +330,29 @@ def ball_nodes(
 
     Weights sum to (approximately) the ball volume.  Nodes outside ``clip``
     are dropped, which turns the rule into one for the intersection, and so
-    are nodes falling onto a singular point.  When no node is dropped the
-    weights are the shared read-only template of the ball's radius.
+    are nodes falling onto a singular point.  A mask is built only where a
+    node can drop: against the singular points within ``radius * (1 + 1e-9)``
+    of the center, and against ``clip`` when the outermost node ring comes
+    within 1e-9 of its boundary, relative to the clip's radius plus the norm
+    of its center.  When no node is dropped the weights are the shared
+    read-only template of the ball's radius.
     """
-    tmpl, w = _polar_template(ball.dim, ball.radius, *quad.resolution)
-    pts = tmpl + np.asarray(ball.center)
+    nr, na = quad.resolution
+    tmpl, w = _polar_template(ball.dim, ball.radius, nr, na)
+    center = np.asarray(ball.center)
+    pts = tmpl + center
     keep = None
     if singular is not None and len(singular):
         sing = np.atleast_2d(np.asarray(singular, dtype=float))
-        keep = _min_distance(pts, sing) > 1e-13 * ball.radius
+        sing = sing[euclidean_norm(sing - center) <= ball.radius * (1.0 + 1e-9)]
+        if len(sing):
+            keep = _min_distance(pts, sing) > 1e-13 * ball.radius
     if clip is not None:
-        inside = clip.contains(pts)
-        keep = inside if keep is None else keep & inside
+        # the outermost node ring lies (nr - 0.5) / nr of the radius from the center
+        reach = math.dist(ball.center, clip.center) + (nr - 0.5) * (ball.radius / nr)
+        if reach >= clip.radius - 1e-9 * (clip.radius + math.hypot(*clip.center)):
+            inside = clip.contains(pts)
+            keep = inside if keep is None else keep & inside
     if keep is None or keep.all():
         return pts, w
     return pts[keep], w[keep]
@@ -539,6 +560,22 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
         osc = np.cos(2.0 * math.pi * pts @ waves.T + phases)  # (m, modes)
         return np.einsum("mk,kij->mij", osc, mats)
 
+    def omega_fn(pts: np.ndarray) -> np.ndarray:
+        # |exp(H)| = exp(lambda_max(H))
+        if dim != 2:
+            return np.exp(lambda_max_sym(log_fn(pts)))
+        # (modes, m) layout: each mode's cosines are one contiguous row, and
+        # the entries h00, h01, h11 of H add up mode by mode in the einsum's
+        # order, so omega keeps the bits of the (m, 2, 2) stack without it
+        osc = np.cos(waves @ (2.0 * math.pi * pts).T + phases[:, None])
+        h00, h01, h11 = (mats[0, i, j] * osc[0] for i, j in ((0, 0), (0, 1), (1, 1)))
+        for k in range(1, modes):
+            h00 += mats[k, 0, 0] * osc[k]
+            h01 += mats[k, 0, 1] * osc[k]
+            h11 += mats[k, 1, 1] * osc[k]
+        mean, disc = _eig2(h00, h01, h11)
+        return np.exp(mean + disc)
+
     norm_sum = float(np.abs(np.linalg.eigvalsh(mats)).max(axis=-1).sum())
     return Field(
         dim,
@@ -547,8 +584,7 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
         (),
         math.exp(2.0 * norm_sum),
         log_fn,
-        # |exp(H)| = exp(lambda_max(H))
-        lambda pts: np.exp(lambda_max_sym(log_fn(pts))),
+        omega_fn,
     )
 
 

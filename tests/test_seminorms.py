@@ -425,26 +425,46 @@ class TestBmoViews:
             assert (got.value, got.attaining_ball) == (ref.value, ref.attaining_ball)
 
 
+class TestMeanOscillation:
+    def test_matches_the_tensordot_formula_bitwise(self, unit_ball, quad, rng):
+        from conftest import random_spd
+        from degcz.seminorms import _mean_oscillation
+        from degcz.weight_algebra import spectral_norm_sym
+
+        ball = Ball((0.6, 0.1), 0.5)
+        for clip in (None, unit_ball):
+            _, w = ball_nodes(ball, quad, clip)
+            spd = random_spd(rng, len(w), 2)
+            for vals in (rng.standard_normal(len(w)), np.log(rng.random(len(w))), spd,
+                         spd - spd.mean(axis=0)):
+                mean = np.tensordot(w, vals, axes=(0, 0)) / w.sum()
+                dev = vals - mean
+                osc = np.abs(dev) if dev.ndim == 1 else spectral_norm_sym(dev)
+                assert _mean_oscillation(w, vals, ball) == float(np.sum(w * osc) / ball.volume)
+
+
 class TestQuadratureWork:
-    def test_ap_evaluates_two_node_sets_per_ball(self, unit_ball, quad, monkeypatch):
-        # every ball's rule and its 4x radial refinement, each node once, in
-        # one evaluation per node set, which Field.evaluate chunks itself
+    def test_ap_evaluates_two_node_sets_per_ball(self, unit_ball, quad):
+        # every ball's rule and its 4x radial refinement, each node once; the
+        # refined rule's node sets reach the field's fn in chunks of at most
+        # BATCH_NODES points
+        from dataclasses import replace
+
         from degcz.weight_algebra import BATCH_NODES
 
         sizes = []
-        orig = Field.evaluate
+        omega = power(0.3)
 
-        def counting(self, points):
-            sizes.append(len(points))
-            return orig(self, points)
+        def recording(pts):
+            sizes.append(len(pts))
+            return omega.fn(pts)
 
-        monkeypatch.setattr(Field, "evaluate", counting)
         fam = standard_family(unit_ball, 2)
-        muckenhoupt_ap(power(0.3), 2.0, fam, quad)
-        fine = quad.refined()
-        per_ball = [math.prod(rule.resolution) for rule in (quad, fine)]
+        muckenhoupt_ap(replace(omega, fn=recording), 2.0, fam, quad)
+        per_ball = [math.prod(rule.resolution) for rule in (quad, quad.refined())]
         assert sum(sizes) == fam.count * sum(per_ball)
-        assert max(sizes) <= max(BATCH_NODES, *per_ball)
+        assert max(sizes) <= BATCH_NODES < per_ball[1]
+        assert len(sizes) == fam.count * sum(-(-n // BATCH_NODES) for n in per_ball)
 
     @pytest.mark.parametrize("make", SHARED_WEIGHTS)
     def test_ap_list_evaluates_each_node_set_once(self, make, unit_ball, quad, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -196,6 +197,49 @@ class TestBallNodes:
                 assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
         kept = ball_nodes(balls[0], quad, singular=on_node)[1]
         assert len(kept) == math.prod(quad.resolution) - 1
+        for ball in balls:
+            for clip, sing, drops in self.edge_cases(ball, quad):
+                pts, w = ball_nodes(ball, quad, clip, sing)
+                ref_pts, ref_w = _reference_ball_nodes(ball, quad, clip, sing)
+                assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+                assert (len(w) < math.prod(quad.resolution)) == drops
+
+    @staticmethod
+    def edge_cases(ball, quad):
+        """``(clip, singular, drops)`` at the edges of the mask skip: singular
+        points 1e-12 of the radius inside and outside the ball and one on a
+        node of the outermost ring; clip balls to which the ball is internally
+        tangent or which it crosses by 1e-12 of the radius, and ones that the
+        outermost ring comes within 1e-12 of, from inside, or crosses by as
+        much.  Every case lies along the direction of the last node, which is
+        on that ring."""
+        c, r, nr = np.asarray(ball.center), ball.radius, quad.resolution[0]
+        last = _reference_ball_nodes(ball, quad)[0][-1:]
+        u = (last[0] - c) / np.linalg.norm(last[0] - c)
+        outer = (nr - 0.5) * (r / nr)
+        cases = [(None, (c + r * (1.0 + t) * u)[None], False) for t in (-1e-12, 1e-12)]
+        cases.append((None, last, True))
+        for reach, drops in ((r, False), (r * (1.0 - 1e-12), False),
+                             (outer * (1.0 + 1e-12), False), (outer * (1.0 - 1e-12), True)):
+            cases.append((Ball(tuple(c - r * u), r + reach), None, drops))
+        return cases
+
+    def test_far_balls_build_no_mask(self, unit_ball, monkeypatch):
+        # no node can reach a singular point or the clip's boundary, so no mask
+        # is built and the weights are the template's own
+        import degcz.weight_algebra as wa
+
+        def no_mask(*args):
+            raise AssertionError("built a mask that could drop no node")
+
+        monkeypatch.setattr(wa, "_min_distance", no_mask)
+        monkeypatch.setattr(Ball, "contains", no_mask)
+        quad, ball = QuadratureSpec((32, 16)), Ball((0.2, -0.1), 0.3)
+        sing = np.array([[0.2 + 0.3 * (1.0 + 2e-9), -0.1], [-0.9, 0.0]])
+        pts, w = ball_nodes(ball, quad, unit_ball, sing)
+        tmpl, tmpl_w = _polar_template(2, 0.3, *quad.resolution)
+        assert w is tmpl_w and not w.flags.writeable
+        assert np.array_equal(pts, tmpl + np.array(ball.center))
 
     def test_interleaved_radii_hit_and_miss_the_template_cache(self, unit_ball):
         quad = QuadratureSpec((32, 16))
@@ -238,6 +282,33 @@ class TestExplicitKernels:
             assert np.array_equal(lambda_max_sym(m), ev.max(axis=-1))
         m3 = random_spd(rng, 20, 3)
         assert np.array_equal(lambda_max_sym(m3), np.linalg.eigvalsh(m3).max(axis=-1))
+
+    def test_spectral_norm_is_the_larger_eigenvalue_modulus_bitwise(self, rng):
+        tiny = np.finfo(float).smallest_subnormal
+        signs = np.array(list(itertools.product((0.0, -0.0), repeat=3)))
+        cases = [
+            rng.standard_normal((1000, 2, 2)),
+            rng.standard_normal((1000, 2, 2)) * 10.0 ** rng.choice([-150.0, 150.0], (1000, 1, 1)),
+            rng.integers(-3, 4, (500, 2, 2)) * tiny,
+            np.stack([signs[:, [0, 1]], signs[:, [1, 2]]], axis=1),
+            np.array([[[1e150, 1e-150], [1e-150, -1e150]], [[tiny, 1e150], [1e150, -tiny]]]),
+        ]
+        for s in cases:
+            s = s.copy()
+            s[..., 1, 0] = s[..., 0, 1]
+            a, b, d = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
+            mean = 0.5 * (a + d)
+            disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
+            want = np.maximum(np.abs(mean - disc), np.abs(mean + disc))
+            assert spectral_norm_sym(s).tobytes() == want.tobytes()
+        # non-finite entries, as the docstring states: inf where mean and disc
+        # are both infinite, where the larger modulus reads nan
+        inf, nan = math.inf, math.nan
+        s = np.array([[[inf, 0.0], [0.0, 1.0]], [[1e308, 1e200], [1e200, 1e308]],
+                      [[inf, 0.0], [0.0, inf]], [[nan, 0.0], [0.0, 1.0]], [[inf, 1.0], [1.0, 2.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = spectral_norm_sym(s)
+        assert np.array_equal(got, [inf, inf, nan, nan, inf], equal_nan=True)
 
     def test_separated_batches_skip_the_masks_exactly(self, rng):
         # a batch with one isotropic matrix takes the masked path; the other
@@ -454,6 +525,33 @@ def _matrix_weight(kind, n, eps, seed):
     elif kind == "constant":
         cfg["matrix"] = random_spd(np.random.default_rng(seed), 1, n)[0]
     return weight_from_config(cfg)
+
+
+class TestLogNormalOmega:
+    """At n = 2 the log-normal omega sums three entries of log M mode by mode
+    instead of building the (m, 2, 2) stack that ``log_fn`` returns."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), modes=st.integers(1, 9),
+           sigma=st.sampled_from([0.0, 0.3, 3.0]), count=st.integers(1, 3000),
+           scale=st.floats(1e-3, 1e3))
+    def test_omega_is_exp_lambda_max_of_log_m_bitwise(self, seed, modes, sigma, count, scale):
+        # sigma = 0 makes every entry of log M a sum of signed zeros
+        field = weight_from_config(
+            {"kind": "log-normal", "seed": seed, "modes": modes, "sigma": sigma})
+        pts = np.random.default_rng(seed).uniform(-scale, scale, (count, 2))
+        pts[0] = 0.0
+        want = np.exp(lambda_max_sym(field.log_fn(pts)))
+        assert field.omega_fn(pts).tobytes() == want.tobytes()
+        assert field.omega().evaluate(pts).tobytes() == want.tobytes()
+
+    def test_three_dimensional_weight_evaluates_from_the_stack(self):
+        field = weight_from_config({"kind": "log-normal", "n": 3, "seed": 4})
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, (300, 3))
+        omega = field.omega().evaluate(pts)
+        assert omega.shape == (300,)
+        assert np.array_equal(omega, np.exp(lambda_max_sym(field.log_fn(pts))))
+        assert np.allclose(omega, spectral_norm_sym(field.evaluate(pts)), rtol=4e-15, atol=0.0)
 
 
 class TestOmegaClosedForm:
