@@ -1,20 +1,17 @@
 """Batch front-end: configure, run, and report experiments with fixed seeds.
 
-Configs are flat ``key = value`` text files with dotted keys and JSON-style
-values; command-line flags override file values, and the fully resolved
-config (with its hash) is echoed next to every output.  Exit codes: 1 usage,
-2 setup, 3 nonconvergence, 4 property violation.
+Configs are TOML, usually flat ``key = value`` lines with dotted keys: a
+string is quoted, a key is set once, there is no null, and the non-finite
+floats are spelled ``inf`` and ``nan``.  Command-line flags override file
+values, and the fully resolved config (with its hash) is echoed next to every
+output.  Exit codes: 1 usage, 2 setup, 3 nonconvergence, 4 property violation.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
-import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +26,8 @@ from .weight_algebra import (
     SCALAR_WEIGHT_KINDS,
     lambda_max_sym,
     log_mean,
+    omega_and_matrix_from_config,
     sandwich_check,
-    scalar_weight_from_config,
     weight_from_config,
 )
 
@@ -58,34 +55,15 @@ class PropertyViolation(RuntimeError):
 # config handling
 # ---------------------------------------------------------------------------
 
-# a line up to its comment: the first '#' outside a double-quoted string
-_UNCOMMENTED = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*"|")*')
-
-
 def parse_config_file(path: str | Path) -> dict:
-    """Parse ``key = value`` lines; dotted keys nest, values parse as JSON.
+    """Parse a TOML config; a decode error is a usage error naming the file
+    and line."""
+    import tomllib  # on first use: perfbench's setup_s times `import degcz.cli`
 
-    A ``#`` starts a comment unless it lies inside a JSON string.
-    """
-    cfg: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = _UNCOMMENTED.match(raw).group(0).strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        try:
-            parsed = json.loads(val)
-        except json.JSONDecodeError:
-            parsed = val
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = parsed
-    return cfg
+    try:
+        return tomllib.loads(Path(path).read_text())
+    except tomllib.TOMLDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 _ABSENT = object()
@@ -130,6 +108,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         _set(cfg, "sweep.rho", [args.rho])
     if getattr(args, "grid", None) is not None:
         _set(cfg, "sweep.levels", list(range(1, args.grid + 1)))
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     cfg["threads"] = args.threads
     out = os.environ.get("DEGCZ_OUT") or args.out
     cfg["out"] = str(out)
@@ -168,7 +148,6 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
             "analyze-weight needs a weight.kind entry; known kinds: "
             + ", ".join(SCALAR_WEIGHT_KINDS)
         )
-    scalar_only = wcfg["kind"] in ("power", "constant") and "matrix" not in wcfg
     p_list = _get(cfg, "ap.p_list", [2.0])
     q_list = _get(cfg, "oscillation.q_list", [2.0, 4.0])
     s_list = _get(cfg, "small.s_list", [1.0, 2.0, 4.0])
@@ -179,8 +158,7 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
         raise UsageError("ap.p_list, oscillation.q_list and small.s_list must list finite "
                          "numbers, each p above 1 and each q and s at least 1")
     try:
-        omega = scalar_weight_from_config(wcfg)
-        matrix = None if scalar_only else weight_from_config(wcfg)
+        omega, matrix = omega_and_matrix_from_config(wcfg)
         dom = Ball(tuple(_get(cfg, "domain.center", (0.0, 0.0))), _get(cfg, "domain.radius", 1.0))
         if dom.dim != omega.dim:
             raise ValueError(f"domain.center must have {omega.dim} coordinates, got {dom.dim}")
@@ -502,14 +480,7 @@ def cmd_cz_sweep(cfg: dict, out: Path, header: dict) -> int:
         raise UsageError(f"sweep settings: {exc}") from exc
     for eps in spec.eps_list:  # checks example.n and example.variant too
         _example_from_cfg(cfg, eps)
-    threads = cfg["threads"]
-    if threads > 1 and len(spec.eps_list) > 1:
-        parts = [dataclasses.replace(spec, eps_list=(eps,)) for eps in spec.eps_list]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(cz_harness.run_sweep, parts))
-        report = cz_harness.CzReport.merged(reports)
-    else:
-        report = cz_harness.run_sweep(spec)
+    report = cz_harness.run_sweep(spec, cfg["threads"])
     write_csv(
         out / "cz_report.csv",
         cz_harness.CzRow.CSV_COLUMNS,

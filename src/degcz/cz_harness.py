@@ -11,7 +11,9 @@ layers, advancing the resolved scale geometrically.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -428,9 +430,11 @@ def _classify(ratios: list[float]) -> str:
     return "diverging" if growth >= GROWTH_THRESHOLD else "bounded"
 
 
-def run_sweep(spec: SweepSpec) -> CzReport:
-    """Run the classification sweep over the (eps, rho, level) grid."""
-    return CzReport.merged(_sweep_eps(spec, eps) for eps in spec.eps_list)
+def run_sweep(spec: SweepSpec, threads: int = 1) -> CzReport:
+    """Run the classification sweep over the (eps, rho, level) grid, ``threads``
+    eps values at a time."""
+    with ThreadPoolExecutor(threads) as pool:
+        return CzReport.merged(pool.map(partial(_sweep_eps, spec), spec.eps_list))
 
 
 def _sweep_eps(spec: SweepSpec, eps: float) -> CzReport:

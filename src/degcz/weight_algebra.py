@@ -48,6 +48,7 @@ __all__ = [
     "identity_weight",
     "weight_from_config",
     "scalar_weight_from_config",
+    "omega_and_matrix_from_config",
     "WEIGHT_KINDS",
     "SCALAR_WEIGHT_KINDS",
 ]
@@ -620,8 +621,14 @@ def weight_from_config(cfg: Mapping) -> Field:
 
 
 def scalar_weight_from_config(cfg: Mapping) -> Field:
-    """Build a scalar weight: ``constant`` without a ``matrix``, ``power``
-    (|x|^a), or |M| of the matrix weight."""
+    """Build the scalar weight of :func:`omega_and_matrix_from_config`."""
+    return omega_and_matrix_from_config(cfg)[0]
+
+
+def omega_and_matrix_from_config(cfg: Mapping) -> tuple[Field, Field | None]:
+    """Build a scalar weight omega and the matrix weight M with omega = |M|:
+    ``constant`` without a ``matrix`` and ``power`` (|x|^a) are scalar kinds,
+    with M None; any other kind is M of :func:`weight_from_config`."""
     kind = cfg.get("kind")
     if kind == "constant" and "matrix" not in cfg:
         c = float(cfg.get("value", 1.0))
@@ -633,7 +640,7 @@ def scalar_weight_from_config(cfg: Mapping) -> Field:
             lambda pts: np.full(pts.shape[0], c),
             f"constant({c:g})",
             log_fn=lambda pts: np.full(pts.shape[0], math.log(c)),
-        )
+        ), None
     if kind == "power":
         a = float(cfg["exponent"])
         dim = int(cfg.get("n", 2))
@@ -644,8 +651,9 @@ def scalar_weight_from_config(cfg: Mapping) -> Field:
             f"|x|^{a:g}",
             (origin,),
             log_fn=lambda pts: a * np.log(euclidean_norm(pts)),
-        )
-    return weight_from_config(cfg).omega()
+        ), None
+    matrix = weight_from_config(cfg)
+    return matrix.omega(), matrix
 
 
 WEIGHT_KINDS = ("constant", "identity", "rank-one-radial", "power-radial", "log-normal")

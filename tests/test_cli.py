@@ -25,7 +25,6 @@ class TestConfigParsing:
                 example.variant = "plain"
                 mesh.angular = 16
                 flag = true
-                name = bare-string
                 """,
             )
         )
@@ -33,7 +32,30 @@ class TestConfigParsing:
         assert cfg["example"]["variant"] == "plain"
         assert cfg["mesh"]["angular"] == 16
         assert cfg["flag"] is True
-        assert cfg["name"] == "bare-string"
+
+    @pytest.mark.parametrize("text", [
+        "name = bare-string\n",                           # an unquoted string
+        "problem.data = null\n",                          # no null in TOML
+        "seed = 1\nseed = 2\n",                           # a key set twice
+        "ball.radius = Infinity\n",                       # JSON's spellings of
+        "ball.radius = NaN\n",                            # inf and nan
+    ])
+    def test_non_toml_values_are_usage_errors(self, tmp_path, capsys, text):
+        path = write_cfg(tmp_path / "odd.cfg", text)
+        assert main(["cz-sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path}: ") and "line" in err
+
+    def test_readme_example_config(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config_file(write_cfg(tmp_path / "sweep.cfg", example)) == {
+            "example": {"variant": "plain", "n": 2, "eps": [0.5]},
+            "sweep": {"rho": [2, 3, 3.6, 4.4, 5], "levels": [1, 2, 3]},
+            "mesh": {"angular": 16, "base_layers": 20, "layers_per_level": 100},
+            "ball": {"center": [0, 0], "radius": 0.2},
+            "seed": 7,
+        }
 
     @pytest.mark.parametrize("value, parsed", [
         ('"run#7"', "run#7"),
@@ -92,7 +114,7 @@ class TestExitCodes:
         "nfun.samples = 0",
         "nfun.samples = -5",
         'nfun.samples = "many"',
-        "nfun.samples = Infinity",
+        "nfun.samples = inf",
         "nfun.p_list = [1.0]",
         "nfun.p_list = [3.0, 0.5]",
         "nfun.p_list = 2.0",
@@ -277,8 +299,8 @@ class TestDefaults:
             return orig_solve(prob, mesh, cfg)
 
         monkeypatch.setattr(pde_solver, "solve", solve)
-        monkeypatch.setattr(cz_harness, "run_sweep",
-                            lambda spec: seen["sweep"].append(spec) or cz_harness.CzReport())
+        monkeypatch.setattr(cz_harness, "run_sweep", lambda spec, threads: (
+            seen["sweep"].append(spec) or cz_harness.CzReport()))
         monkeypatch.setattr(nfunctions, "run_property_sweep",
                             lambda *args, **kwargs: seen["nfun"].append(kwargs) or [])
         for command in ("solve", "cz-sweep", "nfun-props"):
@@ -430,7 +452,8 @@ class TestSweepCommand:
         )
         cfg = write_cfg(
             tmp_path / "fem.cfg",
-            self.SWEEP + "sweep.use_fem = true\nsweep.levels = [1]\n",
+            self.SWEEP.replace("sweep.levels = [1, 2, 3]", "sweep.levels = [1]")
+            + "sweep.use_fem = true\n",
         )
         assert main(["cz-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
@@ -452,6 +475,11 @@ class TestSweepCommand:
         body1 = [ln for ln in (out1 / "cz_report.csv").read_text().splitlines() if not ln.startswith("#")]
         body2 = [ln for ln in (out2 / "cz_report.csv").read_text().splitlines() if not ln.startswith("#")]
         assert body1 == body2
+
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "sw.cfg", self.SWEEP)
+        assert main(["cz-sweep", "--config", cfg, "--threads", "0", "--out", str(tmp_path)]) == 1
+        assert "usage error: --threads must be at least 1" in capsys.readouterr().err
 
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "sw.cfg", self.SWEEP)
@@ -495,6 +523,20 @@ class TestAnalyzeWeight:
         assert summary["label"] == omega.label
         assert summary["bmo_log_omega"] <= 1e-12
         assert summary["ap_p=2"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_power_weight_with_a_stray_matrix_is_scalar(self, tmp_path):
+        # the kind decides: a power weight is |x|^a whatever else its table holds
+        base = 'weight.kind = "power"\nweight.exponent = 0.3\nfamily.levels = 2\n'
+        bodies = []
+        for name, extra in (("plain", ""), ("stray", "weight.matrix = [[2.0, 0.0], [0.0, 1.0]]\n")):
+            out = tmp_path / name
+            cfg = write_cfg(tmp_path / f"{name}.cfg", base + extra)
+            assert main(["analyze-weight", "--config", cfg, "--out", str(out)]) == 0
+            summary = json.loads((out / "weight_analysis.json").read_text())
+            assert summary["label"] == "|x|^0.3" and "bmo_log_M" not in summary
+            text = (out / "weight_summary.csv").read_text()
+            bodies.append([ln for ln in text.splitlines() if not ln.startswith("#")])
+        assert bodies[0] == bodies[1]
 
     def test_degenerate_weight_flags(self, tmp_path):
         cfg = write_cfg(
