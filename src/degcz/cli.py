@@ -180,17 +180,19 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
         }
 
     # omega = |M|, and every matrix kind has a closed-form log M, so one
-    # evaluation of it serves both, since log omega = lambda_max(log M)
-    if matrix is not None:
-        est_w, est_m = seminorms.bmo_views(
-            matrix.log(), fam, quad, (lambda_max_sym, lambda h: h)
-        )
-    else:
-        est_w, est_m = seminorms.bmo(omega.log(), fam, quad), None
+    # evaluation of it serves both, since log omega = lambda_max(log M); the
+    # same pass over the family takes the coarse-rule A_p means from it
+    log_f, views = ((matrix.log(), (lambda_max_sym, lambda h: h)) if matrix is not None
+                    else (omega.log(), (lambda h: h,)))
+    bmos, estimates = seminorms.bmo_and_ap(
+        log_f, views, omega, [float(p) for p in p_list], fam, quad
+    )
+    est_w = bmos[0]
     summary["bmo_log_omega"] = est_w.value
     rows.append(("bmo_log_omega", est_w.value, est_w.attaining_ball.radius))
     record_balls("bmo_log_omega", est_w)
     if matrix is not None:
+        est_m = bmos[1]
         summary["bmo_log_M"] = est_m.value
         rows.append(("bmo_log_M", est_m.value, est_m.attaining_ball.radius))
         record_balls("bmo_log_M", est_m)
@@ -212,8 +214,6 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
         )
         summary["condition_sampled"] = sampled
         summary["condition_bound"] = matrix.cond_bound
-    # one pass over the family serves every p
-    estimates = seminorms.muckenhoupt_ap_list(omega, [float(p) for p in p_list], fam, quad)
     for p, est in zip(p_list, estimates):
         key = f"ap_p={p:g}"
         summary[key] = "divergent" if est.divergent else est.value

@@ -11,9 +11,8 @@ layers, advancing the resolved scale geometrically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -432,9 +431,21 @@ def _classify(ratios: list[float]) -> str:
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> CzReport:
     """Run the classification sweep over the (eps, rho, level) grid, ``threads``
-    eps values at a time."""
+    eps values at a time.
+
+    No eps starts once one has raised: the first error in eps order is raised
+    after the eps values already running finish.
+    """
+    futures = []
     with ThreadPoolExecutor(threads) as pool:
-        return CzReport.merged(pool.map(partial(_sweep_eps, spec), spec.eps_list))
+        for eps in spec.eps_list:
+            running = [f for f in futures if not f.done()]
+            if len(running) >= threads:
+                wait(running, return_when=FIRST_COMPLETED)
+            if any(f.done() and f.exception() is not None for f in futures):
+                break
+            futures.append(pool.submit(_sweep_eps, spec, eps))
+    return CzReport.merged(f.result() for f in futures)
 
 
 def _sweep_eps(spec: SweepSpec, eps: float) -> CzReport:

@@ -109,7 +109,11 @@ class MeyersExample:
     def _polar(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = _as_points(points, self.n)
         r = _radii(pts)
-        return r, pts / r[:, None]
+        # one coordinate column at a time, as for pts / r[:, None]
+        xhat = np.empty_like(pts)
+        for k in range(self.n):
+            np.divide(pts[:, k], r, out=xhat[:, k])
+        return r, xhat
 
     def u(self, points: np.ndarray) -> np.ndarray:
         pts = _as_points(points, self.n)

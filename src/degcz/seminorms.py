@@ -28,9 +28,8 @@ __all__ = [
     "BmoEstimate",
     "ApEstimate",
     "bmo",
-    "bmo_views",
+    "bmo_and_ap",
     "muckenhoupt_ap",
-    "muckenhoupt_ap_list",
     "PropSmallReport",
     "prop_small_check",
     "SmallScalarReport",
@@ -144,31 +143,66 @@ def bmo(f: Field, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD) -> BmoEs
     The oscillation is measured in absolute value for a scalar field and in
     the spectral norm for a matrix field.
     """
-    return bmo_views(f, fam, quad, (lambda vals: vals,))[0]
+    return bmo_and_ap(f, (lambda vals: vals,), None, (), fam, quad)[0][0]
 
 
-def bmo_views(
-    f: Field, fam: BallFamily, quad: QuadratureSpec, views
-) -> list[BmoEstimate]:
-    """:func:`bmo` of several fields derived pointwise from one evaluation of ``f``.
+def bmo_and_ap(
+    f: Field, views, omega: Field | None, p_list, fam: BallFamily, quad: QuadratureSpec
+) -> tuple[list[BmoEstimate], list[ApEstimate]]:
+    """:func:`bmo` of several fields derived pointwise from one evaluation of
+    ``f``, and :func:`muckenhoupt_ap` of ``omega`` at each p of ``p_list``,
+    from one pass over the family.
 
     Each view maps an array of values of ``f`` to the values of the derived
     field at the same points; ``lambda_max_sym`` of log M gives log omega, for
-    instance.  One estimate is returned per view.
+    instance.  One BMO estimate is returned per view.  When ``p_list`` is not
+    empty the first view must be log omega: each ball's coarse-rule power
+    means take omega = exp(first view) on the node set the BMO estimates
+    integrate over, which is the rule ``quad`` whenever the domain clip drops
+    no node; a ball whose node set lost nodes, to the clip or to a singular
+    point, gets omega evaluated on its unclipped rule.  Only the 4x refined
+    rule, which sets every reported value, evaluates omega on every ball; the
+    coarse rule feeds just the stability guard, so exp(log omega) in place of
+    omega moves no reported bit there.
     """
+    pairs = [(p, _dual(p)) for p in p_list]
+    expos = [e for p, pc in pairs for e in (p, -pc)]
+    full = math.prod(quad.resolution)
     per_ball = [[] for _ in views]
+    coarse = []
     for ball in fam.balls:
         pts, w = ball_nodes(ball, quad, fam.domain, f.singular_points)
         vals = f.evaluate(pts) if len(w) else None
-        for out, view in zip(per_ball, views):
-            out.append(_mean_oscillation(w, view(vals), ball) if len(w) else 0.0)
-    return [_bmo_estimate(fam, values) for values in per_ball]
+        derived = [view(vals) for view in views] if len(w) else [None] * len(views)
+        for out, v in zip(per_ball, derived):
+            out.append(_mean_oscillation(w, v, ball) if len(w) else 0.0)
+        if expos:
+            coarse += ([_power_means(w, np.exp(derived[0]), expos)] if len(w) == full
+                       else _rule_power_means(omega, (ball,), quad, expos))
+    # the last ball's values would otherwise stay alive through the refined rule
+    del pts, w, vals, derived
+    bmos = [_bmo_estimate(fam, values) for values in per_ball]
+    if not expos:
+        return bmos, []
+    fine = _rule_power_means(omega, fam.balls, quad.refined(), expos)
+    return bmos, [
+        _ap_estimate(p, pc, fam, [m[2 * k:2 * k + 2] for m in coarse],
+                     [m[2 * k:2 * k + 2] for m in fine])
+        for k, (p, pc) in enumerate(pairs)
+    ]
 
 
 def _mean_oscillation(w: np.ndarray, vals: np.ndarray, ball: Ball) -> float:
-    # the BLAS dot that np.tensordot(w, vals, axes=(0, 0)) makes, without its wrapper
-    mean = np.dot(w[None], vals.reshape(len(w), -1)).reshape(vals.shape[1:]) / w.sum()
-    dev = vals - mean
+    # the BLAS dot that np.tensordot(w, vals, axes=(0, 0)) makes, without its
+    # wrapper; the mean is subtracted one column of the (m, n * n) values at a
+    # time, since a broadcast over the short rows runs numpy's inner loop once
+    # per node
+    flat = vals.reshape(len(w), -1)
+    mean = np.dot(w[None], flat)[0] / w.sum()
+    dev = np.empty_like(flat)
+    for k, mk in enumerate(mean):
+        np.subtract(flat[:, k], mk, out=dev[:, k])
+    dev = dev.reshape(vals.shape)
     osc = np.abs(dev) if dev.ndim == 1 else spectral_norm_sym(dev)
     return float(np.sum(w * osc) / ball.volume)
 
@@ -206,18 +240,14 @@ def _power_means(w: np.ndarray, vals: np.ndarray, expos) -> list[float]:
     return [float(np.sum(w * vals ** e) / total) for e in expos]
 
 
-def _family_power_means(field, balls, quad, expos) -> list[list[list[float]]]:
-    """:func:`_power_means` on each ball's node set, one field evaluation per
-    node set: the per-ball lists for the rule ``quad`` and for its 4x radial
-    refinement."""
-    out = []
-    for rule in (quad, quad.refined()):
-        means = []
-        for ball in balls:
-            pts, w = ball_nodes(ball, rule, singular=field.singular_points)
-            means.append(_power_means(w, field.evaluate(pts), expos))
-        out.append(means)
-    return out
+def _rule_power_means(field, balls, rule, expos) -> list[list[float]]:
+    """:func:`_power_means` on each ball's node set for ``rule``, one field
+    evaluation per node set."""
+    means = []
+    for ball in balls:
+        pts, w = ball_nodes(ball, rule, singular=field.singular_points)
+        means.append(_power_means(w, field.evaluate(pts), expos))
+    return means
 
 
 def _unstable(coarse: float, fine: float) -> bool:
@@ -249,26 +279,9 @@ def muckenhoupt_ap(
     exponent p' (as for the duality-weight condition of the Poincare check).
     """
     pc = _dual(p) if neg_exponent is None else neg_exponent
-    coarse, fine = _family_power_means(omega, fam.balls, quad, (p, -pc))
+    coarse, fine = (_rule_power_means(omega, fam.balls, rule, (p, -pc))
+                    for rule in (quad, quad.refined()))
     return _ap_estimate(p, pc, fam, coarse, fine)
-
-
-def muckenhoupt_ap_list(
-    omega: Field, p_list, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD
-) -> list[ApEstimate]:
-    """:func:`muckenhoupt_ap` at each p of ``p_list``, from one pass over the
-    family: each node set is built, and ``omega`` evaluated on it, once for
-    the exponents of every p."""
-    pairs = [(p, _dual(p)) for p in p_list]
-    if not pairs:
-        return []
-    expos = [e for p, pc in pairs for e in (p, -pc)]
-    coarse, fine = _family_power_means(omega, fam.balls, quad, expos)
-    return [
-        _ap_estimate(p, pc, fam, [m[2 * k:2 * k + 2] for m in coarse],
-                     [m[2 * k:2 * k + 2] for m in fine])
-        for k, (p, pc) in enumerate(pairs)
-    ]
 
 
 def _ap_estimate(p: float, pc: float, fam: BallFamily, coarse, fine) -> ApEstimate:
@@ -372,7 +385,8 @@ def small_scalar_checks(
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    (coarse,), (fine,) = _family_power_means(omega, (ball,), quad, (s, -s))
+    (coarse,), (fine,) = (_rule_power_means(omega, (ball,), rule, (s, -s))
+                          for rule in (quad, quad.refined()))
     mean_pos, mean_neg, mean_pos_f, mean_neg_f = (m ** (1.0 / s) for m in coarse + fine)
     return SmallScalarReport(
         bmo_log=bmo_log,

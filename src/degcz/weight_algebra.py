@@ -108,9 +108,15 @@ def spd_log(m: np.ndarray) -> np.ndarray:
 def _eig2(a, b, d):
     """``mean, disc`` of the symmetric 2x2 matrices ``[[a, b], [b, d]]``, whose
     eigenvalues are ``mean - disc`` and ``mean + disc``."""
-    mean = 0.5 * (a + d)
-    disc = np.sqrt(0.25 * (a - d) ** 2 + b * b)
-    return mean, disc
+    # in place, in the operation order of 0.5 * (a + d) and
+    # sqrt(0.25 * (a - d) ** 2 + b * b)
+    mean = a + d
+    mean *= 0.5
+    disc = a - d
+    disc *= disc
+    disc *= 0.25
+    disc += b * b
+    return mean, np.sqrt(disc, out=disc if np.ndim(disc) else None)
 
 
 def _sym_parts(s: np.ndarray):
@@ -340,12 +346,15 @@ def ball_nodes(
     """
     nr, na = quad.resolution
     tmpl, w = _polar_template(ball.dim, ball.radius, nr, na)
-    center = np.asarray(ball.center)
-    pts = tmpl + center
+    # one coordinate column at a time: a broadcast over the short rows runs
+    # numpy's inner loop once per node
+    pts = np.empty_like(tmpl)
+    for k, c in enumerate(ball.center):
+        np.add(tmpl[:, k], c, out=pts[:, k])
     keep = None
     if singular is not None and len(singular):
         sing = np.atleast_2d(np.asarray(singular, dtype=float))
-        sing = sing[euclidean_norm(sing - center) <= ball.radius * (1.0 + 1e-9)]
+        sing = sing[euclidean_norm(sing - np.asarray(ball.center)) <= ball.radius * (1.0 + 1e-9)]
         if len(sing):
             keep = _min_distance(pts, sing) > 1e-13 * ball.radius
     if clip is not None:
@@ -557,24 +566,31 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
     waves = rng.integers(-2, 3, size=(modes, dim)).astype(float)
     phases = rng.random(modes) * 2.0 * math.pi
 
+    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+
+    def entries(pts: np.ndarray) -> list[np.ndarray]:
+        # the entries h_ij (i <= j) of H = log M, from a (modes, m) table of
+        # cosines, each mode's one contiguous row.  Each entry is summed onto
+        # +0.0 mode by mode, as einsum("mk,kij->mij", cosines, mats) sums it,
+        # so it has that einsum's bits, signs of zero included
+        osc = np.cos(waves @ (2.0 * math.pi * pts).T + phases[:, None])
+        h = [0.0 + mats[0, i, j] * osc[0] for i, j in upper]
+        for k in range(1, modes):
+            for hij, (i, j) in zip(h, upper):
+                hij += mats[k, i, j] * osc[k]
+        return h
+
     def log_fn(pts: np.ndarray) -> np.ndarray:
-        osc = np.cos(2.0 * math.pi * pts @ waves.T + phases)  # (m, modes)
-        return np.einsum("mk,kij->mij", osc, mats)
+        out = np.empty((len(pts), dim, dim))
+        for hij, (i, j) in zip(entries(pts), upper):
+            out[:, i, j] = out[:, j, i] = hij
+        return out
 
     def omega_fn(pts: np.ndarray) -> np.ndarray:
-        # |exp(H)| = exp(lambda_max(H))
+        # |exp(H)| = exp(lambda_max(H)), at n = 2 without the (m, 2, 2) stack
         if dim != 2:
             return np.exp(lambda_max_sym(log_fn(pts)))
-        # (modes, m) layout: each mode's cosines are one contiguous row, and
-        # the entries h00, h01, h11 of H add up mode by mode in the einsum's
-        # order, so omega keeps the bits of the (m, 2, 2) stack without it
-        osc = np.cos(waves @ (2.0 * math.pi * pts).T + phases[:, None])
-        h00, h01, h11 = (mats[0, i, j] * osc[0] for i, j in ((0, 0), (0, 1), (1, 1)))
-        for k in range(1, modes):
-            h00 += mats[k, 0, 0] * osc[k]
-            h01 += mats[k, 0, 1] * osc[k]
-            h11 += mats[k, 1, 1] * osc[k]
-        mean, disc = _eig2(h00, h01, h11)
+        mean, disc = _eig2(*entries(pts))
         return np.exp(mean + disc)
 
     norm_sum = float(np.abs(np.linalg.eigvalsh(mats)).max(axis=-1).sum())

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from degcz.weight_algebra import Ball, QuadratureSpec
+
+#: coordinates with signed zeros, subnormal, tiny and large magnitudes
+COORDS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 @pytest.fixture

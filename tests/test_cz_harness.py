@@ -334,6 +334,29 @@ class TestSweep:
         assert len(row.as_csv_values()) == len(row.CSV_COLUMNS)
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_eps_starts_after_one_raises(self, threads, monkeypatch):
+        # eps 0.1 raises at once; every other eps takes long enough that the
+        # failure is known before one finishes.  One thread runs no other
+        # eps; two may have eps 0.2 running beside it, but never start 0.3
+        from degcz import cz_harness
+        from degcz.pde_solver import NonconvergenceError
+
+        started = []
+
+        def stub(spec, eps):
+            started.append(eps)
+            if eps == 0.1:
+                raise NonconvergenceError("stub failure", [])
+            time.sleep(0.3)
+            return cz_harness.CzReport()
+
+        monkeypatch.setattr(cz_harness, "_sweep_eps", stub)
+        with pytest.raises(NonconvergenceError, match="stub failure"):
+            run_sweep(SweepSpec(eps_list=(0.1, 0.2, 0.3, 0.4)), threads)
+        assert sorted(started) in ([[0.1]] if threads == 1 else [[0.1], [0.1, 0.2]])
+
+
 class TestFemSweep:
     """run_sweep with use_fem = True solves on the graded sweep meshes, whose
     cell areas reach 1e-100 at level 3."""

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import COORDS
 from degcz.exact_examples import MeyersExample, SingularPointError, _identity_plus_outer
 from degcz.nfunctions import weighted_maps
 from degcz.weight_algebra import euclidean_norm, spd_log
@@ -151,6 +152,26 @@ class TestWeightEntries:
         for got, ref in ((ex.weight(pts), m), (ex.log_weight(pts), h)):
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestPolar:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3]), data=st.data())
+    def test_polar_divides_column_by_column_bitwise(self, n, data):
+        # the bits of pts / r[:, None], for coordinates with signed zeros,
+        # subnormal, tiny and large magnitudes (|x| overflows to inf)
+        rows = data.draw(st.lists(st.tuples(*[COORDS] * n), min_size=1, max_size=30))
+        pts = np.array(rows)
+        with np.errstate(over="ignore"):
+            r = euclidean_norm(pts)
+        pts = pts[r >= 1e-300]
+        if not len(pts):
+            return
+        with np.errstate(over="ignore"):
+            got_r, xhat = MeyersExample(n, 0.25, "plain")._polar(pts)
+            r = euclidean_norm(pts)
+        assert got_r.tobytes() == r.tobytes()
+        assert xhat.tobytes() == (pts / r[:, None]).tobytes()
 
 
 def per_variant_reference(ex, pts):

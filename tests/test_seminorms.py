@@ -12,8 +12,8 @@ from degcz.seminorms import (
     STABILITY_GUARD,
     BallFamily,
     bmo,
+    bmo_and_ap,
     muckenhoupt_ap,
-    muckenhoupt_ap_list,
     prop_small_check,
     small_scalar_checks,
     standard_family,
@@ -205,13 +205,13 @@ class TestMuckenhoupt:
     def test_jensen_direction(self, unit_ball, quad):
         # per ball: the p-mean dominates the log-mean, the dual mean dominates
         # its reciprocal (discrete Jensen under shared nodes)
-        from degcz.seminorms import _family_power_means
+        from degcz.seminorms import _rule_power_means
 
         om = power(0.5)
         for ball in standard_family(unit_ball, 2).balls[:25]:
             p = 2.0
             lm = log_mean(om, ball, quad)
-            (means,), _ = _family_power_means(om, (ball,), quad, (p, -p))
+            (means,) = _rule_power_means(om, (ball,), quad, (p, -p))
             pos, neg = (m ** (1 / p) for m in means)
             assert pos >= lm - 1e-10
             assert neg >= 1.0 / lm - 1e-10
@@ -413,16 +413,76 @@ class TestBmoViews:
         {"kind": "rank-one-radial", "eps": 0.25},
     ], ids=lambda c: c["kind"])
     def test_views_equal_separate_estimates(self, cfg, unit_ball, quad):
-        from degcz.seminorms import bmo_views
         from degcz.weight_algebra import lambda_max_sym, weight_from_config
 
         m = weight_from_config(cfg)
         fam = standard_family(unit_ball, 2)
-        est_w, est_m = bmo_views(m.log(), fam, quad, (lambda_max_sym, lambda h: h))
+        (est_w, est_m), aps = bmo_and_ap(
+            m.log(), (lambda_max_sym, lambda h: h), None, (), fam, quad)
+        assert aps == []
         refs = (bmo(m.omega().log(), fam, quad), bmo(m.log(), fam, quad))
         for got, ref in zip((est_w, est_m), refs):
             assert got.rows == ref.rows
             assert (got.value, got.attaining_ball) == (ref.value, ref.attaining_ball)
+
+
+def _ap_weights(kind):
+    """The scalar weights of the one-pass A_p comparison, as configs."""
+    if kind == "power":
+        return [{"kind": "power", "exponent": round(0.05 * k, 2)} for k in range(-39, 40)]
+    if kind == "power-radial":
+        return [{"kind": "power-radial", "eps": eps} for eps in (0.1, 0.25, 0.5)]
+    return [{"kind": "log-normal", "seed": seed} for seed in range(4)]
+
+
+class TestBmoAndAp:
+    """The A_p estimates of the BMO pass, whose coarse rule takes omega =
+    exp(log omega), agree with muckenhoupt_ap, which evaluates omega on both
+    rules: the coarse rule only feeds the stability guard."""
+
+    @pytest.mark.parametrize("kind", ["power", "power-radial", "log-normal"])
+    def test_ap_estimates_equal_muckenhoupt_ap(self, kind, unit_ball, quad):
+        # |x|^a for a from -1.95 to 1.95 in steps of 0.05, power-radial at
+        # three eps and log-normal at four seeds, at p = 2 and 3: 172
+        # estimates, of which 79 are divergent, all of them power ones
+        from degcz.weight_algebra import lambda_max_sym, omega_and_matrix_from_config
+
+        fam = standard_family(unit_ball, 2)
+        flags = []
+        for cfg in _ap_weights(kind):
+            omega, matrix = omega_and_matrix_from_config(cfg)
+            log_f, views = ((matrix.log(), (lambda_max_sym, lambda h: h)) if matrix is not None
+                            else (omega.log(), (lambda h: h,)))
+            _, aps = bmo_and_ap(log_f, views, omega, [2.0, 3.0], fam, quad)
+            for p, est in zip((2.0, 3.0), aps):
+                assert est == muckenhoupt_ap(omega, p, fam, quad), (cfg, p)
+                flags.append(est.divergent)
+        assert sum(flags) == {"power": 79, "power-radial": 0, "log-normal": 0}[kind]
+
+    def test_clipped_ball_takes_omega_on_its_unclipped_rule(self, unit_ball, quad):
+        # the second ball crosses the domain, so the clip drops nodes of its
+        # BMO node set; its coarse A_p means evaluate omega on the whole rule
+        from dataclasses import replace
+
+        omega = power(0.3)
+        balls = (Ball((0.2, 0.1), 0.3), Ball((0.8, 0.0), 0.5))
+        fam = BallFamily(balls, "manual", unit_ball)
+        sing = omega.singular_points
+        assert len(ball_nodes(balls[1], quad, unit_ball, sing)[1]) < math.prod(quad.resolution)
+        seen = []
+        orig = omega.fn
+
+        def recording(pts):
+            seen.append(np.array(pts))
+            return orig(pts)
+
+        omega = replace(omega, fn=recording)
+        (est,), (ap,) = bmo_and_ap(omega.log(), (lambda v: v,), omega, [2.0], fam, quad)
+        expected = [ball_nodes(balls[1], quad, singular=sing)[0]]
+        expected += [ball_nodes(b, quad.refined(), singular=sing)[0] for b in balls]
+        assert np.array_equal(np.concatenate(seen), np.concatenate(expected))
+        assert est.rows == bmo(omega.log(), fam, quad).rows
+        assert ap == muckenhoupt_ap(omega, 2.0, fam, quad)
 
 
 class TestMeanOscillation:
@@ -468,43 +528,67 @@ class TestQuadratureWork:
 
     @pytest.mark.parametrize("make", SHARED_WEIGHTS)
     def test_ap_list_evaluates_each_node_set_once(self, make, unit_ball, quad, monkeypatch):
-        # p = 2 and 3 from one pass: the nodes of one muckenhoupt_ap call, and
-        # each estimate equal, bit for bit, to that of its own call
+        # p = 2 and 3 from the BMO pass: log omega is evaluated on each ball's
+        # rule once, omega only on its 4x refinement, and each estimate
+        # equals that of its own muckenhoupt_ap call
         omega = make()
         fam = standard_family(unit_ball, 2)
         singles = [muckenhoupt_ap(omega, p, fam, quad) for p in (2.0, 3.0)]
-        sizes = []
+        sizes = {}
         orig = Field.evaluate
 
         def counting(self, points):
-            sizes.append(len(points))
+            sizes[self.label] = sizes.get(self.label, 0) + len(points)
             return orig(self, points)
 
         monkeypatch.setattr(Field, "evaluate", counting)
-        both = muckenhoupt_ap_list(omega, [2.0, 3.0], fam, quad)
-        per_ball = [math.prod(rule.resolution) for rule in (quad, quad.refined())]
-        assert sum(sizes) == fam.count * sum(per_ball)
+        log_omega = omega.log()
+        (est,), both = bmo_and_ap(log_omega, (lambda v: v,), omega, [2.0, 3.0], fam, quad)
+        coarse, fine = (math.prod(rule.resolution) for rule in (quad, quad.refined()))
+        assert sizes == {log_omega.label: fam.count * coarse, omega.label: fam.count * fine}
         assert both == singles
-        assert muckenhoupt_ap_list(omega, [], fam, quad) == []
+        assert est.rows == bmo(log_omega, fam, quad).rows
 
     def test_analyze_weight_takes_every_ap_from_one_pass(self, tmp_path, monkeypatch):
+        # on the 259-ball family, each ball's node sets are built twice, the
+        # BMO pass's rule (which the coarse A_p means share) and its 4x
+        # refinement, and the weight's omega_fn sees the refined node sets of
+        # the family in family order and then only the domain ball's node
+        # sets of the oscillation and power-mean rows
         from degcz import seminorms
         from degcz.cli import main
+        from degcz.weight_algebra import DEFAULT_QUAD
 
-        passes = []
-        orig = seminorms._family_power_means
+        built, seen = [], []
+        orig_nodes, orig_omega = seminorms.ball_nodes, MeyersExample.omega
 
-        def recording(field, balls, quad, expos):
-            passes.append((len(balls), tuple(expos)))
-            return orig(field, balls, quad, expos)
+        def recording_nodes(ball, *args, **kwargs):
+            built.append(ball)
+            return orig_nodes(ball, *args, **kwargs)
 
-        monkeypatch.setattr(seminorms, "_family_power_means", recording)
+        def recording_omega(self, points):
+            seen.append(np.array(points))
+            return orig_omega(self, points)
+
+        monkeypatch.setattr(seminorms, "ball_nodes", recording_nodes)
+        monkeypatch.setattr(MeyersExample, "omega", recording_omega)
         cfg = tmp_path / "w.cfg"
         cfg.write_text('weight.kind = "power-radial"\nweight.eps = 0.25\n'
-                       'family.levels = 2\nap.p_list = [2, 3]\n')
+                       'family.levels = 3\nap.p_list = [2, 3]\n'
+                       'oscillation.q_list = [2.0]\nsmall.s_list = [1.0, 2.0]\n')
         assert main(["analyze-weight", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        count = standard_family(Ball((0.0, 0.0), 1.0), 2).count
-        assert [expos for n, expos in passes if n == count] == [(2.0, -2.0, 3.0, -1.5)]
+        dom, origin = Ball((0.0, 0.0), 1.0), np.zeros((1, 2))
+        fam = standard_family(dom, 3)
+        assert fam.count == 259
+        members = set(fam.balls)
+        assert sum(b in members for b in built) == 2 * 259
+        refined = [ball_nodes(b, DEFAULT_QUAD.refined(), singular=origin)[0] for b in fam.balls]
+        seen = np.concatenate(seen)
+        assert np.array_equal(seen[:259 * len(refined[0])], np.concatenate(refined))
+        # prop_small_check: one rule; small_scalar_checks: the rule and its
+        # refinement, per q and s
+        coarse, fine = (math.prod(r.resolution) for r in (DEFAULT_QUAD, DEFAULT_QUAD.refined()))
+        assert len(seen) == 259 * fine + 1 * coarse + 2 * (coarse + fine)
 
     def test_analyze_weight_evaluates_log_m_once_per_node(self, tmp_path, monkeypatch):
         # log omega = lambda_max(log M) and log M share one evaluation on the

@@ -4,11 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import random_spd
+from conftest import COORDS, random_spd
 from degcz.seminorms import BallFamily
 from degcz.weight_algebra import (
     Ball,
@@ -30,6 +30,7 @@ from degcz.weight_algebra import (
     sym_log_batched,
     weight_from_config,
     WEIGHT_KINDS,
+    _eig2,
     _polar_template,
     _sym_eigvals,
 )
@@ -321,6 +322,37 @@ class TestExplicitKernels:
         assert np.array_equal(sym_log_batched(spd)[-1], math.log(2.0) * np.eye(2))
 
 
+class TestColumnKernels:
+    """The kernels that work one coordinate column at a time, or in place,
+    give the bits of the broadcast formulas they replace."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3]), data=st.data(), radius=st.floats(1e-6, 1e3),
+           res=st.sampled_from([(64, 32), (3, 32), (16, 8)]))
+    def test_ball_nodes_shift_equals_broadcast(self, n, data, radius, res):
+        center = data.draw(st.tuples(*[COORDS] * n))
+        tmpl, tmpl_w = _polar_template(n, radius, *res)
+        pts, w = ball_nodes(Ball(center, radius), QuadratureSpec(res))
+        with np.errstate(over="ignore"):
+            assert pts.tobytes() == (tmpl + np.asarray(center)).tobytes()
+        assert w is tmpl_w and pts.flags.writeable
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False)] * 3), min_size=1, max_size=40))
+    @example(rows=[(0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), (5e-324, -5e-324, 1e-300),
+                   (1e300, 1e300, -1e300), (math.inf, 1.0, 2.0), (math.inf, 0.0, math.inf)])
+    def test_eig2_in_place_equals_broadcast_formula(self, rows):
+        abd = np.array(rows).T.copy()
+        before = abd.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b, d in (abd, abd[:, 0]):
+                want = (0.5 * (a + d), np.sqrt(0.25 * (a - d) ** 2 + b * b))
+                got = _eig2(a, b, d)
+                assert [np.asarray(x).tobytes() for x in got] == \
+                    [np.asarray(x).tobytes() for x in want]
+            assert abd.tobytes() == before
+
+
 class TestLogMeans:
     @pytest.mark.parametrize("closed_form_log", [True, False])
     def test_matches_the_scalar_and_matrix_reductions_bitwise(self, closed_form_log):
@@ -527,6 +559,18 @@ def _matrix_weight(kind, n, eps, seed):
     return weight_from_config(cfg)
 
 
+def _einsum_log_fn(dim, seed, sigma, modes):
+    """log M of the seeded log-normal weight as one (m, modes) table of
+    cosines and an einsum over the modes (reference)."""
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((modes, dim, dim))
+    mats = 0.5 * (mats + np.swapaxes(mats, -1, -2)) * (sigma / math.sqrt(modes))
+    waves = rng.integers(-2, 3, size=(modes, dim)).astype(float)
+    phases = rng.random(modes) * 2.0 * math.pi
+    return lambda pts: np.einsum(
+        "mk,kij->mij", np.cos(2.0 * math.pi * pts @ waves.T + phases), mats)
+
+
 class TestLogNormalOmega:
     """At n = 2 the log-normal omega sums three entries of log M mode by mode
     instead of building the (m, 2, 2) stack that ``log_fn`` returns."""
@@ -544,6 +588,21 @@ class TestLogNormalOmega:
         want = np.exp(lambda_max_sym(field.log_fn(pts)))
         assert field.omega_fn(pts).tobytes() == want.tobytes()
         assert field.omega().evaluate(pts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_log_fn_equals_the_einsum_stack_bitwise(self, seed):
+        # the entries summed mode by mode onto +0.0 give the bits of
+        # einsum("mk,kij->mij", cos(2 pi x . waves + phases), mats), signs of
+        # zero included (sigma = 0), at n = 2 and 3
+        rng = np.random.default_rng(100 + seed)
+        node_set = ball_nodes(Ball((0.25, -0.5), 0.25), QuadratureSpec((64, 32)).refined())[0]
+        for n, modes, sigma in ((2, 4, 0.3), (2, 9, 0.0), (3, 4, 0.3), (3, 5, 3.0)):
+            field = weight_from_config(
+                {"kind": "log-normal", "n": n, "seed": seed, "modes": modes, "sigma": sigma})
+            ref = _einsum_log_fn(n, seed, sigma, modes)
+            for pts in (rng.uniform(-1.0, 1.0, (2048, n)), rng.uniform(-50.0, 50.0, (7, n)),
+                        np.zeros((1, n))) + ((node_set,) if n == 2 else ()):
+                assert field.log_fn(pts).tobytes() == ref(pts).tobytes()
 
     def test_three_dimensional_weight_evaluates_from_the_stack(self):
         field = weight_from_config({"kind": "log-normal", "n": 3, "seed": 4})
