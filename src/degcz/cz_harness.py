@@ -23,11 +23,12 @@ from .pde_solver import (
     DiscreteField,
     NonconvergenceError,
     WeakProblem,
+    _matvec,
     interpolate,
     solve,
 )
 from .seminorms import BallFamily, bmo, muckenhoupt_ap, standard_family
-from .weight_algebra import Ball, DEFAULT_QUAD, Field, QuadratureSpec
+from .weight_algebra import Ball, DEFAULT_QUAD, Field, QuadratureSpec, euclidean_norm
 
 __all__ = [
     "GeometryError",
@@ -35,6 +36,7 @@ __all__ = [
     "CzRow",
     "CzReport",
     "cz_ratio",
+    "cz_ratios",
     "caccioppoli_check",
     "poincare_check",
     "poincare_condition",
@@ -69,9 +71,9 @@ class _Cells:
 
     def __init__(self, u: DiscreteField, omega: Field, data=None):
         self.mesh = mesh = u.mesh
-        self.grad = np.linalg.norm(u.cell_gradients(), axis=1)
+        self.grad = euclidean_norm(u.cell_gradients())
         self.w = omega.evaluate(mesh.barycenters)
-        self.data = None if data is None else np.linalg.norm(data(mesh.barycenters), axis=1)
+        self.data = None if data is None else euclidean_norm(data(mesh.barycenters))
 
     def mean(self, values: np.ndarray, ball: Ball) -> float:
         return region_mean(self.mesh, values, ball.contains(self.mesh.barycenters))
@@ -105,19 +107,32 @@ def cz_ratio(
     B0 vs 2 B0.  The right-hand side is the outer first-power mean of
     |grad u| omega plus the outer weighted rho-mean of |G|.
     """
+    return cz_ratios(u, prob, b0, (rho,), geometry)[0]
+
+
+def cz_ratios(u: DiscreteField, prob: WeakProblem, b0: Ball, rhos,
+              geometry: str = "nonlinear") -> list[RatioReport]:
+    """``cz_ratio`` at each rho of ``rhos``, from one table of cell values
+    and ball masks."""
     if geometry not in GEOMETRIES:
         raise ValueError(f"geometry must be one of {GEOMETRIES}")
-    if rho < 1:
+    if any(rho < 1 for rho in rhos):
         raise ValueError("rho must be at least 1")
     inner = b0.scaled(0.5) if geometry == "nonlinear" else b0
     outer = b0.scaled(4.0) if geometry == "nonlinear" else b0.scaled(2.0)
     _require_ball(u.mesh, outer, "outer")
+    mesh = u.mesh
     c = _Cells(u, prob.weight.omega(), prob.data)
-    lhs = c.mean((c.grad * c.w) ** rho, inner) ** (1.0 / rho)
-    rhs = c.mean(c.grad * c.w, outer)
-    if c.data is not None:
-        rhs += c.mean((c.data * c.w) ** rho, outer) ** (1.0 / rho)
-    return RatioReport(lhs, rhs)
+    inner, outer = inner.contains(mesh.barycenters), outer.contains(mesh.barycenters)
+    gw = c.grad * c.w
+    first = region_mean(mesh, gw, outer)
+    reports = []
+    for rho in rhos:
+        rhs = first
+        if c.data is not None:
+            rhs += region_mean(mesh, (c.data * c.w) ** rho, outer) ** (1.0 / rho)
+        reports.append(RatioReport(region_mean(mesh, gw ** rho, inner) ** (1.0 / rho), rhs))
+    return reports
 
 
 def caccioppoli_check(u: DiscreteField, prob: WeakProblem, ball: Ball) -> RatioReport:
@@ -265,9 +280,9 @@ def comparison_check(
     outer = b.scaled(4.0)
     _require_ball(mesh, outer, "comparison outer")
     c = _Cells(triple.z, prob.weight.omega(), prob.data)
-    vz = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.z.cell_gradients()))
-    vh = v_map(p, np.einsum("ab,cb->ca", triple.frozen_matrix, triple.h.cell_gradients()))
-    lhs = c.mean(np.linalg.norm(vh - vz, axis=1) ** 2, b)
+    vz = v_map(p, _matvec(triple.frozen_matrix, triple.z.cell_gradients()))
+    vh = v_map(p, _matvec(triple.frozen_matrix, triple.h.cell_gradients()))
+    lhs = c.mean(euclidean_norm(vh - vz) ** 2, b)
     osc = (bmo_log ** 2 + delta) * c.mean((c.grad * c.w) ** (p * s), b) ** (1.0 / s)
     dev = np.abs(triple.u.cell_values() - triple.u_mean) / (2.0 * triple.ball.radius)
     u_term = delta ** (1.0 - p) * c.mean((dev * c.w) ** (p * s), outer) ** (1.0 / s)
@@ -470,8 +485,7 @@ def _sweep_eps(spec: SweepSpec, eps: float) -> CzReport:
             u = result.field
         else:
             u = interpolate(mesh, ex.u_with_origin)
-        for rho in spec.rho_list:
-            rr = cz_ratio(u, prob, b0, rho, spec.geometry)
+        for rho, rr in zip(spec.rho_list, cz_ratios(u, prob, b0, spec.rho_list, spec.geometry)):
             per_rho[rho].append(rr.ratio)
             report.rows.append(
                 CzRow(

@@ -34,46 +34,50 @@ class Mesh:
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.cells = np.ascontiguousarray(self.cells, dtype=np.int64)
-        p = self.vertices[self.cells]          # (nc, 3, 2)
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        # the cell geometry works on contiguous (nc,) columns, one per corner
+        # and coordinate, in the operations and order of the broadcast
+        # formulas over the (nc, 3, 2) corner array
+        self.corners = np.ascontiguousarray(self.cells.T)   # (3, nc)
+        x, y, det = self._corner_geometry()
         # enforce counterclockwise orientation
         flip = det < 0
         if flip.any():
             # a new array: ascontiguousarray may have returned the caller's
             self.cells = np.where(flip[:, None], self.cells[:, [0, 2, 1]], self.cells)
-            p = self.vertices[self.cells]
-            e1 = p[:, 1] - p[:, 0]
-            e2 = p[:, 2] - p[:, 0]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            self.corners = np.ascontiguousarray(self.cells.T)
+            x, y, det = self._corner_geometry()
         self.areas = 0.5 * det
-        diam2 = np.max(
-            np.stack(
-                [
-                    ((p[:, 1] - p[:, 0]) ** 2).sum(1),
-                    ((p[:, 2] - p[:, 1]) ** 2).sum(1),
-                    ((p[:, 0] - p[:, 2]) ** 2).sum(1),
-                ]
-            ),
-            axis=0,
-        )
+        # edge vectors p_b - p_a of the edges (a, b) = (1, 2), (2, 0), (0, 1)
+        dx = [x[2] - x[1], x[0] - x[2], x[1] - x[0]]
+        dy = [y[2] - y[1], y[0] - y[2], y[1] - y[0]]
+        diam2 = np.maximum(np.maximum(dx[2] ** 2 + dy[2] ** 2, dx[0] ** 2 + dy[0] ** 2),
+                           dx[1] ** 2 + dy[1] ** 2)
         if np.any(self.areas <= 1e-14 * diam2):
             raise ValueError("mesh contains a degenerate cell (area ~ 0 relative to diameter)")
-        self.barycenters = p.mean(axis=1)
-        # gradients of the three hat functions on each cell
-        grads = np.empty((len(self.cells), 3, 2))
-        for loc, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            edge = p[:, b] - p[:, a]
-            grads[:, loc, 0] = -edge[:, 1]
-            grads[:, loc, 1] = edge[:, 0]
-        self.hat_gradients = grads / (2.0 * self.areas)[:, None, None]
+        # the corner mean summed onto +0.0, as numpy's mean over the corner axis
+        self.barycenters = np.empty((len(self.cells), 2))
+        self.barycenters[:, 0] = (((0.0 + x[0]) + x[1]) + x[2]) / 3.0
+        self.barycenters[:, 1] = (((0.0 + y[0]) + y[1]) + y[2]) / 3.0
+        # gradients of the three hat functions on each cell, (nc, 3, 2) with
+        # every [:, l, k] a contiguous column
+        two_area = 2.0 * self.areas
+        self.hat_gradients = _cells_last((len(self.cells), 3, 2))
+        for loc in range(3):
+            np.divide(-dy[loc], two_area, out=self.hat_gradients[:, loc, 0])
+            np.divide(dx[loc], two_area, out=self.hat_gradients[:, loc, 1])
         self.edges, self.edge_counts, self.cell_edges = self._edges()
         self.boundary_vertices = np.unique(self.edges[self.edge_counts == 1])
         self.boundary_mask = np.zeros(len(self.vertices), dtype=bool)
         self.boundary_mask[self.boundary_vertices] = True
 
     # -- structure -----------------------------------------------------------
+
+    def _corner_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (3, nc) corner coordinates x and y of the cells, one contiguous
+        row per corner, and the (nc,) doubled signed cell areas."""
+        x, y = self.vertices[:, 0][self.corners], self.vertices[:, 1][self.corners]
+        det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+        return x, y, det
 
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique edges as sorted vertex pairs in lexicographic order, the
@@ -94,12 +98,20 @@ class Mesh:
         return len(self.cells)
 
     def cell_gradients(self, values: np.ndarray) -> np.ndarray:
-        """Piecewise-constant gradient of a nodal field, per cell."""
-        return np.einsum("cld,cl->cd", self.hat_gradients, values[self.cells])
+        """Piecewise-constant gradient of a nodal field, per cell: (nc, 2),
+        each component a contiguous column summed onto +0.0 over the corners
+        (the bits of einsum("cld,cl->cd", hat_gradients, values[cells]))."""
+        v, hat = values[self.corners], self.hat_gradients
+        grads = _cells_last((len(self.cells), 2))
+        for k in range(2):
+            grads[:, k] = ((0.0 + hat[:, 0, k] * v[0]) + hat[:, 1, k] * v[1]) + hat[:, 2, k] * v[2]
+        return grads
 
     def cell_values(self, values: np.ndarray) -> np.ndarray:
-        """Nodal field averaged to cell midpoint values."""
-        return values[self.cells].mean(axis=1)
+        """Nodal field averaged to cell midpoint values (the bits of
+        ``values[cells].mean(axis=1)``)."""
+        v = values[self.corners]
+        return (((0.0 + v[0]) + v[1]) + v[2]) / 3.0
 
     # -- geometry ------------------------------------------------------------
 
@@ -158,6 +170,13 @@ class Mesh:
             for tri in self.cells:
                 wr.writerow([int(tri[0]), int(tri[1]), int(tri[2])])
         return vpath, cpath
+
+
+def _cells_last(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty float array of ``shape`` = (nc, ...) stored with the cell axis
+    last, so that every [:, i, ...] is a contiguous (nc,) column."""
+    store = np.empty(shape[1:] + shape[:1])
+    return store.transpose((store.ndim - 1,) + tuple(range(store.ndim - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ factors H with the minimum-degree ordering of H + H^T, which fills less than
 the default COLAMD.  The q = M grad u of the accepted line-search candidate
 serves the next iteration's residual, gradient and energy.  A solve
 factors K once: that factor gives the p = 2 solution (the Newton warm start
-for other p) and every dual-norm residual of the solve.
+for other p) and every dual-norm residual of the solve.  The kernels work
+column by column, on contiguous (nc,) arrays, bit for bit: each does the IEEE
+operations of the einsum or broadcast formula it replaced, in its order and
+summing onto +0.0 where einsum does.
 
 scipy.sparse and scipy.sparse.linalg load at the first use of the module
 attributes ``sp`` and ``spla``, which a solve makes, so importing the package
@@ -48,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .meshing import Mesh
+from .meshing import Mesh, _cells_last
 from .nfunctions import a_map
 from .weight_algebra import Field, _min_distance, euclidean_norm
 
@@ -175,11 +178,27 @@ class SolveResult:
 # the per-solve kernel
 # ---------------------------------------------------------------------------
 
+#: the (l, m) entries with l <= m of a symmetric 3 x 3 cell block
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x per cell for (nc, 2) vectors x and (nc, 2, 2) matrices m, or one
+    2 x 2 matrix m: (+0.0 + m[a, 0] x[0]) + m[a, 1] x[1] on contiguous columns,
+    the bits of einsum("cab,cb->ca") or einsum("ab,cb->ca")."""
+    out = _cells_last(x.shape)
+    for a in range(2):
+        out[:, a] = (0.0 + m[..., a, 0] * x[:, 0]) + m[..., a, 1] * x[:, 1]
+    return out
+
+
 class _Kernel:
     """Cell data, stiffness matrix K and assembly of one problem on one mesh.
 
     Since M is symmetric, (M A(M xi)) . grad(lambda) = A(M xi) . (M grad(lambda)),
     so all assembly uses ``Mgrads`` = M grad(lambda) and ``aG`` = A(M G).
+    ``M``, ``Mgrads`` and q are stored with the cell axis last, so that every
+    kernel works on contiguous (nc,) columns.
     """
 
     def __init__(self, prob: WeakProblem, mesh: Mesh, fixed_mask: np.ndarray | None = None):
@@ -187,9 +206,13 @@ class _Kernel:
         self.mesh = mesh
         self.fixed_mask = mesh.boundary_mask if fixed_mask is None else fixed_mask
         self.free = np.where(~self.fixed_mask)[0]
-        self.M = prob.weight_at(mesh.barycenters, np.sqrt(mesh.areas))      # (nc, 2, 2)
-        self.Mgrads = np.einsum("cab,clb->cla", self.M, mesh.hat_gradients)  # (nc, 3, 2)
-        self.MG = np.einsum("cab,cb->ca", self.M, prob.data_at(mesh.barycenters))
+        nc = mesh.num_cells
+        self.M = _cells_last((nc, 2, 2))
+        self.M[...] = prob.weight_at(mesh.barycenters, np.sqrt(mesh.areas))
+        self.Mgrads = _cells_last((nc, 3, 2))
+        for loc in range(3):
+            self.Mgrads[:, loc] = _matvec(self.M, mesh.hat_gradients[:, loc])
+        self.MG = _matvec(self.M, prob.data_at(mesh.barycenters))
         self.aG = a_map(prob.p, self.MG)
 
     @cached_property
@@ -198,25 +221,32 @@ class _Kernel:
         cells, n = self.mesh.cells, self.mesh.num_vertices
         rows = np.repeat(cells, 3, axis=1).reshape(-1)
         cols = np.tile(cells, (1, 3)).reshape(-1)
-        blocks = np.einsum("cla,cma,c->clm", self.Mgrads, self.Mgrads, self.mesh.areas)
+        # einsum("cla,cma,c->clm", Mgrads, Mgrads, areas), summed onto +0.0
+        mg, area = self.Mgrads, self.mesh.areas
+        blocks = np.empty((len(cells), 3, 3))
+        for l, m in _PAIRS:
+            blocks[:, l, m] = blocks[:, m, l] = (
+                (0.0 + mg[:, l, 0] * mg[:, m, 0] * area) + mg[:, l, 1] * mg[:, m, 1] * area)
         return _scipy("sp").coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
 
     def q(self, values: np.ndarray) -> np.ndarray:
         """q = M grad u per cell."""
-        return np.einsum("cab,cb->ca", self.M, self.mesh.cell_gradients(values))
+        return _matvec(self.M, self.mesh.cell_gradients(values))
 
     def energy(self, q: np.ndarray, eps: float) -> float:
-        q2 = (q * q).sum(axis=1) + eps * eps
-        # data term written against grad u via the assembled weighted flux
-        data = np.einsum("ca,ca->c", self.aG, q)
+        q2 = q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + eps * eps
+        # data term written against grad u via the assembled weighted flux,
+        # summed onto +0.0 as einsum("ca,ca->c", aG, q)
+        data = (0.0 + self.aG[:, 0] * q[:, 0]) + self.aG[:, 1] * q[:, 1]
         return float(np.sum(self.mesh.areas * (q2 ** (self.p / 2.0) / self.p - data)))
 
     def scatter(self, flux: np.ndarray) -> np.ndarray:
         """Nodal vector sum over cells of area * flux . (M grad lambda)."""
-        mg, area = self.Mgrads, self.mesh.areas[:, None]
-        # the products and the sum in einsum("cla,ca,c->cl")'s order, without
-        # its slow three-operand loop
-        r_cells = (mg[..., 0] * flux[:, None, 0]) * area + (mg[..., 1] * flux[:, None, 1]) * area
+        mg, area = self.Mgrads, self.mesh.areas
+        # cell-major, the order in which bincount sums each vertex's terms
+        r_cells = np.empty((len(area), 3))
+        for loc in range(3):
+            r_cells[:, loc] = (mg[:, loc, 0] * flux[:, 0]) * area + (mg[:, loc, 1] * flux[:, 1]) * area
         return np.bincount(self.mesh.cells.reshape(-1), r_cells.reshape(-1), self.mesh.num_vertices)
 
     def factor(self):
@@ -237,40 +267,53 @@ class _Kernel:
 
     @cached_property
     def _refill(self):
-        """K's slots of the cell-block entries and of the free block's CSC data."""
+        """K's slots of the cells' upper block entries ``_PAIRS``, cell-major,
+        and the free block's CSC pattern with the upper slot of each entry."""
         K, cells, n = self.K, self.mesh.cells, self.mesh.num_vertices
-        keys = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
-        slot = np.searchsorted(keys, (cells[:, :, None] * n + cells[:, None, :]).reshape(-1))
+        rows = np.repeat(np.arange(n), np.diff(K.indptr))
+        keys = rows * n + K.indices
+        # a symmetric block's (l, m) and (m, l) entries are the same bits and
+        # K's pattern is symmetric, so each pair of mirror slots sums the same
+        # terms in the same cell order: assemble the upper slot only
+        upper = np.searchsorted(keys, np.minimum(rows, K.indices) * n
+                                + np.maximum(rows, K.indices))
+        ends = cells[:, [l for l, _ in _PAIRS]], cells[:, [m for _, m in _PAIRS]]
+        slot = np.searchsorted(keys, (np.minimum(*ends) * n + np.maximum(*ends)).reshape(-1))
         # K's slot numbers, shifted by one so that none is an explicit zero
         numbered = _scipy("sp").csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr),
                                            shape=K.shape)
         block = numbered[self.free][:, self.free].tocsc()
-        return slot, block.data.astype(np.int64) - 1, block.indices, block.indptr
+        return slot, upper[block.data.astype(np.int64) - 1], block.indices, block.indptr
 
     @cached_property
     def _gram(self):
-        """The kappa-free cell blocks gx gx^T + gy gy^T of every Hessian."""
-        gx, gy = self.Mgrads[..., 0], self.Mgrads[..., 1]
-        return gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+        """The kappa-free upper entries gx gx^T + gy gy^T of every Hessian
+        cell block, one (nc,) column per pair of ``_PAIRS``."""
+        mg = self.Mgrads
+        return [mg[:, l, 0] * mg[:, m, 0] + mg[:, l, 1] * mg[:, m, 1] for l, m in _PAIRS]
 
     def gradient(self, q: np.ndarray, eps: float):
         """Nodal gradient r of the regularized energy at q = M grad u, with the
         q^2 = |q|^2 + eps^2 and kappa = (q^2)^((p - 2) / 2) it computed."""
-        q2 = (q * q).sum(axis=1) + eps * eps
+        q2 = q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + eps * eps
         kappa = q2 ** ((self.p - 2.0) / 2.0)
-        return self.scatter(kappa[:, None] * q - self.aG), q2, kappa
+        flux = _cells_last(q.shape)
+        for a in range(2):
+            flux[:, a] = kappa * q[:, a] - self.aG[:, a]
+        return self.scatter(flux), q2, kappa
 
     def hessian(self, q: np.ndarray, q2: np.ndarray, kappa: np.ndarray):
         """Free block of the Hessian at q in CSC, from ``gradient``'s q^2 and
         kappa and the cell blocks
         kappa area (gx gx^T + gy gy^T) + kappa' area g g^T, g = (M grad lambda) . q."""
         kprime = (self.p - 2.0) * q2 ** ((self.p - 4.0) / 2.0)
-        g = self.Mgrads[..., 0] * q[:, :1] + self.Mgrads[..., 1] * q[:, 1:]
-        areas = self.mesh.areas
-        blocks = (kappa * areas)[:, None, None] * self._gram
-        gg = g[:, :, None] * g[:, None, :]
-        gg *= (kprime * areas)[:, None, None]
-        blocks += gg
+        mg, areas = self.Mgrads, self.mesh.areas
+        g = [mg[:, loc, 0] * q[:, 0] + mg[:, loc, 1] * q[:, 1] for loc in range(3)]
+        ka, kpa = kappa * areas, kprime * areas
+        # the upper entries of each symmetric cell block, cell-major
+        blocks = np.empty((len(areas), len(_PAIRS)))
+        for k, (l, m) in enumerate(_PAIRS):
+            blocks[:, k] = ka * self._gram[k] + (g[l] * g[m]) * kpa
         slot, gather, indices, indptr = self._refill
         data = np.bincount(slot, blocks.reshape(-1), self.K.nnz)[gather]
         return _scipy("sp").csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from degcz.weight_algebra import Ball, QuadratureSpec
 
@@ -10,6 +11,25 @@ COORDS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, 1e300, -1e300]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+
+#: moderate values with signed zeros and subnormals: sums over many cells of
+#: them stay finite, and thirds, whose mantissas do not terminate, make
+#: them round, so that the order of a sum shows in its bits
+MODERATE = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0).map(lambda v: v / 3.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17]),
+)
+
+
+def coord_arrays(shape, elements=COORDS):
+    """Float arrays of ``shape`` with entries from ``elements``: each entry
+    drawn on its own, or most of them one shared fill value (which lines up
+    signed zeros)."""
+    return st.one_of(hnp.arrays(float, shape, elements=elements, fill=st.nothing()),
+                     hnp.arrays(float, shape, elements=elements))
 
 
 @pytest.fixture

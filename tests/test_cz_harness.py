@@ -13,6 +13,7 @@ from degcz.cz_harness import (
     comparison_check,
     cutoff_values,
     cz_ratio,
+    cz_ratios,
     fefferman_stein_constant,
     poincare_check,
     poincare_condition,
@@ -99,6 +100,49 @@ class TestCzRatio:
         r2 = cz_ratio(u_scaled, prob_scaled, b0, 3.0)
         assert r2.lhs == pytest.approx(r1.lhs, rel=1e-10)
         assert r2.rhs == pytest.approx(r1.rhs, rel=1e-10)
+
+
+def reference_cz_ratio(u, prob, b0, rho, geometry):
+    """One rho at a time, with np.linalg.norm and a fresh ball mask per mean:
+    the form ``cz_ratios`` replaced."""
+    inner = b0.scaled(0.5) if geometry == "nonlinear" else b0
+    outer = b0.scaled(4.0) if geometry == "nonlinear" else b0.scaled(2.0)
+    mesh = u.mesh
+
+    def mean(values, ball):
+        return region_mean(mesh, values, ball.contains(mesh.barycenters))
+
+    grad = np.linalg.norm(u.cell_gradients(), axis=1)
+    w = prob.weight.omega().evaluate(mesh.barycenters)
+    lhs = mean((grad * w) ** rho, inner) ** (1.0 / rho)
+    rhs = mean(grad * w, outer)
+    if prob.data is not None:
+        g = np.linalg.norm(prob.data(mesh.barycenters), axis=1)
+        rhs += mean((g * w) ** rho, outer) ** (1.0 / rho)
+    return lhs, rhs
+
+
+class TestCzRatios:
+    @pytest.mark.parametrize("geometry", ["nonlinear", "linear"])
+    @pytest.mark.parametrize("with_data", [False, True])
+    def test_one_table_keeps_the_bits_of_one_rho_at_a_time(self, graded_disk, geometry,
+                                                           with_data):
+        ex = MeyersExample(2, 0.25, "degenerate")
+        data = (lambda x: np.stack([np.cos(3.0 * x[:, 1]), x[:, 0] - 0.5], axis=1)
+                ) if with_data else None
+        prob = WeakProblem(ex.weight_field(), 2.0, data)
+        u = interpolate(graded_disk, ex.u_with_origin)
+        b0, rhos = Ball((0.05, 0.0), 0.2), (1.0, 2.0, 3.6, 5.0)
+        reports = cz_ratios(u, prob, b0, rhos, geometry)
+        assert [(r.lhs, r.rhs) for r in reports] == \
+            [reference_cz_ratio(u, prob, b0, rho, geometry) for rho in rhos]
+        assert cz_ratio(u, prob, b0, 3.6, geometry) == reports[2]
+
+    def test_every_rho_checked_before_work(self, square):
+        u = interpolate(square, lambda p: p[:, 0])
+        prob = WeakProblem(identity_weight(2), 2.0)
+        with pytest.raises(ValueError, match="rho"):
+            cz_ratios(u, prob, Ball((0.5, 0.5), 0.1), (2.0, 0.5))
 
 
 class TestCaccioppoli:

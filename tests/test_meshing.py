@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import COORDS, MODERATE, coord_arrays
 from degcz.meshing import Mesh, disk_mesh, region_mean, unit_square_mesh
 from degcz.weight_algebra import Ball
 
@@ -143,6 +146,90 @@ class TestGradients:
         mesh = unit_square_mesh(4)
         vals = mesh.vertices[:, 0]
         assert np.allclose(mesh.cell_values(vals), mesh.barycenters[:, 0])
+
+
+def reference_geometry(vertices, cells):
+    """The broadcast formulas over the (nc, 3, 2) corner array that the
+    column kernels of ``Mesh`` replaced: the oriented cells, areas, squared
+    diameters, barycenters and hat gradients."""
+    def corners(cells):
+        p = vertices[cells]
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        return p, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+    p, det = corners(cells)
+    flip = det < 0
+    if flip.any():
+        cells = np.where(flip[:, None], cells[:, [0, 2, 1]], cells)
+        p, det = corners(cells)
+    areas = 0.5 * det
+    diam2 = np.max(np.stack([((p[:, 1] - p[:, 0]) ** 2).sum(1),
+                             ((p[:, 2] - p[:, 1]) ** 2).sum(1),
+                             ((p[:, 0] - p[:, 2]) ** 2).sum(1)]), axis=0)
+    grads = np.empty((len(cells), 3, 2))
+    for loc, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        edge = p[:, b] - p[:, a]
+        grads[:, loc, 0] = -edge[:, 1]
+        grads[:, loc, 1] = edge[:, 0]
+    return cells, areas, diam2, p.mean(axis=1), grads / (2.0 * areas)[:, None, None]
+
+
+@st.composite
+def triangles(draw):
+    """Corners of one cell, in any order: three COORDS points (most of them
+    degenerate or overflowing), a sliver whose area is near 1e-14 of its
+    squared diameter, or, twice as often as each, a triangle with legs h
+    down to 1e-50 (areas down to 1e-100) at a point with signed zero or
+    subnormal coordinates or coordinates up to 10 h."""
+    kind = draw(st.sampled_from(["coords", "sliver", "legs", "legs"]))
+    h = draw(st.sampled_from([1e-50, 1e-20, 1e-3, 1.0, 7.0, 1e100]))
+    if kind == "coords":
+        pts = [(draw(COORDS), draw(COORDS)) for _ in range(3)]
+    elif kind == "sliver":
+        # area 0.5 t h within a factor 1.5 of 1e-14 h^2, the degeneracy bound
+        # on the squared diameter h^2, and of the other edges' squares
+        t = draw(st.floats(0.5, 1.5)) * 2e-14 * h
+        pts = [(0.0, 0.0), (h, 0.0), (draw(st.floats(0.3, 0.7)) * h, t)]
+    else:
+        near = st.one_of(st.floats(-10.0, 10.0).map(lambda v: v * h),
+                         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300]))
+        x, y = draw(near), draw(near)
+        skew = draw(st.floats(-2.0, 2.0))
+        pts = [(x, y), (x + h, y), (x + skew * h, y + h)]
+    return draw(st.permutations(pts))
+
+
+class TestColumnKernels:
+    """The column kernels of ``Mesh`` give the bits of the broadcast and
+    einsum formulas they replace, on clockwise and counterclockwise cells."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tris=st.lists(triangles(), min_size=1, max_size=4), data=st.data())
+    def test_geometry_and_cell_fields_equal_broadcast_formulas(self, tris, data):
+        verts = np.array([pt for tri in tris for pt in tri], dtype=float)
+        cells = np.arange(len(verts)).reshape(-1, 3)
+        nv, nc = len(verts), len(cells)
+        with np.errstate(all="ignore"):
+            ref_cells, areas, diam2, bary, hat = reference_geometry(verts, cells)
+            if np.any(areas <= 1e-14 * diam2):
+                with pytest.raises(ValueError, match="degenerate"):
+                    Mesh(verts, cells)
+                return
+            mesh = Mesh(verts, cells)
+            assert mesh.cells.tobytes() == ref_cells.tobytes()
+            assert mesh.corners.tobytes() == ref_cells.T.tobytes()
+            for got, want in ((mesh.areas, areas), (mesh.barycenters, bary),
+                              (mesh.hat_gradients, hat)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            elements = data.draw(st.sampled_from([COORDS, MODERATE]))
+            values = data.draw(coord_arrays(nv, elements))
+            # the mesh's own hat gradients, then arbitrary ones
+            for grads in (mesh.hat_gradients, data.draw(coord_arrays((nc, 3, 2), elements))):
+                mesh.hat_gradients = grads
+                want = np.einsum("cld,cl->cd", grads, values[mesh.cells])
+                assert mesh.cell_gradients(values).tobytes() == want.tobytes()
+            assert mesh.cell_values(values).tobytes() == \
+                values[mesh.cells].mean(axis=1).tobytes()
 
 
 class TestRefine:

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import COORDS, MODERATE, coord_arrays
 from degcz import pde_solver
 from degcz.cz_harness import SweepSpec
 from degcz.exact_examples import MeyersExample
-from degcz.meshing import disk_mesh, unit_square_mesh
+from degcz.meshing import Mesh, disk_mesh, unit_square_mesh
+from degcz.nfunctions import a_map
 from degcz.pde_solver import (
     DiscreteField,
     NonconvergenceError,
@@ -362,6 +366,163 @@ class TestKernel:
         ref = np.zeros(mesh.num_vertices)
         np.add.at(ref, mesh.cells, r_cells)
         assert np.array_equal(kernel.scatter(flux), ref)
+
+
+# ---------------------------------------------------------------------------
+# the column kernels against the einsum and broadcast formulas they replaced
+# ---------------------------------------------------------------------------
+
+def reference_cell_data(kernel, M, G):
+    """Mgrads, MG, aG and K by einsum over the (nc, 3, 2) and (nc, 2, 2) axes."""
+    mesh = kernel.mesh
+    mgrads = np.einsum("cab,clb->cla", M, mesh.hat_gradients)
+    mg = np.einsum("cab,cb->ca", M, np.zeros((mesh.num_cells, 2)) if G is None else G)
+    blocks = np.einsum("cla,cma,c->clm", mgrads, mgrads, mesh.areas)
+    rows = np.repeat(mesh.cells, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.cells, (1, 3)).reshape(-1)
+    n = mesh.num_vertices
+    K = sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return mgrads, mg, a_map(kernel.p, mg), K
+
+
+def reference_q2_kappa(kernel, q, eps):
+    q2 = (q * q).sum(axis=1) + eps * eps
+    return q2, q2 ** ((kernel.p - 2.0) / 2.0)
+
+
+def reference_energy(kernel, q, eps):
+    q2, _ = reference_q2_kappa(kernel, q, eps)
+    data = np.einsum("ca,ca->c", kernel.aG, q)
+    return float(np.sum(kernel.mesh.areas * (q2 ** (kernel.p / 2.0) / kernel.p - data)))
+
+
+def reference_scatter(kernel, flux):
+    mg, area = kernel.Mgrads, kernel.mesh.areas[:, None]
+    r_cells = (mg[..., 0] * flux[:, None, 0]) * area + (mg[..., 1] * flux[:, None, 1]) * area
+    return np.bincount(kernel.mesh.cells.reshape(-1), r_cells.reshape(-1),
+                       kernel.mesh.num_vertices)
+
+
+def reference_hessian(kernel, q, q2, kappa):
+    """The (nc, 3, 3) broadcast blocks, summed by one bincount into every
+    slot of K, and the free block gathered from them."""
+    K, cells, n = kernel.K, kernel.mesh.cells, kernel.mesh.num_vertices
+    keys = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
+    slot = np.searchsorted(keys, (cells[:, :, None] * n + cells[:, None, :]).reshape(-1))
+    numbered = sp.csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr), shape=K.shape)
+    block = numbered[kernel.free][:, kernel.free].tocsc()
+    gx, gy = kernel.Mgrads[..., 0], kernel.Mgrads[..., 1]
+    gram = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+    p, areas = kernel.p, kernel.mesh.areas
+    kprime = (p - 2.0) * q2 ** ((p - 4.0) / 2.0)
+    g = kernel.Mgrads[..., 0] * q[:, :1] + kernel.Mgrads[..., 1] * q[:, 1:]
+    blocks = (kappa * areas)[:, None, None] * gram
+    gg = g[:, :, None] * g[:, None, :]
+    gg *= (kprime * areas)[:, None, None]
+    blocks += gg
+    data = np.bincount(slot, blocks.reshape(-1), K.nnz)[block.data.astype(np.int64) - 1]
+    return sp.csc_matrix((data, block.indices, block.indptr), shape=block.shape)
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class _DrawnWeight:
+    """A weight whose values at the barycenters are given."""
+
+    singular_points = ()
+
+    def __init__(self, values):
+        self.values = values
+
+    def evaluate(self, points):
+        return self.values
+
+
+@st.composite
+def drawn_kernels(draw):
+    """A kernel on the 3 x 3 square mesh, given with every other cell
+    clockwise, with drawn weight values, hat gradients, cell areas (down to
+    1e-100, as on the level-3 sweep mesh), p and data G (or None), all from
+    COORDS or all from MODERATE; returns the kernel, its weight values, G
+    and the element strategy for further draws."""
+    sq = unit_square_mesh(3)
+    cells = sq.cells.copy()
+    cells[::2] = cells[::2, ::-1]
+    mesh = Mesh(sq.vertices, cells)
+    nc = mesh.num_cells
+    elements = draw(st.sampled_from([COORDS, MODERATE]))
+    mesh.hat_gradients = draw(coord_arrays((nc, 3, 2), elements))
+    areas = st.one_of(st.floats(1e-100, 1e-90), st.floats(1e-3, 10.0), elements)
+    mesh.areas = draw(coord_arrays(nc, areas))
+    M = draw(coord_arrays((nc, 2, 2), elements))
+    G = draw(st.none() | coord_arrays((nc, 2), elements))
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    prob = WeakProblem(_DrawnWeight(M), p, None if G is None else (lambda pts: G))
+    with np.errstate(all="ignore"):
+        return pde_solver._Kernel(prob, mesh), M, G, elements
+
+
+KERNEL_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+EPS = st.one_of(st.sampled_from([0.0, 1e-8, 0.1]), st.floats(0.0, 10.0))
+
+
+class TestColumnKernels:
+    """Each column kernel of ``_Kernel`` gives the bits of the einsum or
+    broadcast formula it replaced, over signed zeros, subnormal and +-1e300
+    weights, hat gradients and nodal values, p in {1.5, 2, 3}, G = None and
+    drawn G."""
+
+    @KERNEL_SETTINGS
+    @given(drawn=drawn_kernels())
+    def test_cell_data_and_stiffness(self, drawn):
+        kernel, M, G, _ = drawn
+        with np.errstate(all="ignore"):
+            mgrads, mg, ag, K = reference_cell_data(kernel, M, G)
+            got = kernel.K
+        for a, b in ((kernel.M, M), (kernel.Mgrads, mgrads), (kernel.MG, mg), (kernel.aG, ag),
+                     (got.data, K.data), (got.indices, K.indices), (got.indptr, K.indptr)):
+            assert_bits(a, b)
+
+    @KERNEL_SETTINGS
+    @given(drawn=drawn_kernels(), data=st.data(), eps=EPS)
+    def test_q_energy_gradient_and_scatter(self, drawn, data, eps):
+        kernel, M, _, elements = drawn
+        mesh = kernel.mesh
+        values = data.draw(coord_arrays(mesh.num_vertices, elements))
+        q, flux = (data.draw(coord_arrays((mesh.num_cells, 2), elements)) for _ in range(2))
+        with np.errstate(all="ignore"):
+            grads = np.einsum("cld,cl->cd", mesh.hat_gradients, values[mesh.cells])
+            assert_bits(kernel.q(values), np.einsum("cab,cb->ca", M, grads))
+            for qq in (q, kernel.q(values)):
+                assert_bits(kernel.energy(qq, eps), reference_energy(kernel, qq, eps))
+            assert_bits(kernel.scatter(flux), reference_scatter(kernel, flux))
+            q2, kappa = reference_q2_kappa(kernel, q, eps)
+            want = (reference_scatter(kernel, kappa[:, None] * q - kernel.aG), q2, kappa)
+            for a, b in zip(kernel.gradient(q, eps), want):
+                assert_bits(a, b)
+
+    @KERNEL_SETTINGS
+    @given(drawn=drawn_kernels(), data=st.data(), eps=EPS)
+    def test_hessian(self, drawn, data, eps):
+        kernel, _, _, elements = drawn
+        q = data.draw(coord_arrays((kernel.mesh.num_cells, 2), elements))
+        with np.errstate(all="ignore"):
+            q2, kappa = reference_q2_kappa(kernel, q, eps)
+            got, want = kernel.hessian(q, q2, kappa), reference_hessian(kernel, q, q2, kappa)
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert_bits(a, b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(m=coord_arrays((2, 2)),
+           x=coord_arrays(st.tuples(st.integers(1, 20), st.just(2))))
+    def test_one_matrix_matvec(self, m, x):
+        """The frozen-matrix product of ``comparison_check``."""
+        with np.errstate(all="ignore"):
+            assert_bits(pde_solver._matvec(m, x), np.einsum("ab,cb->ca", m, x))
 
 
 class TestNewtonWork:
