@@ -23,7 +23,6 @@ from .pde_solver import (
     DiscreteField,
     SolverConfig,
     WeakProblem,
-    energy,
     interpolate,
     solve,
     weak_residual,

@@ -37,6 +37,13 @@ residual.  Once the squared Newton decrement lambda^2 = -r . step (Boyd &
 Vandenberghe, *Convex Optimization*, 2004, section 9.5) falls below the
 round-off of the energy, an Armijo comparison of two energies cannot resolve
 the predicted decrease lambda^2 / 2, and the full step is taken.
+
+Kacanov start: for p > 2 on an unfrozen weight with a singular point, the
+first two steps use the Hessian without its kappa' term, the kappa-weighted
+stiffness (Diening, Fornasier, Tomasi and Wank, Numer. Math. 2020).  Next to
+the singular point the p = 2 warm start overshoots |M grad u| by up to 2^16,
+which Newton on |q|^p / p only halves per step.  Such a step is factored,
+line-searched, budgeted and stopped like a Newton step.
 """
 from __future__ import annotations
 
@@ -62,7 +69,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "interpolate",
-    "energy",
     "weak_residual",
     "solve",
     "weighted_h1_error",
@@ -214,6 +220,9 @@ class _Kernel:
             self.Mgrads[:, loc] = _matvec(self.M, mesh.hat_gradients[:, loc])
         self.MG = _matvec(self.M, prob.data_at(mesh.barycenters))
         self.aG = a_map(prob.p, self.MG)
+        singular = prob.frozen is None and len(prob.weight.singular_points) > 0
+        # Kacanov steps that open the solve (see the module docstring)
+        self.kacanov_steps = 2 if prob.p > 2.0 and singular else 0
 
     @cached_property
     def K(self):
@@ -302,27 +311,27 @@ class _Kernel:
             flux[:, a] = kappa * q[:, a] - self.aG[:, a]
         return self.scatter(flux), q2, kappa
 
-    def hessian(self, q: np.ndarray, q2: np.ndarray, kappa: np.ndarray):
+    def hessian(self, q: np.ndarray, q2: np.ndarray, kappa: np.ndarray, kacanov: bool = False):
         """Free block of the Hessian at q in CSC, from ``gradient``'s q^2 and
         kappa and the cell blocks
-        kappa area (gx gx^T + gy gy^T) + kappa' area g g^T, g = (M grad lambda) . q."""
-        kprime = (self.p - 2.0) * q2 ** ((self.p - 4.0) / 2.0)
-        mg, areas = self.Mgrads, self.mesh.areas
-        g = [mg[:, loc, 0] * q[:, 0] + mg[:, loc, 1] * q[:, 1] for loc in range(3)]
-        ka, kpa = kappa * areas, kprime * areas
+        kappa area (gx gx^T + gy gy^T) + kappa' area g g^T, g = (M grad lambda) . q;
+        with ``kacanov``, the Kacanov matrix: the first term alone."""
+        areas = self.mesh.areas
+        ka = kappa * areas
         # the upper entries of each symmetric cell block, cell-major
         blocks = np.empty((len(areas), len(_PAIRS)))
-        for k, (l, m) in enumerate(_PAIRS):
-            blocks[:, k] = ka * self._gram[k] + (g[l] * g[m]) * kpa
+        if kacanov:
+            for k in range(len(_PAIRS)):
+                blocks[:, k] = ka * self._gram[k]
+        else:
+            kpa = (self.p - 2.0) * q2 ** ((self.p - 4.0) / 2.0) * areas
+            mg = self.Mgrads
+            g = [mg[:, loc, 0] * q[:, 0] + mg[:, loc, 1] * q[:, 1] for loc in range(3)]
+            for k, (l, m) in enumerate(_PAIRS):
+                blocks[:, k] = ka * self._gram[k] + (g[l] * g[m]) * kpa
         slot, gather, indices, indptr = self._refill
         data = np.bincount(slot, blocks.reshape(-1), self.K.nnz)[gather]
         return _scipy("sp").csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
-
-
-def energy(prob: WeakProblem, u: DiscreteField, eps: float = 0.0) -> float:
-    """Dirichlet p-energy minus the data coupling, barycenter quadrature."""
-    kernel = _Kernel(prob, u.mesh)
-    return kernel.energy(kernel.q(u.values), eps)
 
 
 def weak_residual(
@@ -427,8 +436,9 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
     NonconvergenceError with the trace so far.  The line search accepts the
     full step once lambda^2 is below the energy's round-off.  Each accepted
     step adds a trace row that also records ``decrement`` (lambda^2 =
-    -r . step) and ``stalled`` (true on the last row of a stage that used up
-    ``max_iterations`` steps).
+    -r . step), ``stalled`` (true on the last row of a stage that used up
+    ``max_iterations`` steps) and ``direction``, ``"kacanov"`` on the first
+    ``kernel.kacanov_steps`` rows and ``"newton"`` after them.
     """
     interior = kernel.free
     trace: list[dict] = []
@@ -446,8 +456,9 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
             rn = float(np.linalg.norm(r[interior]))
             if not last_stage and rn <= stage_tol * scale:
                 break
+            kacanov = len(trace) < kernel.kacanov_steps
             try:
-                hlu = _scipy("spla").splu(kernel.hessian(q, q2, kappa),
+                hlu = _scipy("spla").splu(kernel.hessian(q, q2, kappa, kacanov),
                                           permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise NonconvergenceError(f"singular Hessian: {exc}", trace) from exc
@@ -476,7 +487,8 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
             trace.append(
                 {"iteration": len(trace) + 1, "eps": eps, "energy": e1,
                  "residual": rn, "step": t, "decrement": lam2,
-                 "stalled": it == cfg.max_iterations - 1}
+                 "stalled": it == cfg.max_iterations - 1,
+                 "direction": "kacanov" if kacanov else "newton"}
             )
     return values, q, None, trace
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from degcz import pde_solver
 from degcz.weight_algebra import Ball, QuadratureSpec
 
 #: coordinates with signed zeros, subnormal, tiny and large magnitudes
@@ -30,6 +31,13 @@ def coord_arrays(shape, elements=COORDS):
     signed zeros)."""
     return st.one_of(hnp.arrays(float, shape, elements=elements, fill=st.nothing()),
                      hnp.arrays(float, shape, elements=elements))
+
+
+def discrete_energy(prob, u):
+    """The discrete energy of ``u``, by the solver kernel's barycenter
+    quadrature at eps = 0."""
+    kernel = pde_solver._Kernel(prob, u.mesh)
+    return kernel.energy(kernel.q(u.values), 0.0)
 
 
 @pytest.fixture

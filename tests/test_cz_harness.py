@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import discrete_energy
 from degcz.cz_harness import (
     GeometryError,
     SweepSpec,
@@ -25,7 +26,6 @@ from degcz.meshing import disk_mesh, region_mean, unit_square_mesh
 from degcz.pde_solver import (
     DiscreteField,
     WeakProblem,
-    energy,
     interpolate,
 )
 from degcz.seminorms import bmo, standard_family
@@ -256,7 +256,7 @@ class TestLocalized:
         u = interpolate(graded_disk, ex.u_with_origin)
         tri = localized(u, prob, Ball((0.4, 0.0), 0.25))
         frozen = WeakProblem(prob.weight, prob.p, frozen=tri.frozen_matrix)
-        assert energy(frozen, tri.h) <= energy(frozen, tri.z) + 1e-8
+        assert discrete_energy(frozen, tri.h) <= discrete_energy(frozen, tri.z) + 1e-8
 
 
 class TestComparison:

@@ -72,7 +72,8 @@ def test_p2_solver_bodies_are_byte_identical(case, command, tmp_path):
 def test_newton_solver_bodies_are_byte_identical(case, command, tmp_path):
     """p = 3 ``solve`` on the graded disk: damped Newton through every
     continuation stage, each step's energy, residual and decrement in the
-    trace at full precision."""
+    trace at full precision; and the p = 3 ``cz-sweep`` with ``use_fem`` on
+    the level-1 sweep mesh, whose solve opens with Kacanov steps."""
     _check_bodies(case, command, tmp_path)
 
 

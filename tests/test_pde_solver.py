@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import COORDS, MODERATE, coord_arrays
+from conftest import COORDS, MODERATE, coord_arrays, discrete_energy
 from degcz import pde_solver
 from degcz.cz_harness import SweepSpec
 from degcz.exact_examples import MeyersExample
@@ -18,7 +18,6 @@ from degcz.pde_solver import (
     NonconvergenceError,
     SolverConfig,
     WeakProblem,
-    energy,
     interpolate,
     solve,
     weak_residual,
@@ -43,13 +42,13 @@ class TestEnergy:
     def test_zero_field(self):
         mesh = unit_square_mesh(8)
         prob = WeakProblem(identity_weight(2), 2.0)
-        assert energy(prob, DiscreteField(mesh, np.zeros(mesh.num_vertices))) == 0.0
+        assert discrete_energy(prob, DiscreteField(mesh, np.zeros(mesh.num_vertices))) == 0.0
 
     def test_linear_field_unit_square(self):
         mesh = unit_square_mesh(8)
         prob = WeakProblem(identity_weight(2), 2.0)
         u = interpolate(mesh, lambda p: p[:, 0])
-        assert energy(prob, u) == pytest.approx(0.5, abs=1e-14)
+        assert discrete_energy(prob, u) == pytest.approx(0.5, abs=1e-14)
 
     def test_example_energy_converges_to_oracle(self):
         ex = MeyersExample(2, 0.25, "plain")
@@ -59,7 +58,7 @@ class TestEnergy:
         for angular, layers in ((16, 14), (32, 20), (64, 26)):
             mesh = disk_mesh(angular=angular, layers=layers, grading=0.7)
             u = interpolate(mesh, ex.u_with_origin)
-            errs.append(abs(energy(prob, u) - oracle))
+            errs.append(abs(discrete_energy(prob, u) - oracle))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] <= 0.01 * oracle
 
@@ -223,7 +222,7 @@ class TestNewtonStopping:
         *rows, final = result.trace
         assert rows and set(final) == self.FINAL_ROW_KEYS
         for row in rows:
-            assert set(row) == self.FINAL_ROW_KEYS | {"decrement", "stalled"}
+            assert set(row) == self.FINAL_ROW_KEYS | {"decrement", "stalled", "direction"}
             assert row["stalled"] is False
             assert math.isfinite(row["decrement"]) and row["decrement"] > 0
         assert {row["eps"] for row in rows} <= set(pde_solver._EPS_STAGES)
@@ -280,7 +279,7 @@ class TestOneFactorization:
         assert factorizations == {"splu": 1, "spsolve": 0}
         assert result.converged
         assert result.residual == weak_residual(prob, result.field, fixed_mask)[0]
-        assert result.trace[0]["energy"] == energy(prob, result.field)
+        assert result.trace[0]["energy"] == discrete_energy(prob, result.field)
 
     def test_no_free_vertex(self, factorizations):
         prob = self.PROBLEMS["data-and-dirichlet"]()
@@ -290,7 +289,7 @@ class TestOneFactorization:
         assert sum(factorizations.values()) == 0
         assert result.converged and result.residual == 0.0
         assert np.array_equal(result.field.values, prob.dirichlet(mesh.vertices))
-        assert result.trace[0]["energy"] == energy(prob, result.field)
+        assert result.trace[0]["energy"] == discrete_energy(prob, result.field)
 
     def test_newton_factorizations(self, factorizations):
         mesh = unit_square_mesh(8)
@@ -301,7 +300,7 @@ class TestOneFactorization:
         steps = len(result.trace) - 1
         assert factorizations == {"splu": 1 + steps, "spsolve": 0}
         assert result.residual == weak_residual(prob, result.field)[0]
-        assert result.trace[-1]["energy"] == energy(prob, result.field)
+        assert result.trace[-1]["energy"] == discrete_energy(prob, result.field)
 
 
 def reference_gradient_hessian(kernel, values, eps):
@@ -403,14 +402,28 @@ def reference_scatter(kernel, flux):
                        kernel.mesh.num_vertices)
 
 
-def reference_hessian(kernel, q, q2, kappa):
-    """The (nc, 3, 3) broadcast blocks, summed by one bincount into every
-    slot of K, and the free block gathered from them."""
+def reference_free_block(kernel, blocks):
+    """(nc, 3, 3) cell blocks summed by one bincount into every slot of K,
+    and the free block gathered from them."""
     K, cells, n = kernel.K, kernel.mesh.cells, kernel.mesh.num_vertices
     keys = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
     slot = np.searchsorted(keys, (cells[:, :, None] * n + cells[:, None, :]).reshape(-1))
     numbered = sp.csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr), shape=K.shape)
     block = numbered[kernel.free][:, kernel.free].tocsc()
+    data = np.bincount(slot, blocks.reshape(-1), K.nnz)[block.data.astype(np.int64) - 1]
+    return sp.csc_matrix((data, block.indices, block.indptr), shape=block.shape)
+
+
+def reference_kacanov(kernel, kappa):
+    """The kappa-weighted stiffness blocks kappa area (gx gx^T + gy gy^T) by
+    broadcast, in K's pattern."""
+    gx, gy = kernel.Mgrads[..., 0], kernel.Mgrads[..., 1]
+    gram = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+    return reference_free_block(kernel, (kappa * kernel.mesh.areas)[:, None, None] * gram)
+
+
+def reference_hessian(kernel, q, q2, kappa):
+    """The (nc, 3, 3) broadcast Hessian blocks in K's pattern."""
     gx, gy = kernel.Mgrads[..., 0], kernel.Mgrads[..., 1]
     gram = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
     p, areas = kernel.p, kernel.mesh.areas
@@ -420,8 +433,7 @@ def reference_hessian(kernel, q, q2, kappa):
     gg = g[:, :, None] * g[:, None, :]
     gg *= (kprime * areas)[:, None, None]
     blocks += gg
-    data = np.bincount(slot, blocks.reshape(-1), K.nnz)[block.data.astype(np.int64) - 1]
-    return sp.csc_matrix((data, block.indices, block.indptr), shape=block.shape)
+    return reference_free_block(kernel, blocks)
 
 
 def assert_bits(got, want):
@@ -516,6 +528,23 @@ class TestColumnKernels:
                      (got.indptr, want.indptr)):
             assert_bits(a, b)
 
+    @KERNEL_SETTINGS
+    @given(drawn=drawn_kernels(), data=st.data(), eps=EPS)
+    def test_kacanov_matrix(self, drawn, data, eps):
+        """The Kacanov matrix is the kappa-weighted stiffness, entry for
+        entry, and symmetric."""
+        kernel, _, _, elements = drawn
+        q = data.draw(coord_arrays((kernel.mesh.num_cells, 2), elements))
+        with np.errstate(all="ignore"):
+            q2, kappa = reference_q2_kappa(kernel, q, eps)
+            got, want = kernel.hessian(q, q2, kappa, True), reference_kacanov(kernel, kappa)
+            mirror = got.T.tocsc()
+        mirror.sort_indices()
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr), (got.data, mirror.data),
+                     (got.indices, mirror.indices), (got.indptr, mirror.indptr)):
+            assert_bits(a, b)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(m=coord_arrays((2, 2)),
            x=coord_arrays(st.tuples(st.integers(1, 20), st.just(2))))
@@ -528,7 +557,7 @@ class TestColumnKernels:
 class TestNewtonWork:
     def test_one_hessian_assembly_per_hessian_factor(self, monkeypatch):
         """A stage exit needs only the gradient, so every assembled Hessian
-        is factored: on the level-1 sweep mesh, 12 steps over 8 stages."""
+        is factored: on the level-1 sweep mesh, 10 steps over 8 stages."""
         orig_splu, orig_hessian = pde_solver.spla.splu, pde_solver._Kernel.hessian
         calls = {"hessian": 0, "splu": 0}
 
@@ -548,8 +577,34 @@ class TestNewtonWork:
         ex = MeyersExample(spec.n, spec.eps_list[0], spec.variant)
         result = solve(WeakProblem(ex.weight_field(), spec.p, None, ex.u_with_origin),
                        spec.mesh_for(1))
-        assert len(result.trace) - 1 == 12
-        assert calls == {"hessian": 12, "splu": 12}
+        assert len(result.trace) - 1 == 10
+        assert calls == {"hessian": 10, "splu": 10}
+
+    def test_kacanov_start_on_the_fem_newton_pass(self, factorizations):
+        """p = 3 on the default sweep meshes, levels 1-3: two Kacanov steps
+        open each solve, then Newton; one factor of K and one per step."""
+        spec = SweepSpec(p=3.0, use_fem=True)
+        ex = MeyersExample(spec.n, spec.eps_list[0], spec.variant)
+        steps = []
+        for level in spec.levels:
+            prob = WeakProblem(ex.weight_field(), spec.p, None, ex.u_with_origin)
+            *rows, _ = solve(prob, spec.mesh_for(level)).trace
+            assert [row["direction"] for row in rows] == (
+                ["kacanov"] * 2 + ["newton"] * (len(rows) - 2))
+            steps.append(len(rows))
+        assert steps == [10, 11, 11]
+        assert factorizations == {"splu": 35, "spsolve": 0}
+
+    @pytest.mark.parametrize("case", ["identity-p3", "meyers-p1.5"])
+    def test_newton_only_without_singular_point_or_for_p_below_two(self, case):
+        if case == "identity-p3":
+            prob, mesh = TestNewtonStopping.p3_problem(), unit_square_mesh(8)
+        else:
+            ex = MeyersExample(2, 0.25, "plain")
+            prob = WeakProblem(ex.weight_field(), 1.5, None, ex.u_with_origin)
+            mesh = disk_mesh(angular=16, layers=12, grading=0.7)
+        *rows, _ = solve(prob, mesh, SolverConfig(tolerance=1e-9)).trace
+        assert rows and {row["direction"] for row in rows} == {"newton"}
 
     @pytest.mark.parametrize("cfg", [SolverConfig(tolerance=1e-9),
                                      SolverConfig(tolerance=1e-18, max_iterations=3)])
