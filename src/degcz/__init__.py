@@ -17,7 +17,7 @@ from .weight_algebra import (
 )
 from .exact_examples import MeyersExample
 from .seminorms import BallFamily, bmo, muckenhoupt_ap
-from .nfunctions import a_map, hammer_check, shifted_dphi, shifted_phi, v_map, weighted_maps
+from .nfunctions import a_map, hammer_check, shifted_phi, v_map, weighted_maps
 from .meshing import Mesh, disk_mesh, unit_square_mesh
 from .pde_solver import (
     DiscreteField,

@@ -257,10 +257,6 @@ class ComparisonReport:
     data_term: float               # delta^(1-p) * outer cutoff data mean
     bmo_log: float
 
-    @property
-    def rhs_total(self) -> float:
-        return self.oscillation_term + self.u_term + self.data_term
-
 
 def comparison_check(
     triple: LocalizedTriple,

@@ -6,10 +6,9 @@ The base function is phi(t) = t^p / p.  Its shifted versions
 
 have the closed two-branch form  a^(p-2) t^2 / 2  for t <= a  and
 a^p / 2 + (t^p - a^p) / p  for t > a, which is what this module evaluates;
-the defining integral is kept only as a test oracle.  ``shifted_phi`` and
-``shifted_dphi`` give phi_a and its derivative as functions of (p, a, t);
-a = 0 recovers phi.  Conjugation maps a shift a to the shift a^(p-1) on the
-conjugate exponent: (phi_a)* is ``shifted_phi(p / (p - 1), a^(p - 1), t)``.
+the defining integral is kept only as a test oracle.  ``shifted_phi(p, a, t)``
+is phi_a; a = 0 recovers phi.  Conjugation maps a shift a to the shift a^(p-1)
+on the conjugate exponent: (phi_a)* is ``shifted_phi(p / (p - 1), a^(p - 1), t)``.
 
 Each closed form is written once, as a private kernel that takes the powers
 it needs (``_phi`` takes a^p, a^(p-2) and t^p).  The public functions take
@@ -31,7 +30,6 @@ from .weight_algebra import euclidean_norm
 
 __all__ = [
     "shifted_phi",
-    "shifted_dphi",
     "a_map",
     "v_map",
     "weighted_maps",
@@ -76,14 +74,6 @@ def shifted_phi(p: float, a, t) -> np.ndarray:
 def _dphi(a, t, a_pm2, t_pm1) -> np.ndarray:
     """phi'_a(t) from the powers a^(p-2) and t^(p-1)."""
     return np.where(t <= a, a_pm2 * t, t_pm1)
-
-
-def shifted_dphi(p: float, a, t) -> np.ndarray:
-    """Derivative of the shifted N-function: phi'(a v t) / (a v t) * t."""
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a, t = np.broadcast_arrays(a, t)
-    return _dphi(a, t, _pow(a, p - 2.0), _pow(t, p - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,32 +3,33 @@
 One-point (barycenter) quadrature makes the nonlinearity pointwise per cell:
 with piecewise-linear trial functions the gradient is cell-constant, so the
 assembled energy, residual, and Hessian are exact for the discrete integrand.
-For p = 2 the solve is a single SPD sparse solve, and one SuperLU factorization
-of the free block of the stiffness matrix serves both the solve and the
-dual-norm residual of its result; otherwise a damped Newton iteration runs on a
-regularized energy with a geometric continuation of the regularization
-parameter, warm-started from the p = 2 solve.
+For p = 2 the solve is a single SPD sparse solve; otherwise a damped Newton
+iteration runs on a regularized energy with a geometric continuation of the
+regularization parameter, warm-started from the p = 2 solve.
 
 One kernel per solve (``_Kernel``) holds the weight at the barycenters, the
-M-applied hat gradients and the stiffness matrix K, assembled once.  Each
-Newton iteration assembles the gradient first and tests the stage's stopping
-rule on it; only when a step is taken does it assemble the Hessian, which it
-writes straight into the free block of K's sparsity pattern through index
-maps built once, from the kappa-free cell blocks cached per kernel.  It
-factors H with the minimum-degree ordering of H + H^T, which fills less than
-the default COLAMD.  The q = M grad u of the accepted line-search candidate
-serves the next iteration's residual, gradient and energy.  A solve
-factors K once: that factor gives the p = 2 solution (the Newton warm start
-for other p) and every dual-norm residual of the solve.  The kernels work
-column by column, on contiguous (nc,) arrays, bit for bit: each does the IEEE
-operations of the einsum or broadcast formula it replaced, in its order and
-summing onto +0.0 where einsum does.
+M-applied hat gradients and the stiffness matrix K, assembled once.  A solve
+factors the free block of K once, by banded Cholesky (George and Liu, *Computer
+Solution of Large Sparse Positive Definite Systems*, 1981) in the narrower of
+the reverse Cuthill-McKee and the breadth-first level-set order: that factor
+gives the p = 2 solution and every dual-norm residual of the solve.  Each Newton
+iteration assembles the gradient first and tests the stage's stopping rule on
+it; only when a step is taken does it assemble the Hessian, which it writes
+straight into the free block of K's sparsity pattern through index maps built
+once, from the kappa-free cell blocks cached per kernel.  SuperLU factors H,
+which is not positive definite in floating point, with the minimum-degree
+ordering of H + H^T, which fills less than the default COLAMD.  The q = M grad u
+of the accepted line-search candidate serves the next iteration's residual,
+gradient and energy.  The kernels work column by column, on contiguous (nc,)
+arrays, bit for bit: each does the IEEE operations of the einsum or broadcast
+formula it replaced, in its order and summing onto +0.0 where einsum does.
 
-scipy.sparse and scipy.sparse.linalg load at the first use of the module
-attributes ``sp`` and ``spla``, which a solve makes, so importing the package
-and running the commands that never solve loads no scipy.  Either attribute
-can be read or replaced before the first solve; a solve calls whatever module
-is bound to it at call time.
+scipy.sparse, scipy.sparse.linalg, scipy.linalg and scipy.sparse.csgraph load
+at the first use of the module attributes ``sp``, ``spla``, ``sla`` and
+``csgraph``, which a solve makes, so importing the package and running the
+commands that never solve loads no scipy.  Each attribute can be read or
+replaced before the first solve; a solve calls whatever module is bound to it
+at call time.
 
 Newton stopping rule: the last continuation stage stops on the quantity the
 result is accepted on, the dual norm sqrt(r K^-1 r) of the unregularized
@@ -75,11 +76,12 @@ __all__ = [
 ]
 
 
-_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg", "sla": "scipy.linalg",
+          "csgraph": "scipy.sparse.csgraph"}
 
 
 def __getattr__(name: str):
-    """Load and bind ``sp`` or ``spla`` at its first use."""
+    """Load and bind a module of ``_SCIPY`` at its first use."""
     if name not in _SCIPY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # the import waits for another thread's import of the same module, and
@@ -88,7 +90,7 @@ def __getattr__(name: str):
 
 
 def _scipy(name: str):
-    """The module bound to ``sp`` or ``spla`` now, loaded at its first use."""
+    """The module bound to ``name`` now, loaded at its first use."""
     return globals().get(name) or __getattr__(name)
 
 
@@ -198,6 +200,34 @@ def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _BandCholesky:
+    """Banded Cholesky factor of an SPD sparse matrix A in the narrower order:
+    reverse Cuthill-McKee, or the breadth-first level sets from vertex
+    ``start`` (a graded disk's rings), then the vertices they miss.  An A not
+    numerically positive definite raises LinAlgError."""
+
+    def __init__(self, A, start: int):
+        csgraph, n, coo = _scipy("csgraph"), A.shape[0], A.tocoo()
+        levels = csgraph.breadth_first_order(A, start, return_predecessors=False)
+        levels = np.concatenate([levels, np.flatnonzero(np.bincount(levels, minlength=n) == 0)])
+        pos = np.empty((2, n), dtype=np.int64)
+        pos[0, csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)] = np.arange(n)
+        pos[1, levels] = np.arange(n)
+        widths = [np.abs(p[coo.row] - p[coo.col]).max() for p in pos]
+        self.pos, w = pos[np.argmin(widths)], int(min(widths))
+        self.order = np.argsort(self.pos)
+        rows, cols = self.pos[coo.row], self.pos[coo.col]
+        low = rows >= cols
+        # the lower band ab[i - j, j] = A[i, j] in Fortran order, one entry a slot
+        band = np.bincount((rows - cols + cols * (w + 1))[low], coo.data[low], (w + 1) * n)
+        self.band = _scipy("sla").cholesky_banded(
+            band.reshape((w + 1, n), order="F"), overwrite_ab=True, lower=True, check_finite=False)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return _scipy("sla").cho_solve_banded((self.band, True), b[self.order],
+                                              check_finite=False)[self.pos]
+
+
 class _Kernel:
     """Cell data, stiffness matrix K and assembly of one problem on one mesh.
 
@@ -259,20 +289,23 @@ class _Kernel:
         return np.bincount(self.mesh.cells.reshape(-1), r_cells.reshape(-1), self.mesh.num_vertices)
 
     def factor(self):
-        """SuperLU factor of the free block of K; None when no vertex is free."""
+        """Factor of the free block of K, its level sets rooted at the free
+        vertex nearest the mesh centroid; None when no vertex is free."""
         if not len(self.free):
             return None
-        return _scipy("spla").splu(self.K[self.free][:, self.free].tocsc())
+        points = self.mesh.vertices
+        start = np.argmin(euclidean_norm(points[self.free] - points.mean(axis=0)))
+        return _BandCholesky(self.K[self.free][:, self.free], int(start))
 
-    def dual_residual(self, q: np.ndarray, lu) -> tuple[float, np.ndarray]:
+    def dual_residual(self, q: np.ndarray, kf) -> tuple[float, np.ndarray]:
         """Dual norm sqrt(r K^-1 r) of the residual, K^-1 applied through the
-        factor ``lu`` of the free block, and the raw residual r."""
+        factor ``kf`` of the free block, and the raw residual r."""
         r = self.scatter(a_map(self.p, q) - self.aG)
         r[self.fixed_mask] = 0.0
-        if lu is None:
+        if kf is None:
             return 0.0, r
         rf = r[~self.fixed_mask]
-        return math.sqrt(max(float(rf @ lu.solve(rf)), 0.0)), r
+        return math.sqrt(max(float(rf @ kf.solve(rf)), 0.0)), r
 
     @cached_property
     def _refill(self):
@@ -334,9 +367,8 @@ class _Kernel:
         return _scipy("sp").csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
 
 
-def weak_residual(
-    prob: WeakProblem, u: DiscreteField, fixed_mask: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def weak_residual(prob: WeakProblem, u: DiscreteField,
+                  fixed_mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """First-order-condition residual against the free hat functions.
 
     Returns the residual measured in the discrete dual norm of the weighted
@@ -383,17 +415,17 @@ def solve(
             values[fixed] = np.asarray(prob.dirichlet(mesh.vertices[fixed]), dtype=float)
     # one factorization of the free block of K serves the p = 2 solve (the
     # Newton warm start for other p) and every dual-norm residual
-    lu = kernel.factor()
-    if lu is not None:
+    kf = kernel.factor()
+    if kf is not None:
         rhs = kernel.scatter(kernel.aG if prob.p == 2.0 else a_map(2.0, kernel.MG))
-        values[free] = lu.solve(rhs[free] - kernel.K[free][:, fixed] @ values[fixed])
+        values[free] = kf.solve(rhs[free] - kernel.K[free][:, fixed] @ values[fixed])
     q = kernel.q(values)
     trace: list[dict] = []
     res = None
     if prob.p != 2.0:
-        values, q, res, trace = _newton(kernel, cfg, values, q, lu)
+        values, q, res, trace = _newton(kernel, cfg, values, q, kf)
     if res is None:
-        res, _ = kernel.dual_residual(q, lu)
+        res, _ = kernel.dual_residual(q, kf)
     trace.append({"iteration": len(trace), "eps": 0.0, "energy": kernel.energy(q, 0.0),
                   "residual": res, "step": 1.0 if prob.p == 2.0 else 0.0})
     u = DiscreteField(mesh, values)
@@ -417,7 +449,7 @@ _EPS_STAGES = tuple(itertools.accumulate([0.1] * 7, operator.mul)) + (1e-8,)
 _ARMIJO_C, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 40
 
 
-def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarray, lu):
+def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarray, kf):
     """Damped Newton with Armijo backtracking through the continuation in eps,
     from ``values`` and its q = M grad u; returns the last iterate, its q, its
     dual-norm residual (None when the steps run out before the last stage's
@@ -426,19 +458,16 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
     An iteration does only the work its stopping test and its step need: the
     dual-norm residual on the last stage, then the gradient and the stage's
     stopping test, and only for a step taken the Hessian, its factor and the
-    line search.  The q of the accepted line-search candidate is the next
-    iterate's q.  An intermediate stage stops when the Euclidean norm of its
+    line search.  An intermediate stage stops when the Euclidean norm of its
     regularized residual is at most max(tolerance, eps / 100) * (1 + max|u|);
     the last stage stops when the dual-norm residual, measured through
-    ``lu``, the factor of K, passes the test ``solve`` applies.  Each Hessian
-    is factored with partial pivoting and the minimum-degree ordering of
-    H + H^T; a factor that meets an exactly zero pivot raises
-    NonconvergenceError with the trace so far.  The line search accepts the
-    full step once lambda^2 is below the energy's round-off.  Each accepted
-    step adds a trace row that also records ``decrement`` (lambda^2 =
-    -r . step), ``stalled`` (true on the last row of a stage that used up
-    ``max_iterations`` steps) and ``direction``, ``"kacanov"`` on the first
-    ``kernel.kacanov_steps`` rows and ``"newton"`` after them.
+    ``kf``, the factor of K, passes the test ``solve`` applies.  A Hessian
+    factor that meets an exactly zero pivot raises NonconvergenceError with
+    the trace so far.  Each accepted step adds a trace row that also records
+    ``decrement`` (lambda^2 = -r . step), ``stalled`` (true on the last row
+    of a stage that used up ``max_iterations`` steps) and ``direction``,
+    ``"kacanov"`` on the first ``kernel.kacanov_steps`` rows and ``"newton"``
+    after them.
     """
     interior = kernel.free
     trace: list[dict] = []
@@ -449,7 +478,7 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
         for it in range(cfg.max_iterations):
             scale = 1.0 + float(np.abs(values).max())
             if last_stage:
-                res, _ = kernel.dual_residual(q, lu)
+                res, _ = kernel.dual_residual(q, kf)
                 if res <= cfg.tolerance * scale:
                     return values, q, res, trace
             r, q2, kappa = kernel.gradient(q, eps)
@@ -480,16 +509,12 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
                     break
                 t *= _BACKTRACK
             else:
-                raise NonconvergenceError(
-                    f"line search failed at eps={eps:g}", trace
-                )
+                raise NonconvergenceError(f"line search failed at eps={eps:g}", trace)
             values, q, e0 = cand, q_cand, e1
-            trace.append(
-                {"iteration": len(trace) + 1, "eps": eps, "energy": e1,
-                 "residual": rn, "step": t, "decrement": lam2,
-                 "stalled": it == cfg.max_iterations - 1,
-                 "direction": "kacanov" if kacanov else "newton"}
-            )
+            trace.append({"iteration": len(trace) + 1, "eps": eps, "energy": e1,
+                          "residual": rn, "step": t, "decrement": lam2,
+                          "stalled": it == cfg.max_iterations - 1,
+                          "direction": "kacanov" if kacanov else "newton"})
     return values, q, None, trace
 
 
@@ -497,11 +522,8 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
 # weighted errors
 # ---------------------------------------------------------------------------
 
-def weighted_h1_error(
-    u: DiscreteField,
-    exact_grad: Callable[[np.ndarray], np.ndarray],
-    omega: Field | None = None,
-) -> float:
+def weighted_h1_error(u: DiscreteField, exact_grad: Callable[[np.ndarray], np.ndarray],
+                      omega: Field | None = None) -> float:
     """Weighted H1 seminorm distance (mean of (|grad(u - u_exact)| omega)^2)^(1/2)."""
     mesh = u.mesh
     diff = u.cell_gradients() - np.asarray(exact_grad(mesh.barycenters), dtype=float)

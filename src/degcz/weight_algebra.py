@@ -47,7 +47,6 @@ __all__ = [
     "constant_weight",
     "identity_weight",
     "weight_from_config",
-    "scalar_weight_from_config",
     "omega_and_matrix_from_config",
     "WEIGHT_KINDS",
     "SCALAR_WEIGHT_KINDS",
@@ -634,11 +633,6 @@ def weight_from_config(cfg: Mapping) -> Field:
             int(cfg.get("modes", 4)),
         )
     raise KeyError(f"unknown weight kind {kind!r}; known kinds: {sorted(WEIGHT_KINDS)}")
-
-
-def scalar_weight_from_config(cfg: Mapping) -> Field:
-    """Build the scalar weight of :func:`omega_and_matrix_from_config`."""
-    return omega_and_matrix_from_config(cfg)[0]
 
 
 def omega_and_matrix_from_config(cfg: Mapping) -> tuple[Field, Field | None]:

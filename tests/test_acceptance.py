@@ -28,7 +28,7 @@ from degcz.weight_algebra import (
     DEFAULT_QUAD,
     MEAN_QUAD,
     log_mean,
-    scalar_weight_from_config,
+    omega_and_matrix_from_config,
     spd_log,
     spectral_norm_sym,
     sym_exp_batched,
@@ -132,7 +132,7 @@ def test_criterion_5_weight_algebra_identities():
             assert err <= 1e-12
         # inversion duality of the logarithmic means
         ball = Ball((0.0, 0.0), 1.0)
-        om = scalar_weight_from_config({"kind": "power", "exponent": 0.3})
+        om = omega_and_matrix_from_config({"kind": "power", "exponent": 0.3})[0]
         v = log_mean(om, ball)
         assert abs(log_mean(om.inverse(), ball) - 1.0 / v) <= 1e-10
         field = MeyersExample(2, 0.5, "plain").weight_field()
@@ -180,21 +180,21 @@ def test_criterion_7_seminorm_estimators():
             m = bmo(field.log(), fam, DEFAULT_QUAD).value
             assert s <= 2.0 * m + 1e-9
         # exact scale invariance of the log-BMO estimate
-        om = scalar_weight_from_config({"kind": "power", "exponent": 0.4})
+        om = omega_and_matrix_from_config({"kind": "power", "exponent": 0.4})[0]
         base = bmo(om.log(), fam, DEFAULT_QUAD).value
         for t in (1e-3, 1.0, 1e3):
             val = bmo(om.scaled(t).log(), fam, DEFAULT_QUAD).value
             assert abs(val - base) <= 1e-12
         # Muckenhoupt estimates
-        one = scalar_weight_from_config({"kind": "constant", "value": 1.0})
+        one = omega_and_matrix_from_config({"kind": "constant", "value": 1.0})[0]
         est = muckenhoupt_ap(one, 2.0, fam, DEFAULT_QUAD)
         assert not est.divergent and abs(est.value - 1.0) <= 1e-12
         est = muckenhoupt_ap(
-            scalar_weight_from_config({"kind": "power", "exponent": 1.2}),
+            omega_and_matrix_from_config({"kind": "power", "exponent": 1.2})[0],
             2.0, fam, DEFAULT_QUAD,
         )
         assert est.divergent
-        om6 = scalar_weight_from_config({"kind": "power", "exponent": 0.6})
+        om6 = omega_and_matrix_from_config({"kind": "power", "exponent": 0.6})[0]
         v1 = muckenhoupt_ap(om6, 2.0, fam, DEFAULT_QUAD)
         v2 = muckenhoupt_ap(om6, 2.0, fam.refined(), DEFAULT_QUAD)
         assert not v1.divergent and not v2.divergent

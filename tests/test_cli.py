@@ -505,11 +505,11 @@ class TestAnalyzeWeight:
 
     def test_constant_matrix_weight_analyzes_its_norm(self, tmp_path):
         # omega of a constant matrix weight is |M|, not the scalar weight.value
-        from degcz.weight_algebra import scalar_weight_from_config
+        from degcz.weight_algebra import omega_and_matrix_from_config
 
         matrix = [[2.0, 0.5], [0.5, 1.0]]
         norm = 1.5 + np.sqrt(0.5)  # largest eigenvalue, about 2.207
-        omega = scalar_weight_from_config({"kind": "constant", "matrix": matrix})
+        omega = omega_and_matrix_from_config({"kind": "constant", "matrix": matrix})[0]
         pts = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.0]])
         assert np.allclose(omega.evaluate(pts), norm, rtol=1e-15, atol=0.0)
         cfg = write_cfg(

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -242,13 +243,16 @@ class TestNewtonStopping:
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts of the sparse factorizations the solver runs through scipy."""
-    calls = {"splu": 0, "spsolve": 0}
+    """Counts of the factorizations the solver runs through scipy: K's banded
+    Cholesky apart from SuperLU, which factors the Hessians."""
+    calls = {"cholesky_banded": 0, "splu": 0, "spsolve": 0}
     for name in calls:
-        def counted(*args, _orig=getattr(pde_solver.spla, name), _name=name, **kwargs):
+        module = pde_solver.sla if name == "cholesky_banded" else pde_solver.spla
+
+        def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
-        monkeypatch.setattr(pde_solver.spla, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -276,7 +280,7 @@ class TestOneFactorization:
         if interior_fixed:
             fixed_mask |= np.linalg.norm(mesh.vertices, axis=1) < 0.1
         result = solve(prob, mesh, fixed_mask=fixed_mask)
-        assert factorizations == {"splu": 1, "spsolve": 0}
+        assert factorizations == {"cholesky_banded": 1, "splu": 0, "spsolve": 0}
         assert result.converged
         assert result.residual == weak_residual(prob, result.field, fixed_mask)[0]
         assert result.trace[0]["energy"] == discrete_energy(prob, result.field)
@@ -298,9 +302,129 @@ class TestOneFactorization:
         # K once, for the warm start and every dual-norm residual; one Hessian
         # per step
         steps = len(result.trace) - 1
-        assert factorizations == {"splu": 1 + steps, "spsolve": 0}
+        assert factorizations == {"cholesky_banded": 1, "splu": steps, "spsolve": 0}
         assert result.residual == weak_residual(prob, result.field)[0]
         assert result.trace[-1]["energy"] == discrete_energy(prob, result.field)
+
+
+def fem_linear_disk(level):
+    """The graded disk of the p = 2 convergence study at ``level``."""
+    mesh = disk_mesh(angular=20, layers=36, grading=0.7)
+    for _ in range(level):
+        mesh = mesh.refine()
+    return mesh
+
+
+def centre_fixed(mesh):
+    """``mesh`` with its boundary and the vertices within 0.2 of its centre
+    fixed."""
+    centre = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
+    return mesh, mesh.boundary_mask | (np.linalg.norm(mesh.vertices - centre, axis=1) < 0.2)
+
+
+def ring_split_disk():
+    """A graded disk with its boundary and the ring of vertices at the fourth
+    radius fixed, which splits the free vertices into a disk and an annulus."""
+    mesh = disk_mesh(angular=12, layers=8, grading=0.7)
+    radii = np.round(np.linalg.norm(mesh.vertices, axis=1), 12)
+    return mesh, mesh.boundary_mask | (radii == np.unique(radii)[4])
+
+
+def column_split_square():
+    """A unit square with its boundary and the column x = 1/2 fixed."""
+    mesh = unit_square_mesh(12)
+    return mesh, mesh.boundary_mask | np.isclose(mesh.vertices[:, 0], 0.5)
+
+
+class TestBandCholesky:
+    """K's free block is factored by banded Cholesky in the narrower of the
+    reverse Cuthill-McKee and the breadth-first level-set order."""
+
+    EX = MeyersExample(2, 0.25, "plain")
+    CASES = {
+        "disk-0": lambda: (fem_linear_disk(0), None),
+        "disk-1": lambda: (fem_linear_disk(1), None),
+        "disk-2": lambda: (fem_linear_disk(2), None),
+        "square-7": lambda: (unit_square_mesh(7), None),
+        "square-16": lambda: (unit_square_mesh(16), None),
+        "disk-centre-fixed": lambda: centre_fixed(fem_linear_disk(1)),
+        "square-centre-fixed": lambda: centre_fixed(unit_square_mesh(16)),
+        "disk-two-components": ring_split_disk,
+        "square-two-components": column_split_square,
+    }
+
+    @classmethod
+    def problem(cls):
+        return WeakProblem(cls.EX.weight_field(), 2.0,
+                           lambda p: np.stack([np.cos(3.0 * p[:, 1]), p[:, 0]], axis=1),
+                           cls.EX.u_with_origin)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solution_agrees_with_superlu(self, monkeypatch, case):
+        mesh, fixed_mask = self.CASES[case]()
+        prob = self.problem()
+        result = solve(prob, mesh, fixed_mask=fixed_mask)
+        monkeypatch.setattr(pde_solver._Kernel, "factor", lambda k: pde_solver.spla.splu(
+            k.K[k.free][:, k.free].tocsc()))
+        reference = solve(prob, mesh, fixed_mask=fixed_mask).field.values
+        scale = np.abs(reference).max()
+        assert np.abs(result.field.values - reference).max() <= 1e-11 * scale
+        assert result.converged
+
+    @pytest.mark.parametrize("case", ["disk-two-components", "square-two-components"])
+    def test_every_free_vertex_is_ordered(self, monkeypatch, case):
+        """Breadth-first search from the centre reaches one of the two free
+        components; the other still takes its place in the level order,
+        which is chosen here because reverse Cuthill-McKee is replaced by a
+        random order."""
+        mesh, fixed_mask = self.CASES[case]()
+        kernel = pde_solver._Kernel(self.problem(), mesh, fixed_mask)
+        block, n = kernel.K[kernel.free][:, kernel.free], len(kernel.free)
+        assert sp.csgraph.connected_components(block)[0] == 2
+        start = np.argmin(np.linalg.norm(mesh.vertices[kernel.free] - mesh.vertices.mean(axis=0),
+                                         axis=1))
+        assert 0 < len(sp.csgraph.breadth_first_order(block, start,
+                                                      return_predecessors=False)) < n
+        rng = np.random.default_rng(5)
+        shuffled = rng.permutation(n)
+        monkeypatch.setattr(pde_solver, "csgraph", types.SimpleNamespace(
+            breadth_first_order=sp.csgraph.breadth_first_order,
+            reverse_cuthill_mckee=lambda A, symmetric_mode: shuffled))
+        factor = kernel.factor()
+        assert np.array_equal(np.sort(factor.pos), np.arange(n))
+        coo, pos = block.tocoo(), np.argsort(shuffled)
+        assert factor.band.shape[0] - 1 < np.abs(pos[coo.row] - pos[coo.col]).max()
+        b = rng.standard_normal(n)
+        reference = pde_solver.spla.splu(block.tocsc()).solve(b)
+        assert np.abs(factor.solve(b) - reference).max() <= 1e-11 * np.abs(reference).max()
+
+    def test_bandwidth(self):
+        kernel = pde_solver._Kernel(self.problem(), fem_linear_disk(3))
+        assert len(kernel.free) == 45361
+        assert kernel.factor().band.shape[0] - 1 <= 161
+        for n in (8, 16, 33):
+            kernel = pde_solver._Kernel(self.problem(), unit_square_mesh(n))
+            assert kernel.factor().band.shape[0] - 1 <= n - 1
+
+    @pytest.mark.parametrize("kind", ["zero-weight", "negated", "indefinite"])
+    def test_not_positive_definite_raises(self, factorizations, kind):
+        """A free block that is singular or indefinite raises; no solution
+        comes back and SuperLU is never tried."""
+        mesh = unit_square_mesh(8)
+        if kind == "zero-weight":
+            prob = WeakProblem(identity_weight(2), 2.0, None, lambda p: p[:, 0], np.zeros((2, 2)))
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(prob, mesh)
+        else:
+            kernel = pde_solver._Kernel(self.problem(), mesh)
+            block = kernel.K[kernel.free][:, kernel.free]
+            if kind == "negated":
+                block = -block
+            else:
+                block = block - block.diagonal().mean() * sp.identity(block.shape[0], format="csr")
+            with pytest.raises(np.linalg.LinAlgError):
+                pde_solver._BandCholesky(block, 0)
+        assert factorizations["splu"] == factorizations["spsolve"] == 0
 
 
 def reference_gradient_hessian(kernel, values, eps):
@@ -561,11 +685,9 @@ class TestNewtonWork:
         orig_splu, orig_hessian = pde_solver.spla.splu, pde_solver._Kernel.hessian
         calls = {"hessian": 0, "splu": 0}
 
-        def splu(A, permc_spec=None, **kwargs):
-            if permc_spec is None:  # the stiffness matrix K
-                return orig_splu(A, **kwargs)
+        def splu(*args, **kwargs):
             calls["splu"] += 1
-            return orig_splu(A, permc_spec=permc_spec, **kwargs)
+            return orig_splu(*args, **kwargs)
 
         def hessian(self, *args):
             calls["hessian"] += 1
@@ -582,7 +704,8 @@ class TestNewtonWork:
 
     def test_kacanov_start_on_the_fem_newton_pass(self, factorizations):
         """p = 3 on the default sweep meshes, levels 1-3: two Kacanov steps
-        open each solve, then Newton; one factor of K and one per step."""
+        open each solve, then Newton; one Cholesky factor of K per solve and
+        one SuperLU factor per step."""
         spec = SweepSpec(p=3.0, use_fem=True)
         ex = MeyersExample(spec.n, spec.eps_list[0], spec.variant)
         steps = []
@@ -593,7 +716,7 @@ class TestNewtonWork:
                 ["kacanov"] * 2 + ["newton"] * (len(rows) - 2))
             steps.append(len(rows))
         assert steps == [10, 11, 11]
-        assert factorizations == {"splu": 35, "spsolve": 0}
+        assert factorizations == {"cholesky_banded": 3, "splu": 32, "spsolve": 0}
 
     @pytest.mark.parametrize("case", ["identity-p3", "meyers-p1.5"])
     def test_newton_only_without_singular_point_or_for_p_below_two(self, case):
@@ -615,8 +738,8 @@ class TestNewtonWork:
         orig = pde_solver._Kernel.dual_residual
         values = []
 
-        def dual_residual(self, q, lu):
-            res = orig(self, q, lu)
+        def dual_residual(self, q, kf):
+            res = orig(self, q, kf)
             values.append(res[0])
             return res
 
@@ -640,8 +763,6 @@ class TestHessianFactorFailure:
         orders = []
 
         def splu(A, permc_spec=None, **kwargs):
-            if permc_spec is None:  # the stiffness matrix K
-                return orig(A, **kwargs)
             orders.append(permc_spec)
             if len(orders) > 2:  # the first two Hessians factor
                 raise RuntimeError("Factor is exactly singular")

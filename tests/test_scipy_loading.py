@@ -1,4 +1,4 @@
-"""scipy.sparse loads with the first solve, never with the package.
+"""scipy loads with the first solve, never with the package.
 
 Each check runs in a fresh interpreter, since the test process itself has
 scipy loaded.
@@ -55,19 +55,19 @@ def fresh_python(code: str, cwd: Path) -> list[str]:
 
 def run_command(tmp_path: Path, command: str, config: str, *flags: str) -> list[str]:
     """Run one CLI command in a new interpreter; its last output line says
-    whether scipy.sparse was loaded."""
+    whether any part of scipy was loaded."""
     cfg = write_config(tmp_path / "run.cfg", config)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
     return fresh_python(
         "import sys\nfrom degcz.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(code, 'scipy.sparse' in sys.modules)\n",
+        "print(code, 'scipy' in sys.modules)\n",
         tmp_path,
     )
 
 
 def test_import_loads_no_scipy(tmp_path):
-    code = "import sys, degcz.cli\nprint('scipy.sparse' in sys.modules)\n"
+    code = "import sys, degcz.cli\nprint('scipy' in sys.modules)\n"
     assert fresh_python(code, tmp_path) == ["False"]
 
 
@@ -82,31 +82,43 @@ def test_solve_loads_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("read_first", [False, True])
-def test_solve_calls_the_spla_bound_at_call_time(tmp_path, read_first):
-    # a tracer reads pde_solver.spla and swaps in a wrapped view before the
-    # first solve; the unread case binds the name before any load
+def test_solve_calls_the_modules_bound_at_call_time(tmp_path, read_first):
+    # a tracer reads pde_solver.spla, sla and csgraph and swaps in wrapped
+    # views before the first solve; the unread case binds the names before
+    # any load
     code = f"""
 import sys, types
 from degcz import pde_solver
 from degcz.meshing import unit_square_mesh
 from degcz.weight_algebra import weight_from_config
-print('scipy.sparse' in sys.modules)
-real = pde_solver.spla if {read_first} else None
-import scipy.sparse.linalg
-assert real in (None, scipy.sparse.linalg)
+print('scipy' in sys.modules)
+names = {{'spla': ['splu'], 'sla': ['cholesky_banded', 'cho_solve_banded'],
+         'csgraph': ['reverse_cuthill_mckee', 'breadth_first_order']}}
+real = [getattr(pde_solver, name) for name in names] if {read_first} else None
+import scipy.linalg, scipy.sparse.csgraph, scipy.sparse.linalg
+modules = {{'spla': scipy.sparse.linalg, 'sla': scipy.linalg, 'csgraph': scipy.sparse.csgraph}}
+assert real in (None, list(modules.values()))
 calls = []
-def splu(*args, **kwargs):
-    calls.append(kwargs.get('permc_spec'))
-    return scipy.sparse.linalg.splu(*args, **kwargs)
-view = types.SimpleNamespace(splu=splu)
-pde_solver.spla = view
+def wrapped(module, fn):
+    def call(*args, **kwargs):
+        calls.append((fn, kwargs.get('permc_spec')))
+        return getattr(module, fn)(*args, **kwargs)
+    return call
+views = {{name: types.SimpleNamespace(**{{fn: wrapped(modules[name], fn) for fn in fns}})
+         for name, fns in names.items()}}
+for name, view in views.items():
+    setattr(pde_solver, name, view)
 prob = pde_solver.WeakProblem(weight_from_config({{'kind': 'identity'}}), 3.0, None,
                               lambda p: p[:, 0] ** 2 - p[:, 1])
 result = pde_solver.solve(prob, unit_square_mesh(6), pde_solver.SolverConfig(tolerance=1e-9))
-print(pde_solver.spla is view)
-print(calls == [None] + ['MMD_AT_PLUS_A'] * (len(result.trace) - 1), len(calls) > 1)
+print(all(getattr(pde_solver, name) is view for name, view in views.items()))
+steps = len(result.trace) - 1
+print(calls[:3] == [('breadth_first_order', None), ('reverse_cuthill_mckee', None),
+                    ('cholesky_banded', None)],
+      [c for c in calls if c[0] == 'splu'] == [('splu', 'MMD_AT_PLUS_A')] * steps, steps > 0,
+      calls.count(('cho_solve_banded', None)) >= 2)
 """
-    assert fresh_python(code, tmp_path) == ["False", "True", "True True"]
+    assert fresh_python(code, tmp_path) == ["False", "True", "True True True True"]
 
 
 def test_first_load_by_many_threads(tmp_path):
@@ -120,16 +132,19 @@ barrier = threading.Barrier(8)
 seen = []
 def load():
     barrier.wait(timeout=60)
-    seen.append((pde_solver.spla.splu, pde_solver.sp.csr_matrix))
+    seen.append((pde_solver.spla.splu, pde_solver.sp.csr_matrix, pde_solver.sla.cholesky_banded,
+                 pde_solver.csgraph.reverse_cuthill_mckee))
 threads = [threading.Thread(target=load) for _ in range(8)]
 for t in threads:
     t.start()
 for t in threads:
     t.join(timeout=60)
-import scipy.sparse, scipy.sparse.linalg
+import scipy.linalg, scipy.sparse, scipy.sparse.csgraph, scipy.sparse.linalg
 print(not any(t.is_alive() for t in threads), len(seen),
-      set(seen) == {(scipy.sparse.linalg.splu, scipy.sparse.csr_matrix)},
-      pde_solver.spla is scipy.sparse.linalg and pde_solver.sp is scipy.sparse)
+      set(seen) == {(scipy.sparse.linalg.splu, scipy.sparse.csr_matrix,
+                     scipy.linalg.cholesky_banded, scipy.sparse.csgraph.reverse_cuthill_mckee)},
+      pde_solver.spla is scipy.sparse.linalg and pde_solver.sp is scipy.sparse
+      and pde_solver.sla is scipy.linalg and pde_solver.csgraph is scipy.sparse.csgraph)
 """
     assert fresh_python(code, tmp_path) == ["True 8 True True"]
 

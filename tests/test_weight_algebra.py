@@ -21,8 +21,8 @@ from degcz.weight_algebra import (
     identity_weight,
     lambda_max_sym,
     log_mean,
+    omega_and_matrix_from_config,
     sandwich_check,
-    scalar_weight_from_config,
     spd_exp,
     spd_log,
     spectral_norm_sym,
@@ -374,20 +374,20 @@ class TestLogMeans:
                 assert np.array_equal(log_mean(w, ball, quad), spd_exp(0.5 * (mean + mean.T)))
 
     def test_non_positive_scalar_rejected(self, unit_ball):
-        field = scalar_weight_from_config({"kind": "power", "exponent": 1.0})
+        field = omega_and_matrix_from_config({"kind": "power", "exponent": 1.0})[0]
         shifted = replace(field, fn=lambda pts: field.fn(pts) - 0.5, log_fn=None)
         with pytest.raises(NotPositiveDefiniteError):
             log_mean(shifted, unit_ball)
 
     def test_constant_scalar(self, unit_ball):
-        om = scalar_weight_from_config({"kind": "constant", "value": 2.5})
+        om = omega_and_matrix_from_config({"kind": "constant", "value": 2.5})[0]
         assert log_mean(om, unit_ball) == pytest.approx(2.5, rel=1e-12)
 
     def test_power_weight_closed_form(self):
         # oracle: mean of log|x| over B_r(0) in 2d equals log r - 1/2, checked
         # against independent 1-d quadrature of the radial integrand
         eps = 0.3
-        om = scalar_weight_from_config({"kind": "power", "exponent": eps})
+        om = omega_and_matrix_from_config({"kind": "power", "exponent": eps})[0]
         for r in (1.0, 0.37):
             oracle, _ = integrate.quad(lambda s: math.log(s) * 2.0 * s / r ** 2, 0.0, r)
             expected = math.exp(eps * oracle)
@@ -396,13 +396,13 @@ class TestLogMeans:
             assert got == pytest.approx(expected, abs=1e-6)
 
     def test_inversion_duality_scalar(self, unit_ball):
-        om = scalar_weight_from_config({"kind": "power", "exponent": 0.4})
+        om = omega_and_matrix_from_config({"kind": "power", "exponent": 0.4})[0]
         v = log_mean(om, unit_ball)
         vi = log_mean(om.inverse(), unit_ball)
         assert abs(vi - 1.0 / v) <= 1e-10
 
     def test_scaling(self, unit_ball):
-        om = scalar_weight_from_config({"kind": "power", "exponent": 0.4})
+        om = omega_and_matrix_from_config({"kind": "power", "exponent": 0.4})[0]
         v = log_mean(om, unit_ball)
         vt = log_mean(om.scaled(17.0), unit_ball)
         assert vt == pytest.approx(17.0 * v, rel=1e-12)
@@ -475,7 +475,7 @@ class TestRegistry:
 def _field_cases():
     """A scalar and a matrix weight, each with and without its closed-form log
     (and, for the matrix, its closed-form norm)."""
-    scalar = scalar_weight_from_config({"kind": "power", "exponent": 0.7})
+    scalar = omega_and_matrix_from_config({"kind": "power", "exponent": 0.7})[0]
     matrix = weight_from_config({"kind": "power-radial", "eps": 0.25})
     return [
         pytest.param(f, id=f"{kind}-log_fn")
