@@ -209,9 +209,9 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
             "unbounded (growing with family refinement)" if unbounded else "stable"
         )
         rows.append(("bmo_M", est_raw_deep.value, est_raw_deep.attaining_ball.radius))
-        sampled = matrix.measured_condition(
-            np.linspace(0.05, 0.95, 37)[:, None] * np.array([[1.0, 0.37]])
-        )
+        # the ray through (1, 0.37), padded with zeros to the weight's dimension
+        ray = np.array([[1.0, 0.37] + [0.0] * (matrix.dim - 2)])
+        sampled = matrix.measured_condition(np.linspace(0.05, 0.95, 37)[:, None] * ray)
         summary["condition_sampled"] = sampled
         summary["condition_bound"] = matrix.cond_bound
     for p, est in zip(p_list, estimates):
@@ -421,6 +421,8 @@ def cmd_solve(cfg: dict, out: Path, header: dict) -> int:
         wfield = weight_from_config(wcfg) if wcfg else ex.weight_field()
     except KeyError as exc:
         raise UsageError(str(exc)) from exc
+    if ex.n != 2 or wfield.dim != 2:
+        raise UsageError(f"solve meshes are 2-d; got example.n = {ex.n}, a {wfield.dim}-d weight")
     try:
         mesh = _mesh_from_cfg(cfg)
     except ValueError as exc:

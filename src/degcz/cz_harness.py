@@ -28,7 +28,8 @@ from .pde_solver import (
     solve,
 )
 from .seminorms import BallFamily, bmo, muckenhoupt_ap, standard_family
-from .weight_algebra import Ball, DEFAULT_QUAD, Field, QuadratureSpec, euclidean_norm
+from .weight_algebra import (Ball, DEFAULT_QUAD, Field, QuadratureSpec, constant_weight,
+                             euclidean_norm)
 
 __all__ = [
     "GeometryError",
@@ -238,7 +239,7 @@ def build_localized(
     zeta_c = cutoff_values(mesh.barycenters, b0)
     g = (zeta_c ** pc)[:, None] * u.cell_gradients() - z.cell_gradients()
 
-    frozen = WeakProblem(prob.weight, prob.p, None, None, frozen=m_b)
+    frozen = WeakProblem(constant_weight(m_b, "M_B"), prob.p)
     fixed = ~comparison_ball.contains(mesh.vertices)
     result = solve(frozen, mesh, fixed_mask=fixed, fixed_values=z.values)
     return LocalizedTriple(
@@ -417,6 +418,8 @@ class SweepSpec:
             raise ValueError("p must lie in (1, inf)")
         if any(rho < 1 for rho in self.rho_list):
             raise ValueError("rho must be at least 1")
+        if self.n != 2:
+            raise ValueError(f"the sweep meshes are 2-d, so n must be 2, got {self.n}")
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         Ball(self.ball_center, self.ball_radius)  # raises on a bad ball

@@ -39,7 +39,7 @@ Vandenberghe, *Convex Optimization*, 2004, section 9.5) falls below the
 round-off of the energy, an Armijo comparison of two energies cannot resolve
 the predicted decrease lambda^2 / 2, and the full step is taken.
 
-Kacanov start: for p > 2 on an unfrozen weight with a singular point, the
+Kacanov start: for p > 2 on a weight with a singular point, the
 first two steps use the Hessian without its kappa' term, the kappa-weighted
 stiffness (Diening, Fornasier, Tomasi and Wank, Numer. Math. 2020).  Next to
 the singular point the p = 2 warm start overshoots |M grad u| by up to 2^16,
@@ -130,15 +130,13 @@ class WeakProblem:
     """Weighted p-Laplace problem with divergence-form data.
 
     ``data`` maps points to the vector field G (None means zero);
-    ``dirichlet`` maps boundary points to trace values.  When ``frozen`` is
-    set, the variable weight is replaced by that constant SPD matrix.
+    ``dirichlet`` maps boundary points to trace values.
     """
 
     weight: Field
     p: float = 2.0
     data: Callable[[np.ndarray], np.ndarray] | None = None
     dirichlet: Callable[[np.ndarray], np.ndarray] | None = None
-    frozen: np.ndarray | None = None
 
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
@@ -147,9 +145,6 @@ class WeakProblem:
     def weight_at(self, points: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
         """Weight at quadrature points; a point sitting exactly on a singular
         point is shifted by 1e-12 of the local length scale."""
-        if self.frozen is not None:
-            m = np.asarray(self.frozen, dtype=float)
-            return np.broadcast_to(m, (len(points),) + m.shape)
         pts = np.asarray(points, dtype=float)
         sing = np.asarray(self.weight.singular_points or ()).reshape(-1, pts.shape[-1])
         if len(sing):
@@ -250,7 +245,7 @@ class _Kernel:
             self.Mgrads[:, loc] = _matvec(self.M, mesh.hat_gradients[:, loc])
         self.MG = _matvec(self.M, prob.data_at(mesh.barycenters))
         self.aG = a_map(prob.p, self.MG)
-        singular = prob.frozen is None and len(prob.weight.singular_points) > 0
+        singular = len(prob.weight.singular_points) > 0
         # Kacanov steps that open the solve (see the module docstring)
         self.kacanov_steps = 2 if prob.p > 2.0 and singular else 0
 
@@ -402,8 +397,8 @@ def solve(
     at most ``cfg.tolerance * (1 + max|u|)``, the test applied to the result;
     NonconvergenceError is raised when the steps run out first.  The reported
     residual is always that dual norm.  ``fixed_mask`` generalizes the
-    constraint set beyond the mesh boundary (used by the frozen replacement
-    problem).
+    constraint set beyond the mesh boundary (used by the comparison problem
+    of ``cz_harness.build_localized``).
     """
     kernel = _Kernel(prob, mesh, fixed_mask)
     fixed_mask, free, fixed = kernel.fixed_mask, kernel.free, np.where(kernel.fixed_mask)[0]

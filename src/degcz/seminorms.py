@@ -66,11 +66,6 @@ class BallFamily:
     def count(self) -> int:
         return len(self.balls)
 
-    def union(self, other: "BallFamily") -> "BallFamily":
-        return BallFamily(
-            self.balls + other.balls, f"{self.strategy}+{other.strategy}", self.domain
-        )
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -89,7 +84,8 @@ class BallFamily:
             keep = np.linalg.norm(grid, axis=-1) <= r0 - r + 1e-12
             for off in grid[keep]:
                 balls.append(Ball(tuple(center + off), r))
-        return BallFamily(tuple(balls), "dyadic-grid", domain, (("levels", float(levels)),))
+        return BallFamily(tuple(balls), "dyadic-grid", domain,
+                          (("levels", float(levels)), ("max_per_level", float(max_per_level))))
 
     @staticmethod
     def origin_ladder(domain: Ball, levels: int) -> "BallFamily":
@@ -111,11 +107,13 @@ class BallFamily:
         return BallFamily(tuple(balls), "origin-ladder", domain)
 
     def refined(self) -> "BallFamily":
-        """A dyadic family with one more level (a superset), for stability studies."""
+        """The dyadic family with one more level, for stability studies: a
+        superset whose first balls are this family's."""
         if self.strategy != "dyadic-grid":
             raise ValueError(f"cannot refine a {self.strategy!r} family")
-        levels = int(dict(self.meta).get("levels", 3))
-        return self.union(BallFamily.dyadic(self.domain, levels + 1))
+        meta = dict(self.meta)
+        levels, cap = int(meta.get("levels", 3)), int(meta.get("max_per_level", 256))
+        return BallFamily.dyadic(self.domain, levels + 1, cap)
 
 
 def standard_family(domain: Ball, levels: int = 3) -> BallFamily:

@@ -1,8 +1,9 @@
 """SPD matrix calculus, ball quadrature, and logarithmic means of weight fields.
 
-Batched matrix functions of 2x2 symmetric matrices use the closed-form
-eigenvalues and spectral projection; other sizes, and the single-matrix
-functions, use symmetric eigendecomposition.  Balls are integrated by one
+Every symmetric-matrix function goes through one batched kernel: 2x2
+stacks use the closed-form eigenvalues and spectral projection, other sizes
+symmetric eigendecomposition, and the single-matrix functions
+(:func:`spd_exp`, :func:`spd_log`) are stacks of one.  Balls are integrated by one
 rule, polar-midpoint quadrature (:class:`QuadratureSpec`).  All field
 evaluators are batched: they map an ``(m, n)`` array of points to ``(m,)``
 scalars or ``(m, n, n)`` matrices, and they must be stateless and act row by
@@ -64,7 +65,7 @@ class NotPositiveDefiniteError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# pointwise SPD matrix functions
+# symmetric matrix functions, one batched kernel (2x2 closed form, eigh otherwise)
 # ---------------------------------------------------------------------------
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -79,30 +80,14 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def spd_exp(h: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via eigendecomposition.
-
-    The result is symmetric positive definite.
-    """
-    h = _check_symmetric(h)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(w)) @ v.T
+    """Matrix exponential of a symmetric matrix; the result is SPD."""
+    return sym_exp_batched(_check_symmetric(h)[None])[0]
 
 
 def spd_log(m: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of a symmetric positive definite matrix.
+    """Matrix logarithm of an SPD matrix, the inverse of :func:`spd_exp`."""
+    return sym_log_batched(_check_symmetric(m)[None])[0]
 
-    Inverse of :func:`spd_exp`; ``spd_log(inv(M)) == -spd_log(M)``.
-    """
-    m = _check_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    if w.min() <= 0.0:
-        raise NotPositiveDefiniteError(f"matrix has eigenvalue {w.min():g} <= 0")
-    return (v * np.log(w)) @ v.T
-
-
-# ---------------------------------------------------------------------------
-# batched symmetric matrix functions (2x2 closed form, eigh otherwise)
-# ---------------------------------------------------------------------------
 
 def _eig2(a, b, d):
     """``mean, disc`` of the symmetric 2x2 matrices ``[[a, b], [b, d]]``, whose
@@ -126,7 +111,21 @@ def _sym_parts(s: np.ndarray):
     return (a, b, d) + _eig2(a, b, d)
 
 
-def _sym_apply_2x2(s: np.ndarray, fn) -> np.ndarray:
+def _sym_eigvals(s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of symmetric matrices, ascending."""
+    if s.shape[-1] == 2:
+        *_, mean, disc = _sym_parts(s)
+        return np.stack([mean - disc, mean + disc], axis=-1)
+    return np.linalg.eigvalsh(s)
+
+
+def _sym_apply(s: np.ndarray, fn) -> np.ndarray:
+    """``fn`` of a stack of symmetric matrices, applied to the eigenvalues;
+    ``fn`` sees the smaller eigenvalues first."""
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1] != 2:
+        w, v = np.linalg.eigh(s)
+        return np.einsum("...ik,...k,...jk->...ij", v, fn(w), v)
     a, b, d, mean, disc = _sym_parts(s)
     lo, hi = mean - disc, mean + disc
     flo, fhi = fn(lo), fn(hi)
@@ -147,20 +146,11 @@ def _sym_apply_2x2(s: np.ndarray, fn) -> np.ndarray:
     return out
 
 
-def _sym_eigvals(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of symmetric matrices, ascending."""
-    if s.shape[-1] == 2:
-        *_, mean, disc = _sym_parts(s)
-        return np.stack([mean - disc, mean + disc], axis=-1)
-    return np.linalg.eigvalsh(s)
-
-
-def _sym_apply(s: np.ndarray, fn) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape[-1] == 2:
-        return _sym_apply_2x2(s, fn)
-    w, v = np.linalg.eigh(s)
-    return np.einsum("...ik,...k,...jk->...ij", v, fn(w), v)
+def _positive_log(w: np.ndarray) -> np.ndarray:
+    wmin = w.min()
+    if wmin <= 0.0:
+        raise NotPositiveDefiniteError(f"batch contains eigenvalue {wmin:g} <= 0")
+    return np.log(w)
 
 
 def sym_exp_batched(h: np.ndarray) -> np.ndarray:
@@ -170,12 +160,7 @@ def sym_exp_batched(h: np.ndarray) -> np.ndarray:
 
 def sym_log_batched(m: np.ndarray) -> np.ndarray:
     """Logarithm of a stack of SPD matrices; raises on non-positive spectra."""
-    m = np.asarray(m, dtype=float)
-    w = _sym_eigvals(m)
-    wmin = w.min()
-    if wmin <= 0.0:
-        raise NotPositiveDefiniteError(f"batch contains eigenvalue {wmin:g} <= 0")
-    return _sym_apply(m, np.log)
+    return _sym_apply(m, _positive_log)
 
 
 def spectral_norm_sym(s: np.ndarray) -> np.ndarray:
@@ -526,7 +511,7 @@ def sandwich_check(
         raise ValueError("sandwich_check requires the field's condition bound")
     m_b = log_mean(M, ball, quad)
     omega_b = log_mean(M.omega(), ball, quad)
-    w = np.linalg.eigvalsh(m_b)
+    w = _sym_eigvals(m_b)
     lower = float(w.min() - omega_b / M.cond_bound)
     upper = float(omega_b - w.max())
     tol = 1e-10 * omega_b
@@ -539,7 +524,7 @@ def sandwich_check(
 
 def constant_weight(matrix: np.ndarray, label: str = "constant") -> Field:
     m = _check_symmetric(matrix)
-    w = np.linalg.eigvalsh(m)
+    w = _sym_eigvals(m)
     if w.min() <= 0:
         raise NotPositiveDefiniteError("constant weight must be positive definite")
     logm, norm = spd_log(m), float(w.max())
@@ -592,7 +577,7 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
         mean, disc = _eig2(*entries(pts))
         return np.exp(mean + disc)
 
-    norm_sum = float(np.abs(np.linalg.eigvalsh(mats)).max(axis=-1).sum())
+    norm_sum = float(spectral_norm_sym(mats).sum())
     return Field(
         dim,
         lambda pts: sym_exp_batched(log_fn(pts)),

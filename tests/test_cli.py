@@ -183,6 +183,19 @@ class TestExitCodes:
             assert main([command, "--config", write_cfg(tmp_path / "e.cfg", text),
                          "--out", out]) == 1
 
+    @pytest.mark.parametrize("command, text", [
+        ("solve", "example.n = 3\n"),
+        ("solve", 'weight.kind = "log-normal"\nweight.n = 3\nweight.seed = 3\n'),
+        ("cz-sweep", "example.n = 3\n"),
+    ])
+    def test_usage_error_three_dimensional_problem(self, tmp_path, capsys, command, text):
+        # the solve and sweep meshes are 2-d
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path / "n.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "usage error: " in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_usage_error_bad_problem_settings(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["solve", "--p", "0.5", "--out", str(out)]) == 1

@@ -24,7 +24,7 @@ from degcz.pde_solver import (
     weak_residual,
     weighted_h1_error,
 )
-from degcz.weight_algebra import identity_weight
+from degcz.weight_algebra import Ball, Field, constant_weight, identity_weight, log_mean
 
 
 def dirichlet_energy_oracle(ex: MeyersExample) -> float:
@@ -178,15 +178,23 @@ class TestSolve:
         assert final["residual"] > SolverConfig().tolerance
 
     def test_frozen_problem_constant_weight(self):
-        # frozen matrix replaces the variable weight entirely
-        ex = MeyersExample(2, 0.25, "plain")
+        # a problem frozen at one matrix is the problem of its constant weight
         mesh = disk_mesh(angular=16, layers=10, grading=0.7)
         frozen = np.diag([2.0, 1.0])
-        prob = WeakProblem(ex.weight_field(), 2.0, None, lambda p: p[:, 0], frozen=frozen)
+        prob = WeakProblem(constant_weight(frozen), 2.0, None, lambda p: p[:, 0])
         result = solve(prob, mesh)
         got = prob.weight_at(mesh.barycenters[:5])
-        assert np.allclose(got, frozen)
+        assert np.array_equal(got, np.broadcast_to(frozen, (5, 2, 2)))
         assert result.residual <= 1e-10
+
+    def test_constant_weight_takes_no_kacanov_steps(self):
+        # a constant weight has no singular point, so a p = 3 solve opens with
+        # Newton; its kernel holds the matrix itself at every barycenter
+        mesh = disk_mesh(angular=16, layers=10, grading=0.7)
+        frozen = log_mean(MeyersExample(2, 0.25, "plain").weight_field(), Ball((0.0, 0.0), 0.2))
+        kernel = pde_solver._Kernel(WeakProblem(constant_weight(frozen), 3.0), mesh)
+        assert kernel.kacanov_steps == 0
+        assert np.array_equal(kernel.M, np.broadcast_to(frozen, (mesh.num_cells, 2, 2)))
 
 
 class TestNewtonStopping:
@@ -412,7 +420,8 @@ class TestBandCholesky:
         comes back and SuperLU is never tried."""
         mesh = unit_square_mesh(8)
         if kind == "zero-weight":
-            prob = WeakProblem(identity_weight(2), 2.0, None, lambda p: p[:, 0], np.zeros((2, 2)))
+            zero = Field(2, lambda pts: np.zeros((len(pts), 2, 2)), "zero")
+            prob = WeakProblem(zero, 2.0, None, lambda p: p[:, 0])
             with pytest.raises(np.linalg.LinAlgError):
                 solve(prob, mesh)
         else:

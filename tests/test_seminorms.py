@@ -61,6 +61,16 @@ class TestBallFamily:
         assert ref.count > fam.count
         assert ref.balls[: fam.count] == fam.balls
 
+    def test_refined_is_the_next_dyadic_family(self, unit_ball):
+        # each ball once: dyadic(L) is a prefix of dyadic(L + 1), at any cap
+        fam = standard_family(unit_ball, 3)
+        ref = fam.refined()
+        assert (fam.count, ref.count) == (259, 1056)
+        assert ref.balls == BallFamily.dyadic(unit_ball, 4).balls
+        assert len(set(ref.balls)) == ref.count
+        capped = BallFamily.dyadic(unit_ball, 2, max_per_level=4)
+        assert capped.refined().balls == BallFamily.dyadic(unit_ball, 3, max_per_level=4).balls
+
     def test_refined_rows_start_with_the_family_rows(self, unit_ball, quad):
         # a refinement keeps the family's balls first, so its first rows are
         # the family's own per-ball values
@@ -109,7 +119,8 @@ class TestBmoScalar:
         fam = standard_family(unit_ball, 4)
         est = bmo(f, fam, quad)
         assert est.value > 0
-        dense = fam.union(BallFamily.dyadic(unit_ball, 6, max_per_level=64 ** 2))
+        dense = BallFamily(fam.balls + BallFamily.dyadic(unit_ball, 6, max_per_level=64 ** 2).balls,
+                           "dense", unit_ball)
         assert dense.count >= 17 * fam.count
         est_dense = bmo(f, dense, quad)
         assert est_dense.value <= 1.10 * est.value

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import COORDS, random_spd
+from conftest import COORDS, MODERATE, coord_arrays, random_spd
 from degcz.seminorms import BallFamily
 from degcz.weight_algebra import (
     Ball,
@@ -82,6 +82,19 @@ class TestSpdFunctions:
             m = np.eye(2) + a * np.outer(v, v)
             expected = math.log1p(a) * np.outer(v, v)
             assert np.abs(spd_log(m) - expected).max() <= 1e-12 * max(1.0, abs(math.log1p(a)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3]), data=st.data())
+    def test_single_matrix_functions_are_stacks_of_one(self, n, data):
+        # spd_exp and spd_log run the batched kernel on a stack of one, bit
+        # for bit, on exactly symmetric matrices; the eigenvalues of h stay
+        # within 7.5 of zero
+        h = data.draw(coord_arrays((n, n), MODERATE))
+        h = 0.125 * (h + h.T)
+        m = sym_exp_batched(h[None])[0]
+        assert spd_exp(h).tobytes() == m.tobytes()
+        m = 0.5 * (m + m.T)
+        assert spd_log(m).tobytes() == sym_log_batched(m[None])[0].tobytes()
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(NotSymmetricError):
