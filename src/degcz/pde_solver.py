@@ -16,17 +16,18 @@ gives the p = 2 solution and every dual-norm residual of the solve.  Each Newton
 iteration assembles the gradient first and tests the stage's stopping rule on
 it; only when a step is taken does it assemble the Hessian, which it writes
 straight into the free block of K's sparsity pattern through index maps built
-once, from the kappa-free cell blocks cached per kernel.  SuperLU factors H,
-which is not positive definite in floating point, with the minimum-degree
-ordering of H + H^T, which fills less than the default COLAMD.  The q = M grad u
+once, from the kappa-free cell blocks cached per kernel.  H has the pattern of
+K's free block but is not positive definite in floating point, so it is
+factored by banded LU with partial pivoting (Golub and Van Loan, *Matrix
+Computations*, section 4.3) in K's band order and bandwidth.  The q = M grad u
 of the accepted line-search candidate serves the next iteration's residual,
 gradient and energy.  The kernels work column by column, on contiguous (nc,)
 arrays, bit for bit: each does the IEEE operations of the einsum or broadcast
 formula it replaced, in its order and summing onto +0.0 where einsum does.
 
 scipy.sparse, scipy.sparse.linalg, scipy.linalg and scipy.sparse.csgraph load
-at the first use of the module attributes ``sp``, ``spla``, ``sla`` and
-``csgraph``, which a solve makes, so importing the package and running the
+at the first use of ``sp``, ``spla`` (bound for callers that wrap it; no solve
+calls it), ``sla`` and ``csgraph``, so importing the package and running the
 commands that never solve loads no scipy.  Each attribute can be read or
 replaced before the first solve; a solve calls whatever module is bound to it
 at call time.
@@ -195,11 +196,12 @@ def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _BandCholesky:
-    """Banded Cholesky factor of an SPD sparse matrix A in the narrower order:
-    reverse Cuthill-McKee, or the breadth-first level sets from vertex
-    ``start`` (a graded disk's rings), then the vertices they miss.  An A not
-    numerically positive definite raises LinAlgError."""
+class _BandOrder:
+    """An SPD sparse matrix A in the narrower band order: reverse Cuthill-McKee,
+    or the breadth-first level sets from vertex ``start`` (a graded disk's
+    rings), then the vertices they miss.  Holds A's banded Cholesky factor (an
+    A not numerically positive definite raises LinAlgError) and solves any
+    matrix of A's pattern by banded LU with partial pivoting."""
 
     def __init__(self, A, start: int):
         csgraph, n, coo = _scipy("csgraph"), A.shape[0], A.tocoo()
@@ -209,18 +211,34 @@ class _BandCholesky:
         pos[0, csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)] = np.arange(n)
         pos[1, levels] = np.arange(n)
         widths = [np.abs(p[coo.row] - p[coo.col]).max() for p in pos]
-        self.pos, w = pos[np.argmin(widths)], int(min(widths))
+        self.pos, self.w = pos[np.argmin(widths)], int(min(widths))
         self.order = np.argsort(self.pos)
-        rows, cols = self.pos[coo.row], self.pos[coo.col]
-        low = rows >= cols
-        # the lower band ab[i - j, j] = A[i, j] in Fortran order, one entry a slot
-        band = np.bincount((rows - cols + cols * (w + 1))[low], coo.data[low], (w + 1) * n)
         self.band = _scipy("sla").cholesky_banded(
-            band.reshape((w + 1, n), order="F"), overwrite_ab=True, lower=True, check_finite=False)
+            self._band(coo, True), overwrite_ab=True, lower=True, check_finite=False)
+
+    def _band(self, coo, lower: bool) -> np.ndarray:
+        """LAPACK band storage of ``coo`` in Fortran order, one entry a slot:
+        the lower band ab[i - j, j] = A[i, j], or for LU the whole band at
+        ab[2w + i - j, j] under the w rows that the factor fills in."""
+        w, n = self.w, len(self.pos)
+        rows, cols = self.pos[coo.row], self.pos[coo.col]
+        lead, height = (0, w + 1) if lower else (2 * w, 3 * w + 1)
+        keep = rows >= cols if lower else slice(None)
+        band = np.bincount((lead + rows - cols + cols * height)[keep], coo.data[keep], height * n)
+        return band.reshape((height, n), order="F")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return _scipy("sla").cho_solve_banded((self.band, True), b[self.order],
                                               check_finite=False)[self.pos]
+
+    def lu_solve(self, H, b: np.ndarray) -> np.ndarray:
+        """H^-1 b for a sparse H of A's pattern, by LAPACK banded LU with
+        partial pivoting; an exactly zero pivot raises LinAlgError."""
+        lapack, w = _scipy("sla").lapack, self.w
+        lu, piv, info = lapack.dgbtrf(self._band(H.tocoo(), False), w, w, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"exactly zero pivot in column {info} of the band LU")
+        return lapack.dgbtrs(lu, w, w, b[self.order], piv, overwrite_b=True)[0][self.pos]
 
 
 class _Kernel:
@@ -290,7 +308,7 @@ class _Kernel:
             return None
         points = self.mesh.vertices
         start = np.argmin(euclidean_norm(points[self.free] - points.mean(axis=0)))
-        return _BandCholesky(self.K[self.free][:, self.free], int(start))
+        return _BandOrder(self.K[self.free][:, self.free], int(start))
 
     def dual_residual(self, q: np.ndarray, kf) -> tuple[float, np.ndarray]:
         """Dual norm sqrt(r K^-1 r) of the residual, K^-1 applied through the
@@ -456,9 +474,10 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
     line search.  An intermediate stage stops when the Euclidean norm of its
     regularized residual is at most max(tolerance, eps / 100) * (1 + max|u|);
     the last stage stops when the dual-norm residual, measured through
-    ``kf``, the factor of K, passes the test ``solve`` applies.  A Hessian
-    factor that meets an exactly zero pivot raises NonconvergenceError with
-    the trace so far.  Each accepted step adds a trace row that also records
+    ``kf``, the factor of K, passes the test ``solve`` applies.  Each step
+    solves its Hessian by banded LU with partial pivoting in ``kf``'s band
+    order; an exactly zero pivot raises NonconvergenceError with the trace
+    so far.  Each accepted step adds a trace row that also records
     ``decrement`` (lambda^2 = -r . step), ``stalled`` (true on the last row
     of a stage that used up ``max_iterations`` steps) and ``direction``,
     ``"kacanov"`` on the first ``kernel.kacanov_steps`` rows and ``"newton"``
@@ -481,14 +500,11 @@ def _newton(kernel: _Kernel, cfg: SolverConfig, values: np.ndarray, q: np.ndarra
             if not last_stage and rn <= stage_tol * scale:
                 break
             kacanov = len(trace) < kernel.kacanov_steps
-            try:
-                hlu = _scipy("spla").splu(kernel.hessian(q, q2, kappa, kacanov),
-                                          permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise NonconvergenceError(f"singular Hessian: {exc}", trace) from exc
             step = np.zeros_like(values)
-            step[interior] = hlu.solve(-r[interior])
-            hlu = None  # freed before the next factorization (peak memory)
+            try:
+                step[interior] = kf.lu_solve(kernel.hessian(q, q2, kappa, kacanov), -r[interior])
+            except np.linalg.LinAlgError as exc:
+                raise NonconvergenceError(f"singular Hessian: {exc}", trace) from exc
             if not np.all(np.isfinite(step)):
                 raise NonconvergenceError("Newton step is not finite", trace)
             lam2 = -float(r[interior] @ step[interior])

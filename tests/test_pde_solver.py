@@ -251,11 +251,13 @@ class TestNewtonStopping:
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts of the factorizations the solver runs through scipy: K's banded
-    Cholesky apart from SuperLU, which factors the Hessians."""
-    calls = {"cholesky_banded": 0, "splu": 0, "spsolve": 0}
+    """Counts of the factorizations the solver can run through scipy: K's
+    banded Cholesky, the Hessians' banded LU (``dgbtrf``), and SuperLU, which
+    no solve calls."""
+    calls = {"cholesky_banded": 0, "dgbtrf": 0, "splu": 0, "spsolve": 0}
+    modules = {"cholesky_banded": pde_solver.sla, "dgbtrf": pde_solver.sla.lapack}
     for name in calls:
-        module = pde_solver.sla if name == "cholesky_banded" else pde_solver.spla
+        module = modules.get(name, pde_solver.spla)
 
         def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -288,7 +290,7 @@ class TestOneFactorization:
         if interior_fixed:
             fixed_mask |= np.linalg.norm(mesh.vertices, axis=1) < 0.1
         result = solve(prob, mesh, fixed_mask=fixed_mask)
-        assert factorizations == {"cholesky_banded": 1, "splu": 0, "spsolve": 0}
+        assert factorizations == {"cholesky_banded": 1, "dgbtrf": 0, "splu": 0, "spsolve": 0}
         assert result.converged
         assert result.residual == weak_residual(prob, result.field, fixed_mask)[0]
         assert result.trace[0]["energy"] == discrete_energy(prob, result.field)
@@ -310,7 +312,8 @@ class TestOneFactorization:
         # K once, for the warm start and every dual-norm residual; one Hessian
         # per step
         steps = len(result.trace) - 1
-        assert factorizations == {"cholesky_banded": 1, "splu": steps, "spsolve": 0}
+        assert factorizations == {"cholesky_banded": 1, "dgbtrf": steps, "splu": 0,
+                                  "spsolve": 0}
         assert result.residual == weak_residual(prob, result.field)[0]
         assert result.trace[-1]["energy"] == discrete_energy(prob, result.field)
 
@@ -417,7 +420,7 @@ class TestBandCholesky:
     @pytest.mark.parametrize("kind", ["zero-weight", "negated", "indefinite"])
     def test_not_positive_definite_raises(self, factorizations, kind):
         """A free block that is singular or indefinite raises; no solution
-        comes back and SuperLU is never tried."""
+        comes back and no LU is tried."""
         mesh = unit_square_mesh(8)
         if kind == "zero-weight":
             zero = Field(2, lambda pts: np.zeros((len(pts), 2, 2)), "zero")
@@ -432,8 +435,78 @@ class TestBandCholesky:
             else:
                 block = block - block.diagonal().mean() * sp.identity(block.shape[0], format="csr")
             with pytest.raises(np.linalg.LinAlgError):
-                pde_solver._BandCholesky(block, 0)
-        assert factorizations["splu"] == factorizations["spsolve"] == 0
+                pde_solver._BandOrder(block, 0)
+        assert factorizations["dgbtrf"] == factorizations["splu"] == factorizations["spsolve"] == 0
+
+
+class TestBandLU:
+    """Each Newton or Kacanov step solves its free-block matrix by LAPACK
+    banded LU with partial pivoting, in the order and bandwidth of K's
+    banded Cholesky factor."""
+
+    EX = MeyersExample(2, 0.25, "plain")
+    CASES = {
+        "disk": lambda: (disk_mesh(angular=16, layers=12, grading=0.7),
+                         TestBandLU.EX.weight_field(), TestBandLU.EX.u_with_origin),
+        "disk-0": lambda: (fem_linear_disk(0), TestBandLU.EX.weight_field(),
+                           TestBandLU.EX.u_with_origin),
+        "square": lambda: (unit_square_mesh(12), identity_weight(2),
+                           lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1] ** 2),
+    }
+
+    @classmethod
+    def step_system(cls, name, p, kacanov):
+        """The kernel, its factor of K, the free-block matrix of a step at
+        eps 0.1 from the interpolated case function, and the right side."""
+        mesh, weight, fn = cls.CASES[name]()
+        kernel = pde_solver._Kernel(WeakProblem(weight, p, None, fn), mesh)
+        q = kernel.q(fn(mesh.vertices))
+        r, q2, kappa = kernel.gradient(q, 0.1)
+        return kernel, kernel.factor(), kernel.hessian(q, q2, kappa, kacanov), -r[kernel.free]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("p, kacanov", [(3.0, False), (1.5, False), (3.0, True)])
+    def test_step_equals_dense_solve(self, name, p, kacanov):
+        _, kf, H, b = self.step_system(name, p, kacanov)
+        dense = H.toarray()
+        reference = np.linalg.solve(dense, b)
+        got = kf.lu_solve(H, b)
+        scale = np.linalg.cond(dense) * np.finfo(float).eps * np.abs(reference).max()
+        assert np.abs(got - reference).max() <= 10.0 * scale
+        assert np.abs(dense @ got - b).max() <= 1e-12 * np.abs(dense).max() * np.abs(got).max()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_band_has_the_order_and_bandwidth_of_K(self, monkeypatch, name):
+        kernel, kf, H, b = self.step_system(name, 3.0, False)
+        orig, seen = pde_solver.sla.lapack.dgbtrf, []
+
+        def dgbtrf(ab, kl, ku, **kwargs):
+            seen.append((ab.copy(), ab.flags.f_contiguous, kl, ku))
+            return orig(ab, kl, ku, **kwargs)
+
+        monkeypatch.setattr(pde_solver.sla.lapack, "dgbtrf", dgbtrf)
+        kf.lu_solve(H, b)
+        [(ab, fortran, kl, ku)] = seen
+        w, n = kf.w, len(kernel.free)
+        assert kl == ku == w == kf.band.shape[0] - 1
+        assert ab.shape == (3 * w + 1, n) and fortran
+        # rows 0..w-1 hold the fill-in; row 2w + i - j of column j holds
+        # H[order[i], order[j]], and H has no entry outside the band
+        assert not ab[:w].any()
+        permuted = H.toarray()[np.ix_(kf.order, kf.order)]
+        i, j = np.indices((n, n))
+        inside = np.abs(i - j) <= w
+        assert np.array_equal(ab[2 * w + (i - j)[inside], j[inside]], permuted[inside])
+        assert not permuted[~inside].any()
+
+    def test_p3_on_the_twice_refined_study_disk(self):
+        """The 11,321 free vertices of the p = 2 convergence study's level 2
+        at p = 3: 6 steps to a converged solve."""
+        mesh = fem_linear_disk(2)
+        assert (~mesh.boundary_mask).sum() == 11321
+        result = solve(WeakProblem(self.EX.weight_field(), 3.0, None, self.EX.u_with_origin),
+                       mesh)
+        assert result.converged and len(result.trace) - 1 == 6
 
 
 def reference_gradient_hessian(kernel, values, eps):
@@ -691,30 +764,30 @@ class TestNewtonWork:
     def test_one_hessian_assembly_per_hessian_factor(self, monkeypatch):
         """A stage exit needs only the gradient, so every assembled Hessian
         is factored: on the level-1 sweep mesh, 10 steps over 8 stages."""
-        orig_splu, orig_hessian = pde_solver.spla.splu, pde_solver._Kernel.hessian
-        calls = {"hessian": 0, "splu": 0}
+        orig_gbtrf, orig_hessian = pde_solver.sla.lapack.dgbtrf, pde_solver._Kernel.hessian
+        calls = {"hessian": 0, "dgbtrf": 0}
 
-        def splu(*args, **kwargs):
-            calls["splu"] += 1
-            return orig_splu(*args, **kwargs)
+        def dgbtrf(*args, **kwargs):
+            calls["dgbtrf"] += 1
+            return orig_gbtrf(*args, **kwargs)
 
         def hessian(self, *args):
             calls["hessian"] += 1
             return orig_hessian(self, *args)
 
-        monkeypatch.setattr(pde_solver.spla, "splu", splu)
+        monkeypatch.setattr(pde_solver.sla.lapack, "dgbtrf", dgbtrf)
         monkeypatch.setattr(pde_solver._Kernel, "hessian", hessian)
         spec = SweepSpec(p=3, use_fem=True)
         ex = MeyersExample(spec.n, spec.eps_list[0], spec.variant)
         result = solve(WeakProblem(ex.weight_field(), spec.p, None, ex.u_with_origin),
                        spec.mesh_for(1))
         assert len(result.trace) - 1 == 10
-        assert calls == {"hessian": 10, "splu": 10}
+        assert calls == {"hessian": 10, "dgbtrf": 10}
 
     def test_kacanov_start_on_the_fem_newton_pass(self, factorizations):
         """p = 3 on the default sweep meshes, levels 1-3: two Kacanov steps
         open each solve, then Newton; one Cholesky factor of K per solve and
-        one SuperLU factor per step."""
+        one banded LU factor per step."""
         spec = SweepSpec(p=3.0, use_fem=True)
         ex = MeyersExample(spec.n, spec.eps_list[0], spec.variant)
         steps = []
@@ -725,7 +798,17 @@ class TestNewtonWork:
                 ["kacanov"] * 2 + ["newton"] * (len(rows) - 2))
             steps.append(len(rows))
         assert steps == [10, 11, 11]
-        assert factorizations == {"cholesky_banded": 3, "splu": 32, "spsolve": 0}
+        assert factorizations == {"cholesky_banded": 3, "dgbtrf": 32, "splu": 0, "spsolve": 0}
+
+    def test_p4_converges_on_the_level_1_sweep_mesh(self):
+        """p = 4 Hessians next to the singular origin are not positive
+        definite in floating point; the pivoted banded LU factors each one,
+        and the level-1 solve converges in 27 steps."""
+        spec = SweepSpec(p=4.0, use_fem=True)
+        ex = MeyersExample(spec.n, spec.eps_list[0], spec.variant)
+        result = solve(WeakProblem(ex.weight_field(), spec.p, None, ex.u_with_origin),
+                       spec.mesh_for(1))
+        assert result.converged and len(result.trace) - 1 == 27
 
     @pytest.mark.parametrize("case", ["identity-p3", "meyers-p1.5"])
     def test_newton_only_without_singular_point_or_for_p_below_two(self, case):
@@ -768,19 +851,20 @@ class TestHessianFactorFailure:
     the trace of the steps taken so far."""
 
     def test_singular_factor_raises_with_trace(self, monkeypatch):
-        orig = pde_solver.spla.splu
-        orders = []
+        orig = pde_solver.sla.lapack.dgbtrf
+        bands = []
 
-        def splu(A, permc_spec=None, **kwargs):
-            orders.append(permc_spec)
-            if len(orders) > 2:  # the first two Hessians factor
-                raise RuntimeError("Factor is exactly singular")
-            return orig(A, permc_spec=permc_spec, **kwargs)
+        def dgbtrf(ab, kl, ku, **kwargs):
+            bands.append((kl, ku))
+            lu, piv, info = orig(ab, kl, ku, **kwargs)
+            # the first two Hessians factor; the third meets a zero pivot
+            return lu, piv, 5 if len(bands) > 2 else info
 
-        monkeypatch.setattr(pde_solver.spla, "splu", splu)
-        with pytest.raises(NonconvergenceError, match="singular Hessian") as err:
-            solve(TestNewtonStopping.p3_problem(), unit_square_mesh(8),
-                  SolverConfig(tolerance=1e-9))
-        assert orders == ["MMD_AT_PLUS_A"] * 3
+        monkeypatch.setattr(pde_solver.sla.lapack, "dgbtrf", dgbtrf)
+        prob, mesh = TestNewtonStopping.p3_problem(), unit_square_mesh(8)
+        with pytest.raises(NonconvergenceError, match="singular Hessian: .*column 5") as err:
+            solve(prob, mesh, SolverConfig(tolerance=1e-9))
+        w = pde_solver._Kernel(prob, mesh).factor().w
+        assert bands == [(w, w)] * 3
         assert [row["iteration"] for row in err.value.trace] == [1, 2]
-        assert isinstance(err.value.__cause__, RuntimeError)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)

@@ -92,7 +92,7 @@ from degcz import pde_solver
 from degcz.meshing import unit_square_mesh
 from degcz.weight_algebra import weight_from_config
 print('scipy' in sys.modules)
-names = {{'spla': ['splu'], 'sla': ['cholesky_banded', 'cho_solve_banded'],
+names = {{'spla': ['splu'], 'sla': ['cholesky_banded', 'cho_solve_banded', 'lapack'],
          'csgraph': ['reverse_cuthill_mckee', 'breadth_first_order']}}
 real = [getattr(pde_solver, name) for name in names] if {read_first} else None
 import scipy.linalg, scipy.sparse.csgraph, scipy.sparse.linalg
@@ -100,8 +100,11 @@ modules = {{'spla': scipy.sparse.linalg, 'sla': scipy.linalg, 'csgraph': scipy.s
 assert real in (None, list(modules.values()))
 calls = []
 def wrapped(module, fn):
+    if fn == 'lapack':  # the banded LU of the Hessians
+        return types.SimpleNamespace(**{{f: wrapped(module.lapack, f)
+                                        for f in ('dgbtrf', 'dgbtrs')}})
     def call(*args, **kwargs):
-        calls.append((fn, kwargs.get('permc_spec')))
+        calls.append(fn)
         return getattr(module, fn)(*args, **kwargs)
     return call
 views = {{name: types.SimpleNamespace(**{{fn: wrapped(modules[name], fn) for fn in fns}})
@@ -113,10 +116,9 @@ prob = pde_solver.WeakProblem(weight_from_config({{'kind': 'identity'}}), 3.0, N
 result = pde_solver.solve(prob, unit_square_mesh(6), pde_solver.SolverConfig(tolerance=1e-9))
 print(all(getattr(pde_solver, name) is view for name, view in views.items()))
 steps = len(result.trace) - 1
-print(calls[:3] == [('breadth_first_order', None), ('reverse_cuthill_mckee', None),
-                    ('cholesky_banded', None)],
-      [c for c in calls if c[0] == 'splu'] == [('splu', 'MMD_AT_PLUS_A')] * steps, steps > 0,
-      calls.count(('cho_solve_banded', None)) >= 2)
+print(calls[:3] == ['breadth_first_order', 'reverse_cuthill_mckee', 'cholesky_banded'],
+      calls.count('dgbtrf') == calls.count('dgbtrs') == steps > 0, 'splu' not in calls,
+      calls.count('cho_solve_banded') >= 2)
 """
     assert fresh_python(code, tmp_path) == ["False", "True", "True True True True"]
 
