@@ -202,7 +202,7 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
         est_raw_deep = seminorms.bmo(
             matrix, seminorms.BallFamily.origin_ladder(dom, levels=3), quad
         )
-        raw_value = max(row[4] for row in est_raw_deep.rows[:ladder.count])
+        raw_value = max(row[-2] for row in est_raw_deep.rows[:ladder.count])
         unbounded = est_raw_deep.value > 1.5 * raw_value
         summary["bmo_M"] = est_raw_deep.value
         summary["bmo_M_flag"] = (
@@ -235,7 +235,7 @@ def cmd_analyze_weight(cfg: dict, out: Path, header: dict) -> int:
     write_csv(out / "weight_summary.csv", ("quantity", "value", "detail"), rows, header)
     write_csv(
         out / "weight_bmo_balls.csv",
-        ("family_id", "ball_index", "center_x", "center_y", "radius",
+        ("family_id", "ball_index", *("center_x", "center_y", "center_z")[:dom.dim], "radius",
          "per_ball_value", "running_max"),
         ball_rows,
         header,

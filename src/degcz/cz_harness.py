@@ -185,7 +185,7 @@ def poincare_condition(
         return math.inf, True
     fam = standard_family(dom, levels=2)
     est = muckenhoupt_ap(omega, p, fam, quad, neg_exponent=tp / (tp - 1.0))
-    return max(0.0, *(row[4] for row in est.rows)), est.divergent
+    return max(0.0, *(row[-1] for row in est.rows)), est.divergent
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .weight_algebra import (
     DEFAULT_QUAD,
     Field,
     QuadratureSpec,
-    ball_nodes,
     spectral_norm_sym,
 )
 
@@ -131,8 +130,8 @@ class BmoEstimate:
 
     value: float
     attaining_ball: Ball
-    rows: list[tuple[int, float, float, float, float, float]] = field(default_factory=list)
-    # rows: (index, cx, cy, radius, per-ball value, running max)
+    rows: list[tuple[float, ...]] = field(default_factory=list)
+    # rows: (index, one center coordinate per dimension, radius, per-ball value, running max)
 
 
 def bmo(f: Field, fam: BallFamily, quad: QuadratureSpec = DEFAULT_QUAD) -> BmoEstimate:
@@ -169,8 +168,7 @@ def bmo_and_ap(
     per_ball = [[] for _ in views]
     coarse = []
     for ball in fam.balls:
-        pts, w = ball_nodes(ball, quad, fam.domain, f.singular_points)
-        vals = f.evaluate(pts) if len(w) else None
+        vals, w = f.on_ball(ball, quad, fam.domain)
         derived = [view(vals) for view in views] if len(w) else [None] * len(views)
         for out, v in zip(per_ball, derived):
             out.append(_mean_oscillation(w, v, ball) if len(w) else 0.0)
@@ -178,7 +176,7 @@ def bmo_and_ap(
             coarse += ([_power_means(w, np.exp(derived[0]), expos)] if len(w) == full
                        else _rule_power_means(omega, (ball,), quad, expos))
     # the last ball's values would otherwise stay alive through the refined rule
-    del pts, w, vals, derived
+    del w, vals, derived
     bmos = [_bmo_estimate(fam, values) for values in per_ball]
     if not expos:
         return bmos, []
@@ -212,8 +210,7 @@ def _bmo_estimate(fam: BallFamily, values: list[float]) -> BmoEstimate:
         running = max(running, val)
         if val > best_val:
             best_val, best_ball = val, ball
-        c = ball.center
-        rows.append((idx, c[0], c[1] if len(c) > 1 else 0.0, ball.radius, val, running))
+        rows.append((idx, *ball.center, ball.radius, val, running))
     return BmoEstimate(best_val, best_ball, rows)
 
 
@@ -229,7 +226,7 @@ class ApEstimate:
     divergent: bool
     p: float
     witness_ball: Ball | None
-    rows: list[tuple[int, float, float, float, float]] = field(default_factory=list)
+    rows: list[tuple[float, ...]] = field(default_factory=list)
 
 
 def _power_means(w: np.ndarray, vals: np.ndarray, expos) -> list[float]:
@@ -241,11 +238,8 @@ def _power_means(w: np.ndarray, vals: np.ndarray, expos) -> list[float]:
 def _rule_power_means(field, balls, rule, expos) -> list[list[float]]:
     """:func:`_power_means` on each ball's node set for ``rule``, one field
     evaluation per node set."""
-    means = []
-    for ball in balls:
-        pts, w = ball_nodes(ball, rule, singular=field.singular_points)
-        means.append(_power_means(w, field.evaluate(pts), expos))
-    return means
+    return [_power_means(w, vals, expos)
+            for vals, w in (field.on_ball(ball, rule) for ball in balls)]
 
 
 def _unstable(coarse: float, fine: float) -> bool:
@@ -293,8 +287,7 @@ def _ap_estimate(p: float, pc: float, fam: BallFamily, coarse, fine) -> ApEstima
         val_f = m_pos_f ** (1.0 / p) * m_neg_f ** (1.0 / pc)
         if _unstable(val, val_f):
             divergent, div_ball = True, ball
-        c = ball.center
-        rows.append((idx, c[0], c[1] if len(c) > 1 else 0.0, ball.radius, val_f))
+        rows.append((idx, *ball.center, ball.radius, val_f))
         if val_f > best:
             best, witness = val_f, ball
     if divergent:
@@ -333,8 +326,7 @@ def prop_small_check(
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    pts, w = ball_nodes(ball, quad, singular=field.singular_points)
-    vals = field.evaluate(pts)
+    vals, w = field.on_ball(ball, quad)
     if vals.ndim == 3:
         rel = spectral_norm_sym(vals - log_mean_b) / spectral_norm_sym(log_mean_b[None])[0]
     else:

@@ -6,8 +6,9 @@ symmetric eigendecomposition, and the single-matrix functions
 (:func:`spd_exp`, :func:`spd_log`) are stacks of one.  Balls are integrated by one
 rule, polar-midpoint quadrature (:class:`QuadratureSpec`).  All field
 evaluators are batched: they map an ``(m, n)`` array of points to ``(m,)``
-scalars or ``(m, n, n)`` matrices, and they must be stateless and act row by
-row, since :meth:`Field.evaluate` splits large point sets into chunks.  Ball
+scalars or ``(m, n, n)`` matrices, and they must act row by row, since
+:meth:`Field.evaluate` splits large point sets into chunks; their one state is
+a bounded, deterministic cache, the log-normal weight's trig tables.  Ball
 quadrature builds one node set per ball from a cached template per radius.
 :func:`log_mean` gives the logarithmic mean of a scalar or a matrix field from
 the logs that :meth:`Field.log` returns.  Every matrix weight of the registry
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -371,7 +372,9 @@ class Field:
     positive (definite) field; ``cond_bound`` bounds a matrix weight's
     condition number, ``log_fn``, when given, is its exact logarithm, and
     ``omega_fn``, when given, is the exact spectral norm |M|, which
-    :meth:`omega` then evaluates without forming M.
+    :meth:`omega` then evaluates without forming M.  ``tables``, when given, is
+    the weight's trig-table cache; its evaluators, and so those of :meth:`log`,
+    :meth:`omega` and :meth:`inverse`, then also take the keys of :meth:`on_ball`.
     """
 
     dim: int
@@ -381,6 +384,7 @@ class Field:
     cond_bound: float | None = None
     log_fn: Callable[[np.ndarray], np.ndarray] | None = None
     omega_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    tables: dict | None = field(default=None, compare=False, repr=False)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at ``points``, :data:`BATCH_NODES` points at a time into one
@@ -394,6 +398,16 @@ class Field:
         for start in range(BATCH_NODES, len(pts), BATCH_NODES):
             out[start:start + BATCH_NODES] = self.fn(pts[start:start + BATCH_NODES])
         return out
+
+    def on_ball(self, ball: Ball, quad: QuadratureSpec = DEFAULT_QUAD,
+                clip: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Values and weights on the node set of :func:`ball_nodes`; a field with
+        ``tables`` takes a set that lost no node whole, as the key ``(ball, quad)``."""
+        pts, w = ball_nodes(ball, quad, clip, self.singular_points)
+        if self.tables is None or w is not _polar_template(
+                ball.dim, ball.radius, *quad.resolution)[1]:
+            return self.evaluate(pts), w
+        return self.fn((ball, quad)), w
 
     def log(self) -> "Field":
         """The pointwise logarithm: ``log_fn`` when given, else the log of the
@@ -444,21 +458,6 @@ class Field:
             log_fn=(lambda pts: -logf(pts)) if logf is not None else None, omega_fn=None,
         )
 
-    def scaled(self, t: float) -> "Field":
-        if t <= 0:
-            raise ValueError("scale factor must be positive")
-        base, logf, omegaf, dim = self.fn, self.log_fn, self.omega_fn, self.dim
-
-        def log_fn(pts):
-            h = logf(pts)
-            return h + math.log(t) * np.eye(dim) if _is_matrix(h) else math.log(t) + h
-
-        return replace(
-            self, fn=lambda pts: t * base(pts), label=f"{t:g}*({self.label})",
-            log_fn=log_fn if logf is not None else None,
-            omega_fn=(lambda pts: t * omegaf(pts)) if omegaf is not None else None,
-        )
-
     def measured_condition(self, points: np.ndarray) -> float:
         w = _sym_eigvals(self.evaluate(points))
         if w.min() <= 0:
@@ -485,8 +484,7 @@ def log_mean(
     A float for a scalar field, the multiplicative mean; an SPD matrix for a
     matrix field, which commutes with pointwise inversion.
     """
-    pts, w = ball_nodes(ball, quad, singular=field.singular_points)
-    logs = field.log().evaluate(pts)
+    logs, w = field.log().on_ball(ball, quad)
     if not _is_matrix(logs):
         return float(np.exp(np.sum(w * logs) / np.sum(w)))
     mean = np.einsum("m,mij->ij", w, logs) / np.sum(w)
@@ -551,12 +549,29 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
     phases = rng.random(modes) * 2.0 * math.pi
 
     upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    coef = np.array([mats[:, i, j] for i, j in upper])
+    tables: dict = {}  # rule -> (radius, rows cos(2 pi k.t), then sin(2 pi k.t))
 
-    def entries(pts: np.ndarray) -> list[np.ndarray]:
-        # the entries h_ij (i <= j) of H = log M, from a (modes, m) table of
-        # cosines, each mode's one contiguous row.  Each entry is summed onto
-        # +0.0 mode by mode, as einsum("mk,kij->mij", cosines, mats) sums it,
-        # so it has that einsum's bits, signs of zero included
+    def entries(pts) -> list[np.ndarray] | np.ndarray:
+        # the entries h_ij (i <= j) of H = log M.  On a key, the nodes c + t of
+        # a template t split each wave, with beta = 2 pi k.c + phi, as
+        # cos(beta + 2 pi k.t) = cos(beta) cos(2 pi k.t) - sin(beta) sin(2 pi k.t)
+        if isinstance(pts, tuple):
+            ball, rule = pts
+            radius, table = tables.pop(rule, (None, None))
+            if radius != ball.radius:
+                del table  # freed before its successor is built
+                tmpl = _polar_template(dim, ball.radius, *rule.resolution)[0]
+                ph = waves @ (2.0 * math.pi * tmpl).T
+                table = np.empty((2 * modes, len(tmpl)))
+                np.cos(ph, out=table[:modes])
+                np.sin(ph, out=table[modes:])
+            tables[rule] = ball.radius, table
+            beta = waves @ (2.0 * math.pi * np.asarray(ball.center)) + phases
+            return np.hstack([coef * np.cos(beta), -coef * np.sin(beta)]) @ table
+        # at points, from a (modes, m) table of cosines, one row per mode, each
+        # entry summed onto +0.0 mode by mode, as einsum("mk,kij->mij",
+        # cosines, mats) sums it: that einsum's bits, signs of zero included
         osc = np.cos(waves @ (2.0 * math.pi * pts).T + phases[:, None])
         h = [0.0 + mats[0, i, j] * osc[0] for i, j in upper]
         for k in range(1, modes):
@@ -565,8 +580,9 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
         return h
 
     def log_fn(pts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(pts), dim, dim))
-        for hij, (i, j) in zip(entries(pts), upper):
+        h = entries(pts)
+        out = np.empty((len(h[0]), dim, dim))
+        for hij, (i, j) in zip(h, upper):
             out[:, i, j] = out[:, j, i] = hij
         return out
 
@@ -577,16 +593,9 @@ def _log_normal_weight(dim: int, seed: int, sigma: float, modes: int) -> Field:
         mean, disc = _eig2(*entries(pts))
         return np.exp(mean + disc)
 
-    norm_sum = float(spectral_norm_sym(mats).sum())
-    return Field(
-        dim,
-        lambda pts: sym_exp_batched(log_fn(pts)),
-        f"log-normal(seed={seed})",
-        (),
-        math.exp(2.0 * norm_sum),
-        log_fn,
-        omega_fn,
-    )
+    return Field(dim, lambda pts: sym_exp_batched(log_fn(pts)), f"log-normal(seed={seed})",
+                 cond_bound=math.exp(2.0 * float(spectral_norm_sym(mats).sum())),
+                 log_fn=log_fn, omega_fn=omega_fn, tables=tables)
 
 
 def weight_from_config(cfg: Mapping) -> Field:

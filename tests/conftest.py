@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -53,6 +56,22 @@ def rng():
 @pytest.fixture
 def quad():
     return QuadratureSpec((64, 32))
+
+
+def scaled(field, t):
+    """The weight t * field, with the closed-form log and norm that match it:
+    log(t W) = log W + (log t) I and |t W| = t |W|."""
+    base, logf, omegaf = field.fn, field.log_fn, field.omega_fn
+
+    def log_fn(pts):
+        h = logf(pts)
+        return h + math.log(t) * np.eye(field.dim) if np.ndim(h) == 3 else math.log(t) + h
+
+    return replace(
+        field, fn=lambda pts: t * base(pts), label=f"{t:g}*({field.label})",
+        log_fn=log_fn if logf is not None else None,
+        omega_fn=(lambda pts: t * omegaf(pts)) if omegaf is not None else None,
+    )
 
 
 def random_spd(rng, count, n, max_cond=1e6):

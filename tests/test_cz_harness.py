@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import discrete_energy
+from conftest import discrete_energy, scaled
 from degcz.cz_harness import (
     GeometryError,
     SweepSpec,
@@ -95,7 +95,7 @@ class TestCzRatio:
         u = interpolate(graded_disk, ex.u_with_origin)
         u_scaled = DiscreteField(graded_disk, u.values / t)
         prob = WeakProblem(ex.weight_field(), 2.0)
-        prob_scaled = WeakProblem(ex.weight_field().scaled(t), 2.0)
+        prob_scaled = WeakProblem(scaled(ex.weight_field(), t), 2.0)
         b0 = Ball((0.0, 0.0), 0.2)
         r1 = cz_ratio(u, prob, b0, 3.0)
         r2 = cz_ratio(u_scaled, prob_scaled, b0, 3.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import scaled
 from degcz.exact_examples import MeyersExample
 from degcz.seminorms import (
     OVERFLOW_GUARD,
@@ -132,7 +133,7 @@ class TestBmoScalar:
         fam = standard_family(unit_ball, 3)
         base = bmo(om.log(), fam, quad).value
         for t in (1e-3, 1.0, 1e3):
-            val = bmo(om.scaled(t).log(), fam, quad).value
+            val = bmo(scaled(om, t).log(), fam, quad).value
             assert abs(val - base) <= 1e-12 * max(1.0, base)
 
     def test_monotone_in_family(self, unit_ball, quad):
@@ -348,22 +349,20 @@ class TestSmallScalar:
 # shared node sets: the estimators reproduce one-exponent-per-pass arithmetic
 # ---------------------------------------------------------------------------
 
-def _single_mean(field, ball, quad, expo, sing):
+def _single_mean(field, ball, quad, expo):
     """One node set and one field evaluation per power mean (reference)."""
-    pts, w = ball_nodes(ball, quad, singular=sing)
-    vals = field.evaluate(pts)
+    vals, w = field.on_ball(ball, quad)
     return float(np.sum(w * vals ** expo) / w.sum())
 
 
 def _reference_ap(omega, p, e, fam, quad):
     """Per-ball (coarse, fine) A_p-type values from four separate passes."""
-    sing = np.atleast_2d(np.asarray(omega.singular_points or ()).reshape(-1, fam.domain.dim))
     out = []
     for ball in fam.balls:
         pair = []
         for rule in (quad, quad.refined()):
-            pos = _single_mean(omega, ball, rule, p, sing) ** (1.0 / p)
-            neg = _single_mean(omega, ball, rule, -e, sing) ** (1.0 / e)
+            pos = _single_mean(omega, ball, rule, p) ** (1.0 / p)
+            neg = _single_mean(omega, ball, rule, -e) ** (1.0 / e)
             pair.append((pos, neg))
         out.append(pair)
     return out
@@ -496,6 +495,49 @@ class TestBmoAndAp:
         assert ap == muckenhoupt_ap(omega, 2.0, fam, quad)
 
 
+class TestBallRows:
+    def test_rows_keep_every_center_coordinate(self, quad):
+        # a 3-d family's rows carry (x, y, z); the per-ball value follows the radius
+        from degcz.weight_algebra import weight_from_config
+
+        fam = standard_family(Ball((0.0, 0.0, 0.0), 1.0), 1)
+        m = weight_from_config({"kind": "log-normal", "n": 3, "seed": 3})
+        est, ap = bmo(m.log(), fam, quad), muckenhoupt_ap(m.omega(), 2.0, fam, quad)
+        assert [row[1:5] for row in est.rows] == [b.center + (b.radius,) for b in fam.balls]
+        assert [row[1:5] for row in ap.rows] == [b.center + (b.radius,) for b in fam.balls]
+        assert len({row[1:4] for row in est.rows}) == fam.count
+        assert max(row[-2] for row in est.rows) == est.value
+
+
+class TestTrigTableCache:
+    def test_a_bmo_and_ap_pass_builds_one_table_per_radius_and_rule(self, monkeypatch):
+        # the 259-ball BMO pass on the rule and the A_p pass on its 4x
+        # refinement build 3 radii x 2 rules tables, and the weight holds at
+        # most one table per rule in use
+        from degcz.weight_algebra import DEFAULT_QUAD, lambda_max_sym, weight_from_config
+
+        m = weight_from_config({"kind": "log-normal", "n": 2, "seed": 1})
+        fam = standard_family(Ball((0.0, 0.0), 1.0), 3)
+        radii = sorted({b.radius for b in fam.balls})
+        assert fam.count == 259 and len(radii) == 3
+        builds, held = [], []
+        orig = Field.on_ball
+
+        def watching(self, *args):
+            before = {rule: entry[0] for rule, entry in m.tables.items()}
+            out = orig(self, *args)
+            builds.extend((rule.resolution, entry[0]) for rule, entry in m.tables.items()
+                          if before.get(rule) != entry[0])
+            held.append(len(m.tables))
+            return out
+
+        monkeypatch.setattr(Field, "on_ball", watching)
+        bmo_and_ap(m.log(), (lambda_max_sym, lambda h: h), m.omega(), [2.0], fam, DEFAULT_QUAD)
+        rules = (DEFAULT_QUAD, DEFAULT_QUAD.refined())
+        assert sorted(builds) == sorted((q.resolution, r) for q in rules for r in radii)
+        assert max(held) == 2
+
+
 class TestMeanOscillation:
     def test_matches_the_tensordot_formula_bitwise(self, unit_ball, quad, rng):
         from conftest import random_spd
@@ -546,13 +588,14 @@ class TestQuadratureWork:
         fam = standard_family(unit_ball, 2)
         singles = [muckenhoupt_ap(omega, p, fam, quad) for p in (2.0, 3.0)]
         sizes = {}
-        orig = Field.evaluate
+        orig = Field.on_ball
 
-        def counting(self, points):
-            sizes[self.label] = sizes.get(self.label, 0) + len(points)
-            return orig(self, points)
+        def counting(self, *args):
+            vals, w = orig(self, *args)
+            sizes[self.label] = sizes.get(self.label, 0) + len(w)
+            return vals, w
 
-        monkeypatch.setattr(Field, "evaluate", counting)
+        monkeypatch.setattr(Field, "on_ball", counting)
         log_omega = omega.log()
         (est,), both = bmo_and_ap(log_omega, (lambda v: v,), omega, [2.0, 3.0], fam, quad)
         coarse, fine = (math.prod(rule.resolution) for rule in (quad, quad.refined()))
@@ -566,12 +609,12 @@ class TestQuadratureWork:
         # refinement, and the weight's omega_fn sees the refined node sets of
         # the family in family order and then only the domain ball's node
         # sets of the oscillation and power-mean rows
-        from degcz import seminorms
+        from degcz import weight_algebra
         from degcz.cli import main
         from degcz.weight_algebra import DEFAULT_QUAD
 
         built, seen = [], []
-        orig_nodes, orig_omega = seminorms.ball_nodes, MeyersExample.omega
+        orig_nodes, orig_omega = weight_algebra.ball_nodes, MeyersExample.omega
 
         def recording_nodes(ball, *args, **kwargs):
             built.append(ball)
@@ -581,7 +624,7 @@ class TestQuadratureWork:
             seen.append(np.array(points))
             return orig_omega(self, points)
 
-        monkeypatch.setattr(seminorms, "ball_nodes", recording_nodes)
+        monkeypatch.setattr(weight_algebra, "ball_nodes", recording_nodes)
         monkeypatch.setattr(MeyersExample, "omega", recording_omega)
         cfg = tmp_path / "w.cfg"
         cfg.write_text('weight.kind = "power-radial"\nweight.eps = 0.25\n'

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import COORDS, MODERATE, coord_arrays, random_spd
+from conftest import COORDS, MODERATE, coord_arrays, random_spd, scaled
 from degcz.seminorms import BallFamily
 from degcz.weight_algebra import (
     Ball,
@@ -378,11 +378,13 @@ class TestLogMeans:
             if not closed_form_log:
                 w, om = replace(w, log_fn=None), replace(om, log_fn=None)
             for ball in (Ball((0.1, 0.2), 0.5), Ball((0.0, 0.0), 0.3)):
+                # the log-normal weight's full node sets go by key, as in Field.on_ball
                 pts, wts = ball_nodes(ball, quad, singular=w.singular_points)
-                logs = om.log_fn(pts) if closed_form_log else np.log(om.evaluate(pts))
+                at = pts if w.tables is None else (ball, quad)
+                logs = om.log_fn(at) if closed_form_log else np.log(om.fn(at))
                 want = float(np.exp(np.sum(wts * logs) / np.sum(wts)))
                 assert log_mean(om, ball, quad) == want
-                logs = w.log_fn(pts) if closed_form_log else sym_log_batched(w.evaluate(pts))
+                logs = w.log_fn(at) if closed_form_log else sym_log_batched(w.fn(at))
                 mean = np.einsum("m,mij->ij", wts, logs) / np.sum(wts)
                 assert np.array_equal(log_mean(w, ball, quad), spd_exp(0.5 * (mean + mean.T)))
 
@@ -417,7 +419,7 @@ class TestLogMeans:
     def test_scaling(self, unit_ball):
         om = omega_and_matrix_from_config({"kind": "power", "exponent": 0.4})[0]
         v = log_mean(om, unit_ball)
-        vt = log_mean(om.scaled(17.0), unit_ball)
+        vt = log_mean(scaled(om, 17.0), unit_ball)
         assert vt == pytest.approx(17.0 * v, rel=1e-12)
 
     def test_constant_matrix(self, unit_ball, rng):
@@ -510,19 +512,15 @@ class TestField:
     within :attr:`TestOmegaClosedForm.RTOL`, not bit for bit.
     """
 
-    T = 17.0
-
     @pytest.mark.parametrize("field", _field_cases())
     def test_methods_match_reference_expressions(self, field, rng):
-        fn, logf, t = field.fn, field.log_fn, self.T
+        fn, logf = field.fn, field.log_fn
         keep = logf is not None
         pts = rng.uniform(-0.7, 0.7, (40, 2))
         if fn(pts).ndim == 3:
             ref_log = logf(pts) if keep else sym_log_batched(fn(pts))
             ref_inv = np.linalg.inv(fn(pts))
             ref_inv_log = -logf(pts) if keep else sym_log_batched(np.linalg.inv(fn(pts)))
-            ref_scaled_log = (logf(pts) + math.log(t) * np.eye(2) if keep
-                              else sym_log_batched(t * fn(pts)))
             ref_omega = spectral_norm_sym(fn(pts))
             ref_omega_log = (_sym_eigvals(logf(pts)).max(axis=-1) if keep
                              else np.log(spectral_norm_sym(fn(pts))))
@@ -530,22 +528,20 @@ class TestField:
             ref_log = logf(pts) if keep else np.log(fn(pts))
             ref_inv = 1.0 / fn(pts)
             ref_inv_log = -logf(pts) if keep else np.log(1.0 / fn(pts))
-            ref_scaled_log = math.log(t) + logf(pts) if keep else np.log(t * fn(pts))
             ref_omega = fn(pts)
             ref_omega_log = logf(pts) if keep else np.log(fn(pts))
         assert np.array_equal(field.evaluate(pts), fn(pts))
         assert np.array_equal(field.log().evaluate(pts), ref_log)
         assert np.array_equal(field.inverse().evaluate(pts), ref_inv)
         assert np.array_equal(field.inverse().log().evaluate(pts), ref_inv_log)
-        assert np.array_equal(field.scaled(t).log().evaluate(pts), ref_scaled_log)
         omega = field.omega().evaluate(pts)
         if field.omega_fn is None:
             assert np.array_equal(omega, ref_omega)
         else:
             assert np.abs(omega / ref_omega - 1.0).max() <= TestOmegaClosedForm.RTOL[2]
         assert np.array_equal(field.omega().log().evaluate(pts), ref_omega_log)
-        assert (field.inverse().log_fn is None, field.scaled(t).log_fn is None,
-                field.omega().log_fn is None) == (not keep,) * 3
+        assert (field.inverse().log_fn is None,
+                field.omega().log_fn is None) == (not keep,) * 2
 
     @pytest.mark.parametrize("base", _field_cases())
     def test_derived_fields_keep_metadata(self, base):
@@ -553,10 +549,8 @@ class TestField:
         assert base.log().label == f"log({base.label})"
         for derived in (base.log(), base.omega()):
             assert derived.cond_bound is None and derived.singular_points == base.singular_points
-        assert base.inverse().cond_bound == base.scaled(self.T).cond_bound == base.cond_bound
+        assert base.inverse().cond_bound == base.cond_bound
         assert base.log().log_fn is None
-        with pytest.raises(ValueError):
-            base.scaled(0.0)
 
 
 def _matrix_weight(kind, n, eps, seed):
@@ -637,9 +631,8 @@ class TestOmegaClosedForm:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(WEIGHT_KINDS), n=st.sampled_from([2, 3]),
-           eps=st.floats(1e-3, 0.5), seed=st.integers(0, 2 ** 32 - 1),
-           t=st.floats(1e-3, 1e3))
-    def test_omega_fn_is_the_spectral_norm(self, kind, n, eps, seed, t):
+           eps=st.floats(1e-3, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_omega_fn_is_the_spectral_norm(self, kind, n, eps, seed):
         field = _matrix_weight(kind, n, eps, seed)
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (64, n))
         omega = field.omega().evaluate(pts)
@@ -648,6 +641,98 @@ class TestOmegaClosedForm:
         assert np.abs(omega / ref - 1.0).max() <= self.RTOL[n]
         if kind in ("rank-one-radial", "identity"):
             assert np.all(omega == 1.0)
-        assert np.array_equal(field.scaled(t).omega().evaluate(pts), t * omega)
         for derived in (field.log(), field.inverse(), field.omega()):
             assert derived.omega_fn is None
+
+
+def _log_normal_parts(dim, seed, sigma, modes):
+    """The mode matrices m_k and waves k of the seeded log-normal weight."""
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((modes, dim, dim))
+    mats = 0.5 * (mats + np.swapaxes(mats, -1, -2)) * (sigma / math.sqrt(modes))
+    return mats, rng.integers(-2, 3, size=(modes, dim)).astype(float)
+
+
+class TestTrigTables:
+    """``Field.on_ball`` evaluates the log-normal weight on a ball's full node
+    set c + t from one trig table per (radius, rule) of its template t; a node
+    set that lost nodes takes the pointwise path, bit for bit."""
+
+    #: the table path splits each wave's argument 2 pi k.(c + t) + phi into
+    #: beta = 2 pi k.c + phi and 2 pi k.t, so an entry h_ij moves from the
+    #: pointwise one by the rounding of those arguments, at most ULPS units
+    #: of roundoff u times sum_k |m_k,ij| (1 + 2 pi (|k|_1 (|c|_inf + r) + 1)).
+    #: The largest seen was 2.5; omega = exp(lambda_max(H)) moves by at most
+    #: ULPS u (n max_ij(bound_ij) + max_ij sum_k |m_k,ij|) relative (seen: 1.6)
+    ULPS = 8.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+           modes=st.integers(1, 9), sigma=st.sampled_from([0.0, 0.3, 3.0]),
+           radius=st.floats(1e-3, 1.0), center=st.lists(st.floats(-50.0, 50.0), min_size=3,
+                                                        max_size=3),
+           refined=st.booleans(), clipped=st.booleans())
+    def test_table_path_matches_the_pointwise_path(self, n, seed, modes, sigma, radius,
+                                                   center, refined, clipped):
+        field = weight_from_config(
+            {"kind": "log-normal", "n": n, "seed": seed, "modes": modes, "sigma": sigma})
+        ball = Ball(tuple(center[:n]), radius)
+        rule = QuadratureSpec((64, 32)).refined() if refined else QuadratureSpec((64, 32))
+        # a clip ball centred on the ball's rim drops about half of its nodes
+        clip = Ball(ball.center[:-1] + (ball.center[-1] + radius,), radius) if clipped else None
+        pts, w = ball_nodes(ball, rule, clip)
+        assert (len(w) < math.prod(rule.resolution)) == clipped
+        logs, w_on = field.log().on_ball(ball, rule, clip)
+        omega = field.omega().on_ball(ball, rule, clip)[0]
+        assert np.array_equal(w_on, w)
+        ref = field.log_fn(pts)
+        ref_omega = np.exp(lambda_max_sym(ref))
+        if clipped:
+            assert logs.tobytes() == ref.tobytes()
+            assert omega.tobytes() == field.omega_fn(pts).tobytes()
+            return
+        mats, waves = _log_normal_parts(n, seed, sigma, modes)
+        reach = np.abs(waves).sum(axis=1) * (max(map(abs, ball.center)) + radius) + 1.0
+        bound = np.einsum("k,kij->ij", 1.0 + 2.0 * math.pi * reach, np.abs(mats))
+        u = np.finfo(float).eps / 2.0
+        assert np.all(np.abs(logs - ref) <= self.ULPS * u * bound)
+        rel = self.ULPS * u * (n * bound.max() + np.abs(mats).sum(axis=0).max())
+        assert np.all(np.abs(omega - ref_omega) <= rel * ref_omega)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_values_do_not_depend_on_the_batch_size(self, n, monkeypatch):
+        from degcz import weight_algebra
+
+        field = weight_from_config({"kind": "log-normal", "n": n, "seed": 5})
+        dom = Ball((0.0,) * n, 1.0)
+        balls = [(Ball((0.3,) + (0.0,) * (n - 1), 0.25), None), (dom, None),
+                 (Ball((0.8,) + (0.0,) * (n - 1), 0.5), dom)]
+        rules = [QuadratureSpec((64, 32)), QuadratureSpec((64, 32)).refined()]
+        runs = []
+        for batch in (512, 2048, 8192):
+            monkeypatch.setattr(weight_algebra, "BATCH_NODES", batch)
+            runs.append([
+                derived.on_ball(ball, rule, clip)[0].tobytes()
+                for derived in (field, field.log(), field.omega(), field.inverse())
+                for ball, clip in balls for rule in rules
+            ] + [
+                np.asarray(log_mean(derived, ball, rule)).tobytes()
+                for derived in (field, field.omega()) for ball, _ in balls for rule in rules
+            ])
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("batch", [512, 2048, 8192])
+    def test_analyze_weight_bodies_do_not_depend_on_the_batch_size(self, batch, tmp_path,
+                                                                   monkeypatch):
+        from pathlib import Path
+
+        from degcz import weight_algebra
+        from degcz.cli import main
+
+        golden = Path(__file__).parent / "golden" / "log_normal"
+        monkeypatch.setattr(weight_algebra, "BATCH_NODES", batch)
+        assert main(["analyze-weight", "--config", str(golden / "config.cfg"),
+                     "--out", str(tmp_path)]) == 0
+        for name in ("weight_analysis.json", "weight_bmo_balls.csv", "weight_summary.csv",
+                     "weight_power_means.csv", "weight_oscillation.csv"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
